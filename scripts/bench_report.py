@@ -991,6 +991,10 @@ def bench_live(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     }
 
 
+#: the reliability stack's wall-clock budget over a bare service
+RELIABILITY_BUDGET = 0.05
+
+
 def bench_reliability(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     """Reliability tax: a fully-guarded ``QueryService`` vs a bare one.
 
@@ -998,10 +1002,17 @@ def bench_reliability(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     ``vectorized_s`` through the same service wrapped in the whole
     reliability stack — retry policy, per-request deadline, bounded
     admission — with fault injection *disabled* (the deployment
-    default).  The guarantees must be free when nothing fails: the
-    run asserts the guarded wall-clock stays within 5% of the bare
-    one (plus a 20ms absolute allowance for scheduler jitter, as in
-    ``api.pipeline_overhead``).
+    default).  The guarantees must be free when nothing fails.
+
+    The gate is relative only: the median guarded/bare wall-clock
+    ratio over ``pairs`` pairs must stay within
+    :data:`RELIABILITY_BUDGET`.  A pair replays the request stream
+    ``rounds`` times on each side, alternating bare and guarded call
+    by call (and which goes first), so host noise lands on both sides
+    alike and the ratios' interquartile range (``overhead_iqr``,
+    recorded) sits below the budget; ``resolved`` says whether it did
+    on this run.  ``reference_s`` / ``vectorized_s`` are the median
+    per-replay seconds.
     """
     from repro.graph.store import TemporalEdgeStore
     from repro.reliability import RetryPolicy, fault_injector
@@ -1015,6 +1026,8 @@ def bench_reliability(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
 
     n, m, t_len = (200, 2400, 8) if quick else (600, 7200, 10)
     n_q = 500 if quick else 2000
+    rounds = 40 if quick else 20
+    pairs = max(5 * repeats, 11)
     rng = np.random.default_rng(19)
     store = TemporalEdgeStore(
         n, t_len,
@@ -1031,31 +1044,54 @@ def bench_reliability(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     ]
     assert not fault_injector.enabled, "injector must be disarmed here"
 
+    def replay(service) -> float:
+        t0 = time.perf_counter()
+        service.run_batch(requests)
+        return time.perf_counter() - t0
+
     guards = dict(
         retry_policy=RetryPolicy(),
         deadline_seconds=300.0,
         max_pending=len(requests),
     )
+    bare_s, guarded_s = [], []
     with QueryService(graph, executor="thread", max_workers=2) as bare, \
             QueryService(graph, executor="thread", max_workers=2,
                          **guards) as guarded:
         for svc in (bare, guarded):  # warm pools and plan caches
             assert all(r.ok for r in svc.run_batch(requests))
-        bare_s = _best_of(lambda: bare.run_batch(requests), repeats)
-        guarded_s = _best_of(lambda: guarded.run_batch(requests), repeats)
-    overhead = guarded_s / bare_s - 1.0
-    assert guarded_s <= bare_s * 1.05 + 0.02, (
-        f"reliability stack adds {overhead:.1%} wall-clock with faults "
-        "disabled (budget: 5%)"
+        for i in range(pairs):
+            bare_t = guarded_t = 0.0
+            for k in range(rounds):
+                if (i + k) % 2:
+                    guarded_t += replay(guarded)
+                    bare_t += replay(bare)
+                else:
+                    bare_t += replay(bare)
+                    guarded_t += replay(guarded)
+            bare_s.append(bare_t / rounds)
+            guarded_s.append(guarded_t / rounds)
+    ratios = np.asarray(guarded_s) / np.asarray(bare_s)
+    overhead = float(np.median(ratios)) - 1.0
+    q1, q3 = np.percentile(ratios, [25, 75])
+    assert overhead <= RELIABILITY_BUDGET, (
+        f"reliability stack adds {overhead:.1%} median wall-clock with "
+        f"faults disabled over {pairs} pairs (budget: "
+        f"{RELIABILITY_BUDGET:.0%}; ratio IQR {q3 - q1:.1%})"
     )
     return {
         "reliability.overhead": {
             "n": n,
             "edges": m,
             "num_queries": n_q,
-            "reference_s": bare_s,
-            "vectorized_s": guarded_s,
+            "pairs": pairs,
+            "rounds": rounds,
+            "reference_s": float(np.median(bare_s)),
+            "vectorized_s": float(np.median(guarded_s)),
             "overhead_fraction": overhead,
+            "overhead_iqr": float(q3 - q1),
+            "budget": RELIABILITY_BUDGET,
+            "resolved": bool(q3 - q1 < RELIABILITY_BUDGET),
         }
     }
 

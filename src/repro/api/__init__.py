@@ -29,7 +29,8 @@ ingesting, :class:`LiveQueryService` (with
 answers each request batch against one pinned epoch snapshot,
 bit-identical to a bulk-built store of that epoch's events.
 
-Both services speak the reliability vocabulary of
+Every service runs on one guarded-request core
+(:mod:`repro.reliability.guard`) and speaks the vocabulary of
 :mod:`repro.reliability` (re-exported here): per-request failures are
 :class:`RequestFailure` values on results, overload raises
 :class:`ServiceOverloadedError`, deadlines surface as

@@ -21,41 +21,27 @@ graph's columnar form (``src``/``dst``/``t`` + attribute block) rather
 than pickled graph objects — the store columns are plain arrays, and
 the parent rebuilds the store zero-copy.
 
-**Fault tolerance** (contract in ``docs/reliability.md``): a failing
-request comes back as a structured
-:class:`~repro.reliability.errors.RequestFailure` on its own result —
-``run_batch`` never raises for one bad request and sibling requests
-are unaffected.  Optional knobs add per-request deadlines
-(``deadline_seconds``), seeded-backoff retries (``retry_policy``) and
-bounded admission (``max_pending`` — overflow is shed with a
-structured :class:`~repro.reliability.errors.ServiceOverloadedError`,
-never queued unboundedly).  The ``generation.request`` injection
-point lets the chaos suite provoke worker crashes and slow workers
-deterministically; a request that completes under injected faults is
-bit-identical to the fault-free run.
+**Fault tolerance** (contract in ``docs/reliability.md``): requests
+run on the shared guard of :mod:`repro.reliability.guard` —
+per-request failures as values, deadlines, retries, admission.  Its
+``generation.request`` injection point fires on every executor,
+``process`` included; a request that completes under injected faults
+is bit-identical to the fault-free run.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from time import perf_counter
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.generation.runner import EXECUTORS
 from repro.graph import DynamicAttributedGraph
 from repro.graph.store import TemporalEdgeStore
 from repro.profiling import profiler
-from repro.reliability import (
-    AdmissionController,
-    Deadline,
-    DeadlineExceededError,
-    RequestFailure,
-    RetryPolicy,
-    fault_injector,
-)
+from repro.reliability import RequestFailure, RetryPolicy
+from repro.reliability.guard import GuardedExecutor, Outcome
 
 __all__ = ["GenerationRequest", "GenerationResult", "GenerationService"]
 
@@ -105,8 +91,8 @@ class GenerationResult:
 _Columns = Tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _execute_request(request: GenerationRequest) -> Tuple[_Columns, float]:
-    """Load the artifact and generate; returns store columns + seconds.
+def _execute_request(request: GenerationRequest) -> _Columns:
+    """Load the artifact and generate; returns the store's columns.
 
     Module-level (and column-valued) so the ``process`` executor can
     ship it to workers without pickling live model or graph objects.
@@ -114,60 +100,28 @@ def _execute_request(request: GenerationRequest) -> Tuple[_Columns, float]:
     from repro.api.artifacts import load_artifact
     from repro.api.pipeline import generate_with_decode
 
-    t0 = perf_counter()
     generator = load_artifact(request.artifact)
     graph = generate_with_decode(
         generator, request.num_timesteps, request.seed,
         shards=request.shards,
     )
     store = graph.store
-    columns = (
+    return (
         store.num_nodes, store.num_timesteps,
         store.src, store.dst, store.t, store.attributes,
     )
-    return columns, perf_counter() - t0
 
 
-def _rebuild(columns: _Columns) -> DynamicAttributedGraph:
-    n, t_len, src, dst, t, attributes = columns
-    return DynamicAttributedGraph.from_store(
-        TemporalEdgeStore(
-            n, t_len, src, dst, t, attributes,
-            validate=False, canonical=True,
+def _result(request: GenerationRequest, outcome: Outcome) -> GenerationResult:
+    graph = None
+    if outcome.error is None:  # rebuild the store over the columns
+        store = TemporalEdgeStore(
+            *outcome.value, validate=False, canonical=True
         )
+        graph = DynamicAttributedGraph.from_store(store)
+    return GenerationResult(
+        request, graph, outcome.seconds, outcome.attempts, outcome.error
     )
-
-
-def _execute_request_tagged(payload):
-    """Worker-safe wrapper for the ``process`` executor.
-
-    Returns a picklable tagged tuple — ``("ok", columns, seconds,
-    attempts)`` or ``("error", type_name, message, attempts)`` — so a
-    crashing request surfaces as data instead of tearing down the
-    whole ``Pool.map``.  The deadline is cooperative in workers
-    (checked at request start and between retries).
-    """
-    request, deadline_seconds, policy = payload
-    deadline = Deadline.after(deadline_seconds)
-
-    def attempt():
-        if deadline is not None:
-            deadline.check()
-        return _execute_request(request)
-
-    try:
-        if policy is not None:
-            (columns, seconds), attempts = policy.run(
-                attempt, key=(request.artifact, request.seed),
-                deadline=deadline,
-            )
-        else:
-            columns, seconds = attempt()
-            attempts = 1
-        return ("ok", columns, seconds, attempts)
-    except Exception as exc:
-        attempts = getattr(exc, "_retry_attempts", 1)
-        return ("error", type(exc).__name__, str(exc), attempts)
 
 
 class GenerationService:
@@ -184,25 +138,10 @@ class GenerationService:
         Pool width; defaults to ``cpu_count`` (the pool is created
         once and reused across batches, so it is sized for the
         machine, not for whichever batch arrives first).
-    retry_policy:
-        Optional :class:`~repro.reliability.RetryPolicy`: transient
-        per-request failures (injected faults, I/O flakes) are
-        retried with deterministic seeded backoff before the request
-        is reported failed.
-    deadline_seconds:
-        Optional per-request budget.  ``serial`` checks it at request
-        start and between retries (cooperative); ``thread``
-        additionally bounds the wait on each worker future, so a
-        stuck request surfaces as a structured
-        ``DeadlineExceededError`` result instead of a hang;
-        ``process`` workers check it cooperatively.
-    max_pending:
-        Bound on requests admitted but not yet finished, across all
-        concurrent ``run_batch`` callers.  A submission that would
-        exceed it raises
-        :class:`~repro.reliability.ServiceOverloadedError`
-        immediately (structured load shedding — the queue is never
-        unbounded).  ``None`` (default) disables the bound.
+    retry_policy, deadline_seconds, max_pending:
+        Retries of transient failures, a per-request budget and an
+        admission bound, as described on the shared
+        :class:`~repro.reliability.guard.GuardedExecutor`.
 
     Pools are created lazily on the first batch and reused; use the
     service as a context manager (or call :meth:`close`) to release
@@ -218,170 +157,15 @@ class GenerationService:
         deadline_seconds: Optional[float] = None,
         max_pending: Optional[int] = None,
     ):
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
-        self.executor = executor
-        self.max_workers = max_workers
-        self.retry_policy = retry_policy
-        self.deadline_seconds = deadline_seconds
-        self._admission = AdmissionController(max_pending)
-        self._pool = None
-
-    # ------------------------------------------------------------------
-    def _workers(self) -> int:
-        if self.max_workers is not None:
-            return max(int(self.max_workers), 1)
-        return max(os.cpu_count() or 1, 1)
-
-    def _guarded(
-        self,
-        request: GenerationRequest,
-        index: int,
-        deadline: Optional[Deadline],
-    ) -> GenerationResult:
-        """Execute one request; failures become result values."""
-        t0 = perf_counter()
-        attempt_counter = 0
-
-        def attempt():
-            nonlocal attempt_counter
-            attempt_counter += 1
-            if deadline is not None:
-                deadline.check()
-            fault_injector.fire(
-                "generation.request", key=(index, attempt_counter)
-            )
-            return _execute_request(request)
-
-        try:
-            if self.retry_policy is not None:
-                (columns, seconds), attempts = self.retry_policy.run(
-                    attempt, key=index, deadline=deadline
-                )
-            else:
-                columns, seconds = attempt()
-                attempts = 1
-            return GenerationResult(
-                request=request,
-                graph=_rebuild(columns),
-                seconds=seconds,
-                attempts=attempts,
-            )
-        except Exception as exc:
-            attempts = getattr(exc, "_retry_attempts", None) or max(
-                attempt_counter, 1
-            )
-            return GenerationResult(
-                request=request,
-                graph=None,
-                seconds=perf_counter() - t0,
-                attempts=attempts,
-                error=RequestFailure.from_exception(exc, attempts),
-            )
-
-    def _deadline_result(
-        self, request: GenerationRequest, deadline: Deadline
-    ) -> GenerationResult:
-        failure = RequestFailure.from_exception(
-            DeadlineExceededError(
-                deadline.budget_seconds, deadline.elapsed()
-            )
+        self._guard = GuardedExecutor(
+            executor,
+            point="generation.request",
+            retry_policy=retry_policy,
+            deadline_seconds=deadline_seconds,
+            max_pending=max_pending,
+            max_workers=max_workers,
+            name="generation-service",
         )
-        return GenerationResult(
-            request=request,
-            graph=None,
-            seconds=deadline.elapsed(),
-            error=failure,
-        )
-
-    def _map(
-        self, requests: Sequence[GenerationRequest]
-    ) -> List[GenerationResult]:
-        deadlines = [
-            Deadline.after(self.deadline_seconds) for _ in requests
-        ]
-        if self.executor == "serial":
-            return [
-                self._guarded(request, i, deadline)
-                for i, (request, deadline) in enumerate(
-                    zip(requests, deadlines)
-                )
-            ]
-        if self.executor == "thread":
-            from concurrent.futures import TimeoutError as FuturesTimeout
-
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers(),
-                    thread_name_prefix="generation-service",
-                )
-            futures = [
-                self._pool.submit(self._guarded, request, i, deadline)
-                for i, (request, deadline) in enumerate(
-                    zip(requests, deadlines)
-                )
-            ]
-            results: List[GenerationResult] = []
-            for request, deadline, future in zip(
-                requests, deadlines, futures
-            ):
-                try:
-                    timeout = (
-                        None
-                        if deadline is None
-                        else max(deadline.remaining(), 0.0)
-                    )
-                    results.append(future.result(timeout=timeout))
-                except FuturesTimeout:
-                    # the worker keeps running but the request is
-                    # answered now, with a structured expiry — the
-                    # caller never hangs on a slow worker
-                    future.cancel()
-                    results.append(self._deadline_result(request, deadline))
-            return results
-        # process executor
-        if self._pool is None:
-            import multiprocessing as mp
-
-            method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            self._pool = mp.get_context(method).Pool(
-                processes=self._workers()
-            )
-        payloads = [
-            (request, self.deadline_seconds, self.retry_policy)
-            for request in requests
-        ]
-        outcomes = self._pool.map(_execute_request_tagged, payloads)
-        results = []
-        for request, outcome in zip(requests, outcomes):
-            if outcome[0] == "ok":
-                _, columns, seconds, attempts = outcome
-                results.append(
-                    GenerationResult(
-                        request=request,
-                        graph=_rebuild(columns),
-                        seconds=seconds,
-                        attempts=attempts,
-                    )
-                )
-            else:
-                _, error_type, message, attempts = outcome
-                results.append(
-                    GenerationResult(
-                        request=request,
-                        graph=None,
-                        seconds=0.0,
-                        attempts=attempts,
-                        error=RequestFailure(error_type, message, attempts),
-                    )
-                )
-        return results
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -399,31 +183,19 @@ class GenerationService:
         requests = list(requests)
         if not requests:
             return []
-        self._admission.try_acquire(len(requests))
-        t0 = perf_counter()
-        try:
-            with profiler.timer("api.service.run_batch"):
-                return self._map(requests)
-        finally:
-            self._admission.release(
-                len(requests), seconds=perf_counter() - t0
-            )
+        with self._guard.admit(len(requests)) as deadlines, \
+                profiler.timer("api.service.run_batch"):
+            outcomes = self._guard.map(_execute_request, requests, deadlines)
+            return [_result(r, o) for r, o in zip(requests, outcomes)]
 
     # ------------------------------------------------------------------
     def admission_stats(self):
         """Pending/admitted/shed counters of the bounded queue."""
-        return self._admission.stats()
+        return self._guard.admission_stats()
 
     def close(self) -> None:
         """Shut down the worker pool (no-op for ``serial``)."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if hasattr(pool, "shutdown"):  # ThreadPoolExecutor
-            pool.shutdown(wait=True)
-        else:  # multiprocessing.Pool
-            pool.close()
-            pool.join()
+        self._guard.close()
 
     def __enter__(self) -> "GenerationService":
         return self

@@ -26,7 +26,7 @@ shard count and executor are pure deployment knobs.
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,11 +35,9 @@ from repro.generation.decode import PlainHead, ShardTask, decode_shard, prepare_
 from repro.generation.merge import merge_step_columns
 from repro.generation.sharding import ShardPlan, advance_past_decode
 from repro.profiling import profiler
+from repro.reliability.guard import EXECUTORS, WorkerPool
 
 __all__ = ["ShardedStructureDecoder", "generate_sharded", "EXECUTORS"]
-
-#: Supported executor names, in increasing isolation order.
-EXECUTORS = ("serial", "thread", "process")
 
 
 class ShardedStructureDecoder:
@@ -69,56 +67,18 @@ class ShardedStructureDecoder:
         executor: str = "serial",
         max_workers: Optional[int] = None,
     ):
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
         self.plan = plan
         self.executor = executor
-        self.max_workers = max_workers
-        self._pool = None
+        if max_workers is None:
+            max_workers = min(plan.n_shards, os.cpu_count() or 1)
+        self._pool = WorkerPool(executor, max_workers, "shard-decode")
 
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
-    def _workers(self) -> int:
-        if self.max_workers is not None:
-            return max(int(self.max_workers), 1)
-        return max(min(self.plan.n_shards, os.cpu_count() or 1), 1)
-
-    def _map(self, tasks: List[ShardTask]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        if self.executor == "serial":
-            return [decode_shard(t) for t in tasks]
-        if self.executor == "thread":
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers(),
-                    thread_name_prefix="shard-decode",
-                )
-            return list(self._pool.map(decode_shard, tasks))
-        if self._pool is None:
-            import multiprocessing as mp
-
-            method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-            self._pool = mp.get_context(method).Pool(
-                processes=self._workers()
-            )
-        return self._pool.map(decode_shard, tasks)
-
     def close(self) -> None:
         """Shut down the worker pool (no-op for ``serial``)."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if hasattr(pool, "shutdown"):  # ThreadPoolExecutor
-            pool.shutdown(wait=True)
-        else:  # multiprocessing.Pool
-            pool.close()
-            pool.join()
+        self._pool.close()
 
     def __enter__(self) -> "ShardedStructureDecoder":
         return self
@@ -165,7 +125,7 @@ class ShardedStructureDecoder:
             for lo, hi in self.plan.ranges()
         ]
         with profiler.timer("generation.sharded.decode"):
-            parts = self._map(tasks)
+            parts = self._pool.map(decode_shard, tasks)
         # the shards consumed copies of the stream; move the master past
         # the decode window so downstream draws stay monolithic-exact
         advance_past_decode(rng, n)

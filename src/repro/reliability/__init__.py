@@ -11,7 +11,7 @@ matrix, artifact v3 checksums, checkpoint format) lives in
 to the fault-free run**, and overload/expiry always surface as typed
 errors — never a hang.
 
-Four modules:
+Five modules:
 
 * :mod:`~repro.reliability.faults` — the process-global, seeded
   :data:`fault_injector` (same shape as ``repro.profiling.profiler``:
@@ -24,6 +24,8 @@ Four modules:
 * :mod:`~repro.reliability.errors` — the typed failure vocabulary,
   including the per-request :class:`RequestFailure` value services
   attach to results instead of poisoning sibling requests.
+* :mod:`~repro.reliability.guard` — the one guarded-request core all
+  four request services run on.
 """
 
 from repro.reliability.backpressure import AdmissionController

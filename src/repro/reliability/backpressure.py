@@ -2,7 +2,7 @@
 
 A long-lived service with an unbounded request queue fails by hanging
 or by OOM — both opaque.  :class:`AdmissionController` is the bounded
-alternative both services thread their submissions through: at most
+alternative every service's submissions pass through: at most
 ``max_pending`` requests are in flight at once, and a submission that
 would exceed the bound is *shed immediately* with a structured
 :class:`~repro.reliability.errors.ServiceOverloadedError` carrying a
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import time
 from typing import Dict, Iterator, Optional
 
 from repro.reliability.errors import ServiceOverloadedError
@@ -99,12 +100,13 @@ class AdmissionController:
 
     @contextlib.contextmanager
     def admit(self, n: int = 1) -> Iterator[None]:
-        """``try_acquire``/``release`` as a scope (timing not fed)."""
+        """``try_acquire``/``release`` as a scope; its time feeds the EWMA."""
         self.try_acquire(n)
+        start = time.perf_counter()
         try:
             yield
         finally:
-            self.release(n)
+            self.release(n, seconds=time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:

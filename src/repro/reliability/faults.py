@@ -45,7 +45,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.reliability.errors import InjectedFault
 
@@ -159,6 +159,21 @@ class FaultInjector:
             self._plans = {}
             self._arrivals.clear()
             self._triggers.clear()
+
+    def arming(self) -> Tuple[Dict[str, FaultPlan], int, bool]:
+        """Picklable ``(plans, seed, enabled)`` copy for :meth:`rearm`."""
+        with self._lock:
+            return dict(self._plans), self.seed, self.enabled
+
+    def rearm(
+        self, plans: Mapping[str, FaultPlan], seed: int, enabled: bool
+    ) -> None:
+        """Drop all state and re-arm from an :meth:`arming` copy — how
+        a worker process takes on its parent's chaos schedule."""
+        self.reset()
+        if enabled and plans:
+            self.configure(plans, seed=seed)
+            self.enabled = True
 
     # ------------------------------------------------------------------
     # decision core

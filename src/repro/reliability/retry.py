@@ -72,9 +72,13 @@ class Deadline:
     def check(self, where: str = "request") -> None:
         """Raise :class:`DeadlineExceededError` once expired."""
         if self.expired:
-            raise DeadlineExceededError(
-                self.budget_seconds, self.elapsed(), where
-            )
+            raise self.exceeded(where)
+
+    def exceeded(self, where: str = "request") -> DeadlineExceededError:
+        """The error reporting this deadline's expiry, as of now."""
+        return DeadlineExceededError(
+            self.budget_seconds, self.elapsed(), where
+        )
 
     def __repr__(self) -> str:
         return (
@@ -160,9 +164,7 @@ class RetryPolicy:
         attempts = 0
         while True:
             if deadline is not None and deadline.expired:
-                exc = DeadlineExceededError(
-                    deadline.budget_seconds, deadline.elapsed()
-                )
+                exc = deadline.exceeded()
                 exc._retry_attempts = attempts
                 raise exc
             attempts += 1
@@ -174,9 +176,7 @@ class RetryPolicy:
                     raise
                 delay = self.backoff_seconds(attempts - 1, key)
                 if deadline is not None and deadline.remaining() <= delay:
-                    expiry = DeadlineExceededError(
-                        deadline.budget_seconds, deadline.elapsed()
-                    )
+                    expiry = deadline.exceeded()
                     expiry._retry_attempts = attempts
                     raise expiry from exc
                 sleep(delay)

@@ -32,13 +32,9 @@ exactly once.  Three layers (contract in ``docs/workloads.md``):
   :class:`ProcessQueryService` hash-routes request batches across
   workers (the deterministic per-request contract makes results
   placement-independent), reassembles results in request order, and
-  threads the reliability knobs — per-request
-  :class:`~repro.reliability.Deadline`,
-  :class:`~repro.reliability.RetryPolicy` on transient worker
-  faults, :class:`~repro.reliability.AdmissionController`
-  backpressure, and worker-death → respawn with per-request
-  :class:`~repro.reliability.RequestFailure` isolation — across the
-  process boundary.
+  carries the shared request guard (:mod:`repro.reliability.guard`)
+  across the process boundary, adding worker-death → respawn with
+  per-request :class:`~repro.reliability.RequestFailure` isolation.
 
 The tier's invariant mirrors the single-process service: every
 request that completes is **bit-identical** to the same request run

@@ -58,15 +58,14 @@ identical results, and the degradation is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.reliability import fault_injector
-from repro.workloads.batch import BATCHED_KINDS
+from repro.workloads.batch import run_groups
 from repro.workloads.engine import GraphQueryEngine
-from repro.workloads.generator import Query, QueryKind, _run_query
+from repro.workloads.generator import Query, QueryKind
 
 __all__ = [
     "KIND_CODES",
@@ -245,37 +244,15 @@ def execute_encoded(
     kernel call exactly as in the single-process path, so chaos
     schedules behave identically across tiers.
     """
-    n = len(enc)
-    cardinalities = np.zeros(n, dtype=np.int64)
-    seconds: Dict[str, float] = {}
-    degraded: List[str] = []
-    codes = np.unique(enc.kinds)
     # match run_queries_batched's grouping order (first appearance)
     # so per-kind fault arrival counters line up across tiers
-    first_pos = {
-        int(c): int(np.argmax(enc.kinds == c)) for c in codes
-    }
-    for code in sorted(first_pos, key=first_pos.get):
-        kind = KIND_CODES[code]
-        idx = np.flatnonzero(enc.kinds == code)
-        start = perf_counter()
-        if kind in BATCHED_KINDS:
-            try:
-                cardinalities[idx] = _dispatch_columns(
-                    engine, kind, enc, idx
-                )
-            except Exception:
-                if not degrade:
-                    raise
-                degraded.append(kind.value)
-                for i in idx.tolist():
-                    cardinalities[i] = _run_query(
-                        engine, _decode_one(enc, i)
-                    )
-        else:
-            for i in idx.tolist():
-                cardinalities[i] = _run_query(engine, _decode_one(enc, i))
-        seconds[kind.value] = seconds.get(kind.value, 0.0) + (
-            perf_counter() - start
-        )
-    return cardinalities, seconds, frozenset(degraded)
+    codes, first = np.unique(enc.kinds, return_index=True)
+    groups = [
+        (KIND_CODES[code], np.flatnonzero(enc.kinds == code))
+        for code in codes[np.argsort(first)].tolist()
+    ]
+    return run_groups(
+        engine, len(enc), groups,
+        lambda kind, idx: _dispatch_columns(engine, kind, enc, idx),
+        lambda i: _decode_one(enc, i), degrade,
+    )

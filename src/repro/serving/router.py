@@ -39,9 +39,9 @@ mirror the single-process service; contract in
   Without a policy, each lost request fails with a
   :class:`~repro.reliability.WorkerCrashError`-typed failure.  Either
   way the crash is isolated: requests on other workers are untouched.
-* ``max_pending`` — the same
-  :class:`~repro.reliability.AdmissionController` bound as the
-  single-process service, applied at ``run_batch`` admission.
+* ``max_pending`` — the shared guard's admission bound
+  (:class:`~repro.reliability.guard.GuardedExecutor`), applied at
+  ``run_batch`` admission.
 
 The tier's native request format is the
 :class:`~repro.serving.protocol.ColumnarQueryRequest`; plain
@@ -53,34 +53,32 @@ and encoded at the door.  Results are
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.profiling import profiler
 from repro.reliability import (
-    AdmissionController,
     Deadline,
-    DeadlineExceededError,
     RequestFailure,
     RetryPolicy,
     WorkerCrashError,
     fault_injector,
 )
-from repro.serving.protocol import (
-    KIND_CODES,
-    ColumnarQueryRequest,
-    encode_queries,
+from repro.reliability.guard import (
+    GuardedExecutor,
+    Outcome,
+    default_start_method,
+    remaining_budget,
 )
+from repro.serving.protocol import ColumnarQueryRequest, encode_queries
 from repro.serving.segments import SharedStoreSegment
 from repro.serving.worker import WorkerConfig, worker_main
 from repro.workloads.cache import PlanCacheStats
 from repro.workloads.generator import (
     WorkloadConfig,
-    WorkloadGenerator,
     WorkloadReport,
+    replay_workload,
 )
 from repro.workloads.service import QueryRequest, QueryResult
 
@@ -108,12 +106,10 @@ class _Pending:
     """Router-side state of one in-flight request."""
 
     index: int  # position in the submitted batch
-    submitted: Union[QueryRequest, ColumnarQueryRequest]
     enc: ColumnarQueryRequest
     deadline: Optional[Deadline]
     start: float
     attempts_spent: int = 0  # attempts burned in dead workers
-    crash_resends: int = 0
 
 
 class ProcessQueryService:
@@ -164,22 +160,23 @@ class ProcessQueryService:
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
+        # admission, deadlines and the knobs; the workers run the
+        # guarded attempts and this router its own event loop
+        self._guard = GuardedExecutor(
+            "process",
+            point="serving.worker",
+            retry_policy=retry_policy,
+            deadline_seconds=deadline_seconds,
+            max_pending=max_pending,
+        )
         self.graph, store = self._resolve(graph)
         self.num_workers = int(num_workers)
         self.cache_memory_budget_bytes = cache_memory_budget_bytes
         self.cache_max_plans = cache_max_plans
         self.batched = batched
-        self.retry_policy = retry_policy
-        self.deadline_seconds = deadline_seconds
-        self._admission = AdmissionController(max_pending)
         import multiprocessing as mp
 
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
+        start_method = start_method or default_start_method()
         self._ctx = mp.get_context(start_method)
         self.start_method = start_method
         self._lock = threading.RLock()
@@ -213,16 +210,17 @@ class ProcessQueryService:
     def _worker_config(self, worker_id: int) -> WorkerConfig:
         # replicate the parent's current fault arming so chaos
         # schedules survive the process boundary (fork or spawn)
+        plans, seed, enabled = fault_injector.arming()
         return WorkerConfig(
             manifest=self.segment.manifest,
             worker_id=worker_id,
             cache_memory_budget_bytes=self.cache_memory_budget_bytes,
             cache_max_plans=self.cache_max_plans,
             batched=self.batched,
-            retry_policy=self.retry_policy,
-            fault_plans=dict(fault_injector._plans),
-            fault_seed=fault_injector.seed,
-            fault_enabled=fault_injector.enabled,
+            retry_policy=self._guard.retry_policy,
+            fault_plans=plans,
+            fault_seed=seed,
+            fault_enabled=enabled,
         )
 
     def _spawn(self, worker_id: int, slot: Optional[_Worker] = None) -> _Worker:
@@ -262,57 +260,21 @@ class ProcessQueryService:
     # ------------------------------------------------------------------
     # request plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _encode(
-        request: Union[QueryRequest, ColumnarQueryRequest]
-    ) -> ColumnarQueryRequest:
-        if isinstance(request, ColumnarQueryRequest):
-            return request
-        return encode_queries(request.queries)
-
     def _send(self, worker: _Worker, req_id: int, state: _Pending) -> None:
-        budget = (
-            None
-            if state.deadline is None
-            else max(state.deadline.remaining(), 1e-9)
-        )
         # register before sending: if the pipe is already broken the
         # crash handler must see this request among the worker's losses
         worker.inflight[req_id] = state
         if worker.conn is None:
             raise BrokenPipeError("worker is down")
-        worker.conn.send(
-            ("run", req_id, state.enc.columns(), budget,
-             state.attempts_spent)
-        )
-
-    def _failure_result(
-        self, state: _Pending, failure: RequestFailure
-    ) -> QueryResult:
-        return QueryResult(
-            request=state.submitted,
-            cardinalities=None,
-            seconds=perf_counter() - state.start,
-            seconds_by_kind={},
-            attempts=max(failure.attempts, 1),
-            error=failure,
-        )
-
-    def _ok_result(self, state: _Pending, reply: Tuple) -> QueryResult:
-        _, _, cards, by_kind, seconds, attempts, degraded = reply
-        return QueryResult(
-            request=state.submitted,
-            cardinalities=np.asarray(cards, dtype=np.int64),
-            seconds=perf_counter() - state.start,
-            seconds_by_kind=dict(by_kind),
-            attempts=state.attempts_spent + int(attempts),
-            degraded_kinds=frozenset(degraded),
-        )
+        worker.conn.send((
+            "run", req_id, state.enc.columns(),
+            remaining_budget(state.deadline), state.attempts_spent,
+        ))
 
     def _handle_crash(
         self,
         worker: _Worker,
-        results: List[Optional[QueryResult]],
+        outcomes: List[Optional[Outcome]],
         outstanding: Dict[int, _Pending],
     ) -> None:
         """Respawn a dead worker; retry or fail the requests it held.
@@ -335,46 +297,38 @@ class ProcessQueryService:
         worker.respawns += 1
         self._spawn(worker.worker_id, slot=worker)
         crash = WorkerCrashError(worker.worker_id, exit_code)
+        policy = self._guard.retry_policy
         for req_id, state in lost.items():
             state.attempts_spent += 1
             retry = (
-                self.retry_policy is not None
-                and state.attempts_spent < self.retry_policy.max_attempts
+                policy is not None
+                and state.attempts_spent < policy.max_attempts
                 and (
                     state.deadline is None or not state.deadline.expired
                 )
             )
             if retry:
-                state.crash_resends += 1
                 try:
                     self._send(worker, req_id, state)
                     continue
                 except (BrokenPipeError, OSError):
                     worker.inflight.pop(req_id, None)
-            results[state.index] = self._failure_result(
-                state,
-                RequestFailure.from_exception(
-                    crash, state.attempts_spent
-                ),
+            outcomes[state.index] = Outcome.failed(
+                crash, perf_counter() - state.start, state.attempts_spent
             )
             outstanding.pop(req_id, None)
 
     def _expire_overdue(
         self,
-        results: List[Optional[QueryResult]],
+        outcomes: List[Optional[Outcome]],
         outstanding: Dict[int, _Pending],
         canceled: set,
     ) -> None:
         for req_id, state in list(outstanding.items()):
             if state.deadline is not None and state.deadline.expired:
-                failure = RequestFailure.from_exception(
-                    DeadlineExceededError(
-                        state.deadline.budget_seconds,
-                        state.deadline.elapsed(),
-                    ),
-                    max(state.attempts_spent, 1),
+                outcomes[state.index] = Outcome.expired(
+                    state.deadline, state.attempts_spent
                 )
-                results[state.index] = self._failure_result(state, failure)
                 outstanding.pop(req_id)
                 canceled.add(req_id)  # drop the late reply if it comes
 
@@ -386,12 +340,14 @@ class ProcessQueryService:
     _WINDOW = 2
 
     def _event_loop(
-        self, requests: Sequence[Union[QueryRequest, ColumnarQueryRequest]]
+        self,
+        requests: Sequence[Union[QueryRequest, ColumnarQueryRequest]],
+        deadlines: Sequence[Optional[Deadline]],
     ) -> List[QueryResult]:
         from collections import deque
         from multiprocessing.connection import wait as conn_wait
 
-        results: List[Optional[QueryResult]] = [None] * len(requests)
+        outcomes: List[Optional[Outcome]] = [None] * len(requests)
         outstanding: Dict[int, _Pending] = {}
         canceled: set = set()
         live = [w for w in self._workers if w.conn is not None]
@@ -402,14 +358,16 @@ class ProcessQueryService:
                 self._spawn(worker.worker_id, slot=worker)
             live = list(self._workers)
         queue = deque()
-        for i, request in enumerate(requests):
+        for i, (request, deadline) in enumerate(zip(requests, deadlines)):
             req_id = self._next_id
             self._next_id += 1
             state = _Pending(
                 index=i,
-                submitted=request,
-                enc=self._encode(request),
-                deadline=Deadline.after(self.deadline_seconds),
+                enc=(
+                    request if isinstance(request, ColumnarQueryRequest)
+                    else encode_queries(request.queries)
+                ),
+                deadline=deadline,
                 start=perf_counter(),
             )
             outstanding[req_id] = state
@@ -428,32 +386,32 @@ class ProcessQueryService:
                 try:
                     self._send(worker, req_id, state)
                 except (BrokenPipeError, OSError):
-                    self._handle_crash(worker, results, outstanding)
+                    self._handle_crash(worker, outcomes, outstanding)
                     return
 
         for worker in self._workers:
             fill(worker)
         while outstanding:
-            self._expire_overdue(results, outstanding, canceled)
+            self._expire_overdue(outcomes, outstanding, canceled)
             if not outstanding:
                 break
             timeout = None
-            deadlines = [
+            remaining = [
                 s.deadline.remaining()
                 for s in outstanding.values()
                 if s.deadline is not None
             ]
-            if deadlines:
-                timeout = max(min(deadlines), 0.0) + 1e-3
+            if remaining:
+                timeout = max(min(remaining), 0.0) + 1e-3
             conns = {w.conn: w for w in self._workers if w.conn is not None}
             if not conns:  # every worker down and staying down
                 for req_id, state in list(outstanding.items()):
-                    results[state.index] = self._failure_result(
-                        state,
+                    attempts = max(state.attempts_spent, 1)
+                    outcomes[state.index] = Outcome(
+                        None, perf_counter() - state.start, attempts,
                         RequestFailure(
-                            error_type=WorkerCrashError.__name__,
-                            message="no live workers",
-                            attempts=max(state.attempts_spent, 1),
+                            WorkerCrashError.__name__, "no live workers",
+                            attempts,
                         ),
                     )
                     outstanding.pop(req_id)
@@ -464,10 +422,10 @@ class ProcessQueryService:
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError):
-                    self._handle_crash(worker, results, outstanding)
+                    self._handle_crash(worker, outcomes, outstanding)
                     fill(worker)
                     continue
-                tag, req_id = reply[0], reply[1]
+                req_id = reply[1]
                 worker.inflight.pop(req_id, None)
                 if req_id in canceled:
                     canceled.discard(req_id)
@@ -477,20 +435,15 @@ class ProcessQueryService:
                 if state is None:
                     fill(worker)
                     continue  # startup error replies (req_id == -1)
-                if tag == "ok":
-                    results[state.index] = self._ok_result(state, reply)
-                else:
-                    _, _, error_type, message, attempts = reply
-                    results[state.index] = self._failure_result(
-                        state,
-                        RequestFailure(
-                            error_type=error_type,
-                            message=message,
-                            attempts=state.attempts_spent + int(attempts),
-                        ),
-                    )
+                # results carry the router's clock, submission to reply
+                outcomes[state.index] = replace(
+                    reply[2], seconds=perf_counter() - state.start
+                )
                 fill(worker)
-        return results  # type: ignore[return-value]
+        return [
+            QueryResult.from_outcome(request, outcome)
+            for request, outcome in zip(requests, outcomes)
+        ]
 
     # ------------------------------------------------------------------
     # public API (QueryService-shaped)
@@ -515,15 +468,9 @@ class ProcessQueryService:
         with self._lock:
             if self._closed:
                 raise ValueError("service is closed")
-            self._admission.try_acquire(len(requests))
-            t0 = perf_counter()
-            try:
-                with profiler.timer("serving.router.run_batch"):
-                    return self._event_loop(requests)
-            finally:
-                self._admission.release(
-                    len(requests), seconds=perf_counter() - t0
-                )
+            with self._guard.admit(len(requests)) as deadlines, \
+                    profiler.timer("serving.router.run_batch"):
+                return self._event_loop(requests, deadlines)
 
     def run_workload(
         self,
@@ -536,47 +483,12 @@ class ProcessQueryService:
         Mirrors :meth:`QueryService.run_workload`: same generator,
         same deterministic query sequence, same report shape — but
         the requests cross the tier as columnar batches (encoded once
-        here; zero per-query Python beyond encoding).  The report
-        aggregates completed requests only.
+        here; no per-query Python in serving beyond encoding).  The
+        report aggregates completed requests only.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        queries = WorkloadGenerator(self.graph, config).generate()
-        if not queries:
-            raise ValueError("workload generated no queries")
-        requests = [
-            encode_queries(queries[i:i + batch_size])
-            for i in range(0, len(queries), batch_size)
-        ]
-        start = perf_counter()
-        results = self.run_batch(requests)
-        total = perf_counter() - start
-        latency: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        sizes: Dict[str, float] = {}
-        completed = 0
-        for result in results:
-            if not result.ok:
-                continue
-            enc: ColumnarQueryRequest = result.request
-            completed += len(enc)
-            for key, s in result.seconds_by_kind.items():
-                latency[key] = latency.get(key, 0.0) + s
-            for code in np.unique(enc.kinds):
-                key = KIND_CODES[int(code)].value
-                mask = enc.kinds == code
-                counts[key] = counts.get(key, 0) + int(mask.sum())
-                sizes[key] = sizes.get(key, 0.0) + float(
-                    result.cardinalities[mask].sum()
-                )
-        report = WorkloadReport(
-            total_queries=completed,
-            total_seconds=total,
-            latency_by_kind={k: latency[k] / counts[k] for k in counts},
-            count_by_kind=counts,
-            mean_result_size={k: sizes[k] / counts[k] for k in counts},
+        return replay_workload(
+            self.run_batch, self.graph, config, batch_size, encode_queries
         )
-        return report, results
 
     # ------------------------------------------------------------------
     # stats
@@ -642,7 +554,7 @@ class ProcessQueryService:
 
     def admission_stats(self):
         """Pending/admitted/shed counters of the bounded queue."""
-        return self._admission.stats()
+        return self._guard.admission_stats()
 
     def shared_memory_stats(self) -> Dict:
         """The one-resident-copy accounting, as numbers.

@@ -8,22 +8,14 @@ own bounded :class:`~repro.workloads.cache.SnapshotPlanCache`), and
 then answers :class:`~repro.serving.protocol.ColumnarQueryRequest`
 batches off a duplex pipe until told to stop.
 
-The worker owns the *execution* half of the reliability contract —
-the same half :class:`~repro.workloads.service.QueryService` runs
-in-process:
-
-* per-request ``serving.worker`` fault-injection point, keyed by
-  ``(worker_id, request_id, attempt)`` so chaos schedules are
-  deterministic regardless of routing;
-* a local :class:`~repro.reliability.RetryPolicy` (shipped in
-  :class:`WorkerConfig`) retries transient in-worker faults with
-  deterministic backoff — the router only retries worker *death*, so
-  a fault is never retried on both sides of the pipe;
-* cooperative per-request :class:`~repro.reliability.Deadline`
-  (remaining budget shipped with each request) checked at request
-  start and between retry attempts;
-* any other exception becomes a structured error reply — the worker
-  process never dies from a request-level failure.
+The worker owns the *execution* half of the reliability contract: each
+request runs through :func:`~repro.reliability.guard.guarded_call`,
+as :class:`~repro.workloads.service.QueryService` requests do
+in-process, with the ``serving.worker`` point keyed ``(worker_id,
+request_id, attempt)``, the :class:`WorkerConfig`'s retry policy (the
+router only retries worker *death*, so a fault is never retried on
+both sides of the pipe) and the remaining budget shipped with the
+request.  A request-level failure never kills the worker process.
 
 Process death itself is a first-class chaos scenario: the
 ``serving.worker_exit`` injection point, when armed with an
@@ -35,8 +27,9 @@ need to provoke deterministically.
 **Fault determinism across start methods.**  A forked worker inherits
 the parent's armed :data:`~repro.reliability.fault_injector`
 (arrival counters and all), a spawned worker gets a fresh one — so
-the worker never trusts inherited state: it resets the injector and
-re-arms it from the plans/seed carried in :class:`WorkerConfig`.
+the worker never trusts inherited state: it re-arms the injector
+(:meth:`~repro.reliability.FaultInjector.rearm`) from the plans/seed
+carried in :class:`WorkerConfig`.
 Chaos schedules are therefore a pure function of the config under
 both start methods.
 
@@ -51,20 +44,22 @@ on this request in *previous* worker incarnations (crash resends);
 the worker offsets its fault-injection attempt keys by it so a
 resend is a fresh arrival to rate-based fault plans rather than a
 deterministic replay of the crash that killed its predecessor.
-* worker → parent: ``("ok", request_id, cardinalities,
-  seconds_by_kind, seconds, attempts, degraded_kinds)``,
-  ``("err", request_id, error_type, message, attempts)``,
-  ``("stats", request_id, payload)``
+* worker → parent: ``("done", request_id, outcome)`` — the
+  request's :class:`~repro.reliability.guard.Outcome`, whose value is
+  ``(cardinalities, seconds_by_kind, degraded_kinds)`` and whose
+  ``attempts`` include ``attempt_base`` (``request_id`` is -1 when
+  the worker could not start) — and ``("stats", request_id, payload)``
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from repro.reliability import Deadline, RetryPolicy, fault_injector
 from repro.reliability.faults import FaultPlan
+from repro.reliability.guard import Outcome, guarded_call
 from repro.serving.protocol import ColumnarQueryRequest, execute_encoded
 from repro.serving.segments import StoreManifest, attach_store, resident_copy_bytes
 
@@ -94,16 +89,6 @@ class WorkerConfig:
     fault_enabled: bool = False
 
 
-def _arm_from_config(config: WorkerConfig) -> None:
-    """Reset inherited injector state and re-arm from the config."""
-    fault_injector.reset()
-    if config.fault_enabled and config.fault_plans:
-        fault_injector.configure(
-            config.fault_plans, seed=config.fault_seed
-        )
-        fault_injector.enabled = True
-
-
 def _build_engine(config: WorkerConfig, store):
     from repro.graph.dynamic import DynamicAttributedGraph
     from repro.workloads.engine import GraphQueryEngine
@@ -118,68 +103,14 @@ def _build_engine(config: WorkerConfig, store):
     return engine
 
 
-def _execute(
-    config: WorkerConfig,
-    engine,
-    request_id: int,
-    enc: ColumnarQueryRequest,
-    budget_seconds: Optional[float],
-    attempt_base: int = 0,
-) -> Tuple:
-    """Run one request batch; returns the reply tuple to send."""
-    start = perf_counter()
-    deadline = Deadline.after(budget_seconds)
-    attempt_counter = 0
-
-    def attempt():
-        nonlocal attempt_counter
-        attempt_counter += 1
-        if deadline is not None:
-            deadline.check()
-        key = (
-            config.worker_id,
-            request_id,
-            attempt_base + attempt_counter,
-        )
-        # worker_exit first: a death plan must kill the process even
-        # when a serving.worker error plan is armed alongside it
-        try:
-            fault_injector.fire("serving.worker_exit", key=key)
-        except Exception:
-            import os
-
-            os._exit(13)
-        fault_injector.fire("serving.worker", key=key)
-        return execute_encoded(engine, enc, degrade=config.batched)
-
+def _exit_if_faulted(key: Tuple) -> None:
+    # serving.worker_exit fires before serving.worker on each attempt:
+    # a death plan must kill the process even when a serving.worker
+    # error plan is armed alongside it
     try:
-        if config.retry_policy is not None:
-            (cards, by_kind, degraded), attempts = config.retry_policy.run(
-                attempt, key=request_id, deadline=deadline
-            )
-        else:
-            cards, by_kind, degraded = attempt()
-            attempts = 1
-        return (
-            "ok",
-            request_id,
-            cards,
-            by_kind,
-            perf_counter() - start,
-            attempts,
-            tuple(sorted(degraded)),
-        )
-    except Exception as exc:
-        attempts = getattr(exc, "_retry_attempts", None) or max(
-            attempt_counter, 1
-        )
-        return (
-            "err",
-            request_id,
-            type(exc).__name__,
-            str(exc),
-            int(attempts),
-        )
+        fault_injector.fire("serving.worker_exit", key=key)
+    except Exception:
+        os._exit(13)
 
 
 def _stats_payload(engine, store) -> Dict:
@@ -203,17 +134,19 @@ def worker_main(config: WorkerConfig, conn) -> None:
 
     ``conn`` is the worker end of a duplex
     ``multiprocessing.Pipe``.  Startup failures (segment already
-    unlinked, bad manifest) are reported as an ``("err", -1, ...)``
-    reply before exiting, so the router can distinguish "worker could
+    unlinked, bad manifest) are reported as a ``("done", -1, outcome)``
+    failure reply before exiting, so the router can distinguish "worker could
     not start" from "worker crashed".
     """
     try:
         attached = attach_store(config.manifest)
-        _arm_from_config(config)
+        fault_injector.rearm(
+            config.fault_plans, config.fault_seed, config.fault_enabled
+        )
         engine = _build_engine(config, attached.store)
     except Exception as exc:
         try:
-            conn.send(("err", -1, type(exc).__name__, str(exc), 1))
+            conn.send(("done", -1, Outcome.failed(exc, 0.0)))
         except Exception:
             pass
         return
@@ -233,21 +166,23 @@ def worker_main(config: WorkerConfig, conn) -> None:
                 continue
             if tag == "run":
                 _, request_id, columns, budget_seconds, attempt_base = message
-                try:
-                    enc = ColumnarQueryRequest.from_columns(columns)
-                    reply = _execute(
-                        config, engine, request_id, enc,
-                        budget_seconds, attempt_base,
-                    )
-                except Exception as exc:  # decode/validation failures
-                    reply = (
-                        "err", request_id, type(exc).__name__, str(exc), 1,
-                    )
-                conn.send(reply)
+                outcome = guarded_call(
+                    lambda: execute_encoded(
+                        engine, ColumnarQueryRequest.from_columns(columns),
+                        degrade=config.batched,
+                    ),
+                    point="serving.worker",
+                    index=request_id,
+                    scope=(config.worker_id,),
+                    deadline=Deadline.after(budget_seconds),
+                    policy=config.retry_policy,
+                    attempt_base=attempt_base,
+                    on_attempt=_exit_if_faulted,
+                )
+                conn.send(("done", request_id, outcome))
                 continue
-            conn.send(
-                ("err", -1, "ValueError", f"unknown message {tag!r}", 1)
-            )
+            error = ValueError(f"unknown message {tag!r}")
+            conn.send(("done", -1, Outcome.failed(error, 0.0)))
     finally:
         attached.close()
         try:

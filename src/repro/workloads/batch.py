@@ -31,8 +31,9 @@ is reported so operators can see it happening.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,10 +72,14 @@ BATCHED_KINDS = frozenset(
 
 
 def _dispatch_kind(
-    engine: GraphQueryEngine, kind: QueryKind, group: List[Query]
+    engine: GraphQueryEngine,
+    queries: Sequence[Query],
+    kind: QueryKind,
+    indices: List[int],
 ) -> np.ndarray:
     """Cardinalities of one query-class group, via its batched kernel."""
     fault_injector.fire("query.batch_kernel", key=kind.value)
+    group = [queries[i] for i in indices]
     if kind in (QueryKind.OUT_NEIGHBORS, QueryKind.IN_NEIGHBORS):
         nodes = np.fromiter((q.args[0] for q in group), np.int64, len(group))
         ts = np.fromiter((q.t for q in group), np.int64, len(group))
@@ -111,24 +116,28 @@ def _dispatch_kind(
     raise AssertionError(kind)  # pragma: no cover - guarded by caller
 
 
-def _run_grouped(
+def run_groups(
     engine: GraphQueryEngine,
-    queries: Sequence[Query],
+    n: int,
+    groups: Iterable[Tuple[QueryKind, Sequence[int]]],
+    dispatch: Callable[[QueryKind, Sequence[int]], np.ndarray],
+    query_at: Callable[[int], Query],
     degrade: bool,
 ) -> Tuple[np.ndarray, Dict[str, float], FrozenSet[str]]:
-    """Grouped execution core shared by the strict and resilient paths."""
-    cardinalities = np.zeros(len(queries), dtype=np.int64)
+    """Grouped execution core of every batched path.
+
+    ``groups`` are ``(kind, query positions)`` in first-seen order;
+    ``dispatch(kind, positions)`` runs a group's batched kernel, and
+    ``query_at(i)`` gives the ``i``-th query for per-query dispatch.
+    """
+    cardinalities = np.zeros(n, dtype=np.int64)
     seconds: Dict[str, float] = {}
     degraded: List[str] = []
-    groups: Dict[QueryKind, List[int]] = {}
-    for i, q in enumerate(queries):
-        groups.setdefault(q.kind, []).append(i)
-    for kind, indices in groups.items():
+    for kind, indices in groups:
         start = perf_counter()
         if kind in BATCHED_KINDS:
-            group = [queries[i] for i in indices]
             try:
-                cardinalities[indices] = _dispatch_kind(engine, kind, group)
+                cardinalities[indices] = dispatch(kind, indices)
             except Exception:
                 if not degrade:
                     raise
@@ -137,14 +146,29 @@ def _run_grouped(
                 # degraded throughput
                 degraded.append(kind.value)
                 for i in indices:
-                    cardinalities[i] = _run_query(engine, queries[i])
+                    cardinalities[i] = _run_query(engine, query_at(i))
         else:
             for i in indices:
-                cardinalities[i] = _run_query(engine, queries[i])
+                cardinalities[i] = _run_query(engine, query_at(i))
         seconds[kind.value] = seconds.get(kind.value, 0.0) + (
             perf_counter() - start
         )
     return cardinalities, seconds, frozenset(degraded)
+
+
+def _run_grouped(
+    engine: GraphQueryEngine,
+    queries: Sequence[Query],
+    degrade: bool,
+) -> Tuple[np.ndarray, Dict[str, float], FrozenSet[str]]:
+    groups: Dict[QueryKind, List[int]] = {}
+    for i, q in enumerate(queries):
+        groups.setdefault(q.kind, []).append(i)
+    return run_groups(
+        engine, len(queries), groups.items(),
+        partial(_dispatch_kind, engine, queries), queries.__getitem__,
+        degrade,
+    )
 
 
 def run_queries_batched(
@@ -194,16 +218,6 @@ def execute_workload_batched(
     start = perf_counter()
     cardinalities, seconds = run_queries_batched(engine, queries)
     total = perf_counter() - start
-    counts: Dict[str, int] = {}
-    sizes: Dict[str, float] = {}
-    for q, card in zip(queries, cardinalities.tolist()):
-        key = q.kind.value
-        counts[key] = counts.get(key, 0) + 1
-        sizes[key] = sizes.get(key, 0.0) + card
-    return WorkloadReport(
-        total_queries=len(queries),
-        total_seconds=total,
-        latency_by_kind={k: seconds[k] / counts[k] for k in counts},
-        count_by_kind=counts,
-        mean_result_size={k: sizes[k] / counts[k] for k in counts},
+    return WorkloadReport.aggregate(
+        [([q.kind.value for q in queries], cardinalities, seconds)], total
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -266,6 +266,32 @@ class WorkloadReport:
     count_by_kind: Dict[str, int]
     mean_result_size: Dict[str, float]
 
+    @staticmethod
+    def aggregate(parts, total_seconds: float) -> "WorkloadReport":
+        """The report of a run from its completed parts.
+
+        Each part is ``(kinds, cardinalities, seconds_by_kind)``: the
+        kind value of each query it executed, each query's result
+        cardinality, and the part's seconds per kind.  Every execution
+        path (per-query, batched, each service) reports through here.
+        """
+        latency: Dict[str, float] = {}
+        counts: Dict[str, int] = {}
+        sizes: Dict[str, float] = {}
+        for kinds, cards, seconds_by_kind in parts:
+            for key, seconds in seconds_by_kind.items():
+                latency[key] = latency.get(key, 0.0) + seconds
+            for key, card in zip(kinds, np.asarray(cards).tolist()):
+                counts[key] = counts.get(key, 0) + 1
+                sizes[key] = sizes.get(key, 0.0) + card
+        return WorkloadReport(
+            total_queries=sum(counts.values()),
+            total_seconds=total_seconds,
+            latency_by_kind={k: latency[k] / counts[k] for k in counts},
+            count_by_kind=counts,
+            mean_result_size={k: sizes[k] / counts[k] for k in counts},
+        )
+
     def throughput(self) -> float:
         """Queries per second over the whole run."""
         if self.total_seconds == 0:
@@ -309,23 +335,55 @@ def execute_workload(
     """
     if not queries:
         raise ValueError("empty workload")
-    latency: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    sizes: Dict[str, float] = {}
     start = time.perf_counter()
+    sizes, latency = run_queries_per_query(engine, queries)
+    total = time.perf_counter() - start
+    return WorkloadReport.aggregate(
+        [([q.kind.value for q in queries], sizes, latency)], total
+    )
+
+
+def run_queries_per_query(
+    engine: GraphQueryEngine, queries: Sequence[Query]
+) -> Tuple[List[int], Dict[str, float]]:
+    """Per-query dispatch: each cardinality, and the seconds per kind."""
+    sizes: List[int] = []
+    latency: Dict[str, float] = {}
     for q in queries:
         q0 = time.perf_counter()
-        size = _run_query(engine, q)
-        dt = time.perf_counter() - q0
+        sizes.append(_run_query(engine, q))
         key = q.kind.value
-        latency[key] = latency.get(key, 0.0) + dt
-        counts[key] = counts.get(key, 0) + 1
-        sizes[key] = sizes.get(key, 0.0) + size
-    total = time.perf_counter() - start
-    return WorkloadReport(
-        total_queries=len(queries),
-        total_seconds=total,
-        latency_by_kind={k: latency[k] / counts[k] for k in counts},
-        count_by_kind=counts,
-        mean_result_size={k: sizes[k] / counts[k] for k in counts},
+        latency[key] = latency.get(key, 0.0) + (time.perf_counter() - q0)
+    return sizes, latency
+
+
+def replay_workload(
+    run_batch: Callable,
+    graph,
+    config: WorkloadConfig,
+    batch_size: int,
+    make_request: Callable,
+) -> Tuple[WorkloadReport, List]:
+    """Every service's ``run_workload``: ``config``'s mix on ``graph``,
+    served through ``run_batch`` as ``make_request(queries)`` batches."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    queries = WorkloadGenerator(graph, config).generate()
+    if not queries:
+        raise ValueError("workload generated no queries")
+    requests = [
+        make_request(queries[i:i + batch_size])
+        for i in range(0, len(queries), batch_size)
+    ]
+    kinds = [q.kind.value for q in queries]
+    start = time.perf_counter()
+    results = run_batch(requests)
+    report = WorkloadReport.aggregate(
+        (
+            (kinds[i * batch_size:(i + 1) * batch_size], r.cardinalities,
+             r.seconds_by_kind)
+            for i, r in enumerate(results) if r.ok
+        ),
+        time.perf_counter() - start,
     )
+    return report, results

@@ -26,14 +26,9 @@ pool mode.  The kernels the requests spend their time in
 (``searchsorted``, fancy gathers) release the GIL, so threads overlap
 on multi-core hosts.
 
-**Fault tolerance** (contract in ``docs/reliability.md``): a failing
-request yields a structured
-:class:`~repro.reliability.errors.RequestFailure` on its own result
-instead of poisoning siblings; per-request ``deadline_seconds`` bounds
-the wait on each worker future (a slow worker surfaces as a typed
-expiry, never a hang); ``retry_policy`` retries transient faults with
-deterministic backoff; ``max_pending`` sheds overflow with a
-structured :class:`~repro.reliability.errors.ServiceOverloadedError`.
+**Fault tolerance** (contract in ``docs/reliability.md``): requests
+run on the shared guard of :mod:`repro.reliability.guard` —
+per-request failures as values, deadlines, retries, admission.
 Degradation is built in: a faulting batched kernel falls back to its
 pinned per-query reference twin
 (:func:`~repro.workloads.batch.run_queries_resilient`) and a faulting
@@ -46,30 +41,23 @@ cache).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from time import perf_counter
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.profiling import profiler
-from repro.reliability import (
-    AdmissionController,
-    Deadline,
-    DeadlineExceededError,
-    RequestFailure,
-    RetryPolicy,
-    fault_injector,
-)
+from repro.reliability import RequestFailure, RetryPolicy
+from repro.reliability.guard import GuardedExecutor, Outcome
 from repro.workloads.batch import run_queries_resilient
 from repro.workloads.engine import GraphQueryEngine
 from repro.workloads.generator import (
     Query,
     WorkloadConfig,
-    WorkloadGenerator,
     WorkloadReport,
-    _run_query,
+    replay_workload,
+    run_queries_per_query,
 )
 
 __all__ = [
@@ -127,6 +115,19 @@ class QueryResult:
         """True when the request produced cardinalities."""
         return self.error is None
 
+    @classmethod
+    def from_outcome(cls, request, outcome: Outcome) -> "QueryResult":
+        """``request``'s result from its guarded outcome.
+
+        A completed outcome's value is ``(cardinalities,
+        seconds_by_kind, degraded_kinds)``.
+        """
+        cards, by_kind, degraded = outcome.value or (None, {}, frozenset())
+        return cls(
+            request, cards, outcome.seconds, by_kind, outcome.attempts,
+            degraded, outcome.error,
+        )
+
 
 class QueryService:
     """Concurrent executor of query-request batches over one engine.
@@ -152,18 +153,10 @@ class QueryService:
         ``False`` forces per-query dispatch inside every request —
         the comparison baseline the throughput benches use; results
         are identical either way.
-    retry_policy:
-        Optional :class:`~repro.reliability.RetryPolicy` retrying
-        transient per-request faults with deterministic backoff.
-    deadline_seconds:
-        Optional per-request budget; ``serial`` checks it
-        cooperatively, ``thread`` also bounds the wait on the worker
-        future so a stuck request answers with a structured expiry.
-    max_pending:
-        Bound on requests in flight across all concurrent callers;
-        overflow raises
-        :class:`~repro.reliability.ServiceOverloadedError` with a
-        retry-after estimate instead of queueing unboundedly.
+    retry_policy, deadline_seconds, max_pending:
+        Retries of transient failures, a per-request budget and an
+        admission bound, as described on the shared
+        :class:`~repro.reliability.guard.GuardedExecutor`.
     """
 
     def __init__(
@@ -185,8 +178,15 @@ class QueryService:
                 "store, so process pools are a deployment topology, not a "
                 "pool mode)"
             )
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
+        self._guard = GuardedExecutor(
+            executor,
+            point="query.request",
+            retry_policy=retry_policy,
+            deadline_seconds=deadline_seconds,
+            max_pending=max_pending,
+            max_workers=max_workers,
+            name="query-service",
+        )
         if isinstance(graph, GraphQueryEngine):
             self.engine = graph
         else:
@@ -197,23 +197,9 @@ class QueryService:
         # force the lazy plan cache now: an invalid budget must fail
         # service construction, not degrade the first request
         self.engine.plans
-        self.executor = executor
-        self.max_workers = max_workers
         self.batched = batched
-        self.retry_policy = retry_policy
-        self.deadline_seconds = deadline_seconds
-        self._admission = AdmissionController(max_pending)
-        self._pool = None
-        self._pool_init = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _workers(self) -> int:
-        import os
-
-        if self.max_workers is not None:
-            return max(int(self.max_workers), 1)
-        return max(os.cpu_count() or 1, 1)
-
     def _run_once(
         self,
         request: QueryRequest,
@@ -222,131 +208,8 @@ class QueryService:
         engine = engine if engine is not None else self.engine
         if self.batched:
             return run_queries_resilient(engine, request.queries)
-        cards = np.zeros(len(request.queries), dtype=np.int64)
-        by_kind: Dict[str, float] = {}
-        for i, q in enumerate(request.queries):
-            q0 = perf_counter()
-            cards[i] = _run_query(engine, q)
-            by_kind[q.kind.value] = by_kind.get(q.kind.value, 0.0) + (
-                perf_counter() - q0
-            )
-        return cards, by_kind, frozenset()
-
-    def _execute_request(
-        self,
-        request: QueryRequest,
-        index: int = 0,
-        deadline: Optional[Deadline] = None,
-        engine: Optional[GraphQueryEngine] = None,
-    ) -> QueryResult:
-        """Execute one request; failures become result values."""
-        start = perf_counter()
-        attempt_counter = 0
-
-        def attempt():
-            nonlocal attempt_counter
-            attempt_counter += 1
-            if deadline is not None:
-                deadline.check()
-            fault_injector.fire(
-                "query.request", key=(index, attempt_counter)
-            )
-            return self._run_once(request, engine)
-
-        try:
-            if self.retry_policy is not None:
-                (cards, by_kind, degraded), attempts = self.retry_policy.run(
-                    attempt, key=index, deadline=deadline
-                )
-            else:
-                cards, by_kind, degraded = attempt()
-                attempts = 1
-            return QueryResult(
-                request=request,
-                cardinalities=cards,
-                seconds=perf_counter() - start,
-                seconds_by_kind=by_kind,
-                attempts=attempts,
-                degraded_kinds=degraded,
-            )
-        except Exception as exc:
-            attempts = getattr(exc, "_retry_attempts", None) or max(
-                attempt_counter, 1
-            )
-            return QueryResult(
-                request=request,
-                cardinalities=None,
-                seconds=perf_counter() - start,
-                seconds_by_kind={},
-                attempts=attempts,
-                error=RequestFailure.from_exception(exc, attempts),
-            )
-
-    def _deadline_result(
-        self, request: QueryRequest, deadline: Deadline
-    ) -> QueryResult:
-        failure = RequestFailure.from_exception(
-            DeadlineExceededError(
-                deadline.budget_seconds, deadline.elapsed()
-            )
-        )
-        return QueryResult(
-            request=request,
-            cardinalities=None,
-            seconds=deadline.elapsed(),
-            seconds_by_kind={},
-            error=failure,
-        )
-
-    def _map(
-        self,
-        requests: Sequence[QueryRequest],
-        engine: Optional[GraphQueryEngine] = None,
-    ) -> List[QueryResult]:
-        deadlines = [
-            Deadline.after(self.deadline_seconds) for _ in requests
-        ]
-        if self.executor == "serial":
-            return [
-                self._execute_request(request, i, deadline, engine)
-                for i, (request, deadline) in enumerate(
-                    zip(requests, deadlines)
-                )
-            ]
-        if self._pool is None:
-            # locked: concurrent first batches must agree on one pool,
-            # or the loser's pool would leak past close()
-            with self._pool_init:
-                if self._pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self._workers(),
-                        thread_name_prefix="query-service",
-                    )
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        futures = [
-            self._pool.submit(
-                self._execute_request, request, i, deadline, engine
-            )
-            for i, (request, deadline) in enumerate(zip(requests, deadlines))
-        ]
-        results: List[QueryResult] = []
-        for request, deadline, future in zip(requests, deadlines, futures):
-            try:
-                timeout = (
-                    None
-                    if deadline is None
-                    else max(deadline.remaining(), 0.0)
-                )
-                results.append(future.result(timeout=timeout))
-            except FuturesTimeout:
-                # the worker thread keeps running, but the caller gets
-                # a structured expiry now instead of hanging on it
-                future.cancel()
-                results.append(self._deadline_result(request, deadline))
-        return results
+        cards, by_kind = run_queries_per_query(engine, request.queries)
+        return np.asarray(cards, dtype=np.int64), by_kind, frozenset()
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -374,15 +237,14 @@ class QueryService:
         requests = list(requests)
         if not requests:
             return []
-        self._admission.try_acquire(len(requests))
-        t0 = perf_counter()
-        try:
-            with profiler.timer("workloads.service.run_batch"):
-                return self._map(requests, engine)
-        finally:
-            self._admission.release(
-                len(requests), seconds=perf_counter() - t0
-            )
+        run_once = partial(self._run_once, engine=engine)
+        with self._guard.admit(len(requests)) as deadlines, \
+                profiler.timer("workloads.service.run_batch"):
+            outcomes = self._guard.map(run_once, requests, deadlines)
+            return [
+                QueryResult.from_outcome(r, o)
+                for r, o in zip(requests, outcomes)
+            ]
 
     def run_workload(
         self,
@@ -407,42 +269,10 @@ class QueryService:
         requests — the replay submits the whole workload in one
         ``run_batch`` call.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        queries = WorkloadGenerator(self.engine.graph, config).generate()
-        if not queries:
-            raise ValueError("workload generated no queries")
-        requests = [
-            QueryRequest(queries[i:i + batch_size])
-            for i in range(0, len(queries), batch_size)
-        ]
-        start = perf_counter()
-        results = self.run_batch(requests)
-        total = perf_counter() - start
-        latency: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        sizes: Dict[str, float] = {}
-        completed_queries = 0
-        for result in results:
-            if not result.ok:
-                continue
-            completed_queries += len(result.request)
-            for key, s in result.seconds_by_kind.items():
-                latency[key] = latency.get(key, 0.0) + s
-            for q, card in zip(
-                result.request.queries, result.cardinalities.tolist()
-            ):
-                key = q.kind.value
-                counts[key] = counts.get(key, 0) + 1
-                sizes[key] = sizes.get(key, 0.0) + card
-        report = WorkloadReport(
-            total_queries=completed_queries,
-            total_seconds=total,
-            latency_by_kind={k: latency[k] / counts[k] for k in counts},
-            count_by_kind=counts,
-            mean_result_size={k: sizes[k] / counts[k] for k in counts},
+        return replay_workload(
+            self.run_batch, self.engine.graph, config, batch_size,
+            QueryRequest,
         )
-        return report, results
 
     # ------------------------------------------------------------------
     def plan_cache_stats(self):
@@ -451,13 +281,11 @@ class QueryService:
 
     def admission_stats(self):
         """Pending/admitted/shed counters of the bounded queue."""
-        return self._admission.stats()
+        return self._guard.admission_stats()
 
     def close(self) -> None:
         """Shut down the thread pool (no-op for ``serial``)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        self._guard.close()
 
     def __enter__(self) -> "QueryService":
         return self

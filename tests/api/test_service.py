@@ -62,6 +62,48 @@ class TestGenerationService:
         for a, b in zip(first, second):
             assert a.graph == b.graph  # determinism across batches too
 
+    def test_concurrent_first_batches_share_one_pool(
+        self, artifacts, monkeypatch
+    ):
+        """Two callers racing into their first batch create one pool.
+
+        A slow pool constructor widens the window between "no pool
+        yet" and "pool assigned"; an unlocked check-then-create would
+        build two pools and leak one past ``close()``.
+        """
+        import concurrent.futures
+        import threading
+        import time
+
+        created = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        class SlowPool(real):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.2)
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowPool)
+        requests = _requests(artifacts)[3:4]
+        svc = api.GenerationService(executor="thread", max_workers=2)
+        barrier = threading.Barrier(2)
+        outputs = []
+
+        def first_batch():
+            barrier.wait()
+            outputs.append(svc.run_batch(requests))
+
+        callers = [threading.Thread(target=first_batch) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(30.0)
+        svc.close()
+        assert len(outputs) == 2 and all(r.ok for o in outputs for r in o)
+        assert len(created) == 1
+        assert all(pool._shutdown for pool in created)
+
     def test_empty_batch(self):
         assert api.GenerationService(executor="serial").run_batch([]) == []
 

@@ -241,18 +241,26 @@ def generation_reference(generation_requests):
 
 
 class TestGenerationChaos:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_completed_results_bit_identical(
         self, generation_requests, generation_reference, executor
     ):
         plans = {"generation.request": FaultPlan(rate=0.4)}
 
-        def scenario():
-            with api.GenerationService(executor=executor) as svc:
-                with fault_injector.arm(plans, seed=CHAOS_SEED):
-                    return svc.run_batch(generation_requests)
+        def run(executor):
+            def scenario():
+                with api.GenerationService(executor=executor) as svc:
+                    with fault_injector.arm(plans, seed=CHAOS_SEED):
+                        return svc.run_batch(generation_requests)
 
-        results = within_watchdog(scenario)
+            return within_watchdog(scenario)
+
+        def failed(results):
+            return [i for i, r in enumerate(results) if not r.ok]
+
+        results = run(executor)
+        # the fault pattern is a function of the seed, not the executor
+        assert failed(results) == failed(run("serial"))
         completed = 0
         for result, expected in zip(results, generation_reference):
             if result.ok:
