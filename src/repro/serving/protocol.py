@@ -14,9 +14,10 @@ dispatch, result return) is array-at-a-time:
   would cost more than the query itself at 1M q/s);
 * the worker feeds masked column selections *directly* into the
   ``batch_*`` kernels — including the frontier-vectorized traversal
-  kernels (``batch_two_hop`` / ``batch_temporal_reach``) — so no
-  per-query Python runs on the worker hot path for batched classes
-  (only the per-snapshot analytics kinds decode per query);
+  kernels (``batch_two_hop`` / ``batch_temporal_reach``) and the
+  plan-cached analytics (``batch_triangle_counts`` /
+  ``batch_degree_topk``) — so no per-query Python runs on the worker
+  hot path (queries decode one at a time only on the degrade path);
 * results come back as one int64 cardinality column, in query order.
 
 Column layout (all length ``n``):
@@ -222,7 +223,12 @@ def _dispatch_columns(
         return engine.batch_temporal_reach(
             enc.a0[idx], enc.a1[idx], enc.a2[idx], enc.a3[idx]
         ).astype(np.int64)
-    raise AssertionError(kind)  # pragma: no cover - guarded by caller
+    if kind == QueryKind.TRIANGLE_COUNT:
+        return engine.batch_triangle_counts(enc.ts[idx])
+    if kind == QueryKind.DEGREE_TOPK:
+        offsets, _ = engine.batch_degree_topk(enc.ts[idx], enc.a0[idx])
+        return np.diff(offsets)
+    raise AssertionError(kind)  # pragma: no cover - enum is closed
 
 
 def execute_encoded(
@@ -237,8 +243,8 @@ def execute_encoded(
     the same semantics as
     :func:`~repro.workloads.batch.run_queries_resilient` — and
     bit-identical cardinalities to it (and therefore to the per-query
-    reference loop): batched classes go to their kernels as masked
-    column selections, the rest decode to per-query dispatch.  With
+    reference loop): every class goes to its kernel as a masked
+    column selection.  With
     ``degrade`` a faulting kernel class falls back per-query instead
     of raising; the ``query.batch_kernel`` injection point fires per
     kernel call exactly as in the single-process path, so chaos

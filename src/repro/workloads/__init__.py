@@ -11,10 +11,11 @@ small serving stack (documented in ``docs/workloads.md``):
   attribute range scans, time-respecting reachability, top-degree
   queries) plus batched vectorized kernels (``batch_degrees``,
   ``batch_neighbors``, ``batch_has_edge``,
-  ``batch_edge_window_counts``) answering whole query columns in
+  ``batch_edge_window_counts``, ``batch_two_hop``,
+  ``batch_triangle_counts``, ...) answering whole query columns in
   bulk, bit-identically.
 * :class:`SnapshotPlanCache` — the bounded LRU the engine's
-  per-timestep CSR/CSC/attribute/edge-key plans live in
+  per-timestep CSR/CSC/attribute/analytics/edge-key plans live in
   (``memory_budget_bytes`` sizing).
 * :class:`WorkloadConfig` / :class:`WorkloadGenerator` — Zipf-skewed
   query mixes mirroring OLTP-style graph workloads
@@ -32,7 +33,6 @@ small serving stack (documented in ``docs/workloads.md``):
 """
 
 from repro.workloads.batch import (
-    BATCHED_KINDS,
     execute_workload_batched,
     run_queries_batched,
     run_queries_resilient,
@@ -61,7 +61,6 @@ from repro.workloads.service import (
 )
 
 __all__ = [
-    "BATCHED_KINDS",
     "EpochPlanView",
     "GraphQueryEngine",
     "LiveQueryService",

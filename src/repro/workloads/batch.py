@@ -2,18 +2,18 @@
 
 :func:`execute_workload` (in :mod:`repro.workloads.generator`)
 dispatches one Python call per query — the reference semantics.  This
-module is the bulk twin: a mixed workload is grouped by query class,
-each batchable class is answered with **one** vectorized kernel call
+module is the bulk twin: a mixed workload is grouped by query class
+and every class is answered with **one** vectorized kernel call
 (:meth:`~repro.workloads.engine.GraphQueryEngine.batch_degrees`,
 :meth:`~repro.workloads.engine.GraphQueryEngine.batch_has_edge`,
 :meth:`~repro.workloads.engine.GraphQueryEngine.batch_edge_window_counts`,
+:meth:`~repro.workloads.engine.GraphQueryEngine.batch_attribute_range_counts`,
 :meth:`~repro.workloads.engine.GraphQueryEngine.batch_two_hop`,
-:meth:`~repro.workloads.engine.GraphQueryEngine.batch_temporal_reach`),
-and only the per-snapshot analytics classes (``TRIANGLE_COUNT``,
-``DEGREE_TOPK`` — one whole-snapshot kernel per query by nature) fall
-back to the per-query path.  Result cardinalities are bit-identical
-to the per-query loop in query order — only the dispatch cost
-changes.
+:meth:`~repro.workloads.engine.GraphQueryEngine.batch_temporal_reach`,
+:meth:`~repro.workloads.engine.GraphQueryEngine.batch_triangle_counts`,
+:meth:`~repro.workloads.engine.GraphQueryEngine.batch_degree_topk`).
+Result cardinalities are bit-identical to the per-query loop in query
+order — only the dispatch cost changes.
 
 This is the execution core of
 :class:`~repro.workloads.service.QueryService`; it is also usable
@@ -26,7 +26,8 @@ fatal.  :func:`run_queries_resilient` catches a faulting batched
 kernel (the ``query.batch_kernel`` injection point provokes this in
 chaos tests) and answers that query class through the per-query loop
 instead: identical results, degraded throughput, and the degradation
-is reported so operators can see it happening.
+is reported so operators can see it happening.  Degradation is the
+only way a batched path reaches per-query dispatch.
 """
 
 from __future__ import annotations
@@ -47,28 +48,10 @@ from repro.workloads.generator import (
 )
 
 __all__ = [
-    "BATCHED_KINDS",
     "run_queries_batched",
     "run_queries_resilient",
     "execute_workload_batched",
 ]
-
-#: Query classes answered by a vectorized kernel.  Only the
-#: per-snapshot analytics classes (``TRIANGLE_COUNT``,
-#: ``DEGREE_TOPK``) take the per-query fallback inside
-#: :func:`run_queries_batched` — each of those is one whole-snapshot
-#: kernel per query by nature, so there is no batch to vectorize.
-BATCHED_KINDS = frozenset(
-    {
-        QueryKind.OUT_NEIGHBORS,
-        QueryKind.IN_NEIGHBORS,
-        QueryKind.HAS_EDGE,
-        QueryKind.EDGE_WINDOW,
-        QueryKind.ATTRIBUTE_RANGE,
-        QueryKind.TWO_HOP,
-        QueryKind.TEMPORAL_REACH,
-    }
-)
 
 
 def _dispatch_kind(
@@ -113,7 +96,15 @@ def _dispatch_kind(
         t0 = np.fromiter((q.args[2] for q in group), np.int64, len(group))
         t1 = np.fromiter((q.args[3] for q in group), np.int64, len(group))
         return engine.batch_temporal_reach(src, dst, t0, t1).astype(np.int64)
-    raise AssertionError(kind)  # pragma: no cover - guarded by caller
+    if kind == QueryKind.TRIANGLE_COUNT:
+        ts = np.fromiter((q.t for q in group), np.int64, len(group))
+        return engine.batch_triangle_counts(ts)
+    if kind == QueryKind.DEGREE_TOPK:
+        ts = np.fromiter((q.t for q in group), np.int64, len(group))
+        ks = np.fromiter((q.args[0] for q in group), np.int64, len(group))
+        offsets, _ = engine.batch_degree_topk(ts, ks)
+        return np.diff(offsets)
+    raise AssertionError(kind)  # pragma: no cover - enum is closed
 
 
 def run_groups(
@@ -127,27 +118,24 @@ def run_groups(
     """Grouped execution core of every batched path.
 
     ``groups`` are ``(kind, query positions)`` in first-seen order;
-    ``dispatch(kind, positions)`` runs a group's batched kernel, and
-    ``query_at(i)`` gives the ``i``-th query for per-query dispatch.
+    ``dispatch(kind, positions)`` runs a group's batched kernel.  With
+    ``degrade``, a group whose kernel raises is re-answered per query
+    (``query_at(i)`` gives the ``i``-th query) and named in the
+    returned degraded kinds; without it the exception propagates.
     """
     cardinalities = np.zeros(n, dtype=np.int64)
     seconds: Dict[str, float] = {}
     degraded: List[str] = []
     for kind, indices in groups:
         start = perf_counter()
-        if kind in BATCHED_KINDS:
-            try:
-                cardinalities[indices] = dispatch(kind, indices)
-            except Exception:
-                if not degrade:
-                    raise
-                # batched kernel faulted: fall back to its pinned
-                # per-query reference twin — identical results,
-                # degraded throughput
-                degraded.append(kind.value)
-                for i in indices:
-                    cardinalities[i] = _run_query(engine, query_at(i))
-        else:
+        try:
+            cardinalities[indices] = dispatch(kind, indices)
+        except Exception:
+            if not degrade:
+                raise
+            # batched kernel faulted: fall back to its pinned per-query
+            # reference twin — identical results, degraded throughput
+            degraded.append(kind.value)
             for i in indices:
                 cardinalities[i] = _run_query(engine, query_at(i))
         seconds[kind.value] = seconds.get(kind.value, 0.0) + (
@@ -180,8 +168,8 @@ def run_queries_batched(
     cardinality per query (bit-identical to looping
     ``execute_workload``'s per-query dispatch — pinned by
     ``tests/workloads/test_batch.py``) and the wall-clock each query
-    class consumed (batched classes are timed per kernel call, the
-    fallback classes per query).  A batched-kernel failure propagates;
+    class consumed (one kernel call per class).  A batched-kernel
+    failure propagates;
     use :func:`run_queries_resilient` for the degrade-don't-die form.
     """
     cardinalities, seconds, _ = _run_grouped(engine, queries, degrade=False)

@@ -2,12 +2,15 @@
 
 A *plan* is a per-timestep (or whole-graph) index materialization a
 query kernel runs against: the forward CSR of one snapshot, its
-reverse CSC, a sorted attribute order for range scans, or the global
-sorted edge-key columns the temporal kernels binary-search.  The
-:class:`~repro.graph.store.TemporalEdgeStore` caches CSR/CSC per
-timestep *unboundedly* — fine for analytics sweeps that touch every
-timestep once, wrong for a long-lived serving process where T is large
-and traffic concentrates on a hot subset of timesteps.
+reverse CSC, a sorted attribute order for range scans, the global
+sorted edge-key columns the temporal kernels binary-search, or a
+per-snapshot analytics memo (the triangle count of one snapshot, its
+degree-ranked node order) answered once per timestep instead of once
+per query.  The :class:`~repro.graph.store.TemporalEdgeStore` caches
+CSR/CSC per timestep *unboundedly* — fine for analytics sweeps that
+touch every timestep once, wrong for a long-lived serving process
+where T is large and traffic concentrates on a hot subset of
+timesteps.
 
 :class:`SnapshotPlanCache` is the bounded counterpart: an LRU over
 plan materializations with ``memory_budget_bytes``-style sizing that
@@ -36,6 +39,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -48,7 +52,7 @@ __all__ = ["PlanCacheStats", "SnapshotPlanCache"]
 #: Extension keys (the live tier's ``("csr", t, "open")`` variants)
 #: share these heads, so :meth:`SnapshotPlanCache.invalidate_step`
 #: covers them too.
-_STEP_PLAN_HEADS = ("csr", "csc", "attr")
+_STEP_PLAN_HEADS = ("csr", "csc", "attr", "triangles", "degree_order")
 
 #: Key heads of whole-store plans (epoch-qualified in the live tier).
 _STORE_PLAN_HEADS = ("temporal_keys", "pair_keys")
@@ -111,9 +115,9 @@ class SnapshotPlanCache:
     max_plans:
         Optional additional bound on the number of resident plans.
 
-    Plans are immutable (tuples of arrays); a plan handed to a caller
-    stays valid after eviction, eviction only drops the cache's
-    reference.
+    Plans are immutable (arrays, tuples of arrays, or scalars); a plan
+    handed to a caller stays valid after eviction, eviction only drops
+    the cache's reference.
     """
 
     def __init__(
@@ -225,9 +229,10 @@ class SnapshotPlanCache:
         """Drop every resident per-timestep plan of timestep ``t``.
 
         Covers the built-in ``("csr", t)`` / ``("csc", t)`` /
-        ``("attr", t, dim)`` keys and any extension key sharing those
-        heads (the live tier's open-step variants).  Returns the
-        number of plans dropped.  Like eviction, invalidation never
+        ``("attr", t, dim)`` / ``("triangles", t)`` /
+        ``("degree_order", t, direction)`` keys and any extension key
+        sharing those heads (the live tier's open-step variants).
+        Returns the number of plans dropped.  Like eviction, invalidation never
         changes results — the next lookup rebuilds from the store
         columns — and the owned-bytes account shrinks with each drop,
         so the budget is never exceeded mid-invalidation.  The live
@@ -277,11 +282,9 @@ class SnapshotPlanCache:
         is the store's canonical order), so only the ``(N + 1,)``
         ``indptr`` counts against the budget.
         """
-        def build():
-            indptr, indices = self.store.compute_csr_at(t)
-            return (indptr, indices), self._owned_nbytes(indptr, indices)
-
-        return self._get_or_build(("csr", t), build)
+        return self._get_or_build(
+            ("csr", t), partial(_csr_plan, self.store, t)
+        )
 
     def csc(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Reverse CSR (in-edges) of timestep ``t``: ``(indptr, indices)``.
@@ -289,11 +292,9 @@ class SnapshotPlanCache:
         Costs one O(M_t log M_t) re-sort to build; both arrays are
         fresh and count against the budget.
         """
-        def build():
-            indptr, indices = self.store.compute_csc_at(t)
-            return (indptr, indices), self._owned_nbytes(indptr, indices)
-
-        return self._get_or_build(("csc", t), build)
+        return self._get_or_build(
+            ("csc", t), partial(_csc_plan, self.store, t)
+        )
 
     def attribute_order(self, t: int, dim: int) -> np.ndarray:
         """Stable argsort of attribute ``dim`` at timestep ``t``."""
@@ -304,6 +305,31 @@ class SnapshotPlanCache:
 
         return self._get_or_build(("attr", t, dim), build)
 
+    def triangles(self, t: int) -> int:
+        """Undirected triangle count of timestep ``t`` (a scalar memo).
+
+        Built once from the store's loop-free CSR view
+        (``store.sparse_at(t)``) — one N×N-bitmap kernel per timestep
+        instead of one per query.  A Python int owns no array memory,
+        so it is charged 0 bytes.
+        """
+        return self._get_or_build(
+            ("triangles", t), partial(_triangles_plan, self.store, t)
+        )
+
+    def degree_order(self, t: int, direction: str) -> np.ndarray:
+        """Node ids of timestep ``t`` ranked by degree, ties by id.
+
+        The stable ``lexsort((ids, -deg))`` order over the store's
+        (loop-free) ``"out"`` / ``"in"`` / ``"total"`` degrees; a
+        top-``k`` query is its first ``k`` entries.  ``N`` int64,
+        charged against the budget.
+        """
+        return self._get_or_build(
+            ("degree_order", t, direction),
+            partial(_degree_order_plan, self.store, t, direction),
+        )
+
     def temporal_keys(self) -> np.ndarray:
         """Sorted composite ``(t, src, dst)`` edge keys (whole graph).
 
@@ -311,11 +337,9 @@ class SnapshotPlanCache:
         the edge-existence kernel answers a whole batch with one
         ``np.searchsorted`` against them.
         """
-        def build():
-            keys = self.store.temporal_edge_keys()
-            return keys, self._owned_nbytes(keys)
-
-        return self._get_or_build(("temporal_keys",), build)
+        return self._get_or_build(
+            ("temporal_keys",), partial(_temporal_keys_plan, self.store)
+        )
 
     def pair_keys(self) -> np.ndarray:
         """Sorted composite ``(src, dst, t)`` edge keys (whole graph).
@@ -324,16 +348,9 @@ class SnapshotPlanCache:
         edge are contiguous, so a temporal-range query is two binary
         searches.  Built with one O(M log M) sort, then reused.
         """
-        def build():
-            store = self.store
-            keys = np.sort(
-                (store.src * store.num_nodes + store.dst)
-                * store.num_timesteps
-                + store.t
-            )
-            return keys, self._owned_nbytes(keys)
-
-        return self._get_or_build(("pair_keys",), build)
+        return self._get_or_build(
+            ("pair_keys",), partial(_pair_keys_plan, self.store)
+        )
 
     # ------------------------------------------------------------------
     def stats(self) -> PlanCacheStats:
@@ -368,3 +385,49 @@ class SnapshotPlanCache:
             f"bytes={s.resident_bytes}, budget={budget}, "
             f"hit_rate={s.hit_rate:.2f})"
         )
+
+
+# ----------------------------------------------------------------------
+# plan builders: ``(plan, owned_bytes)`` from one store.  Shared by the
+# cache's own lookups and the live tier's open-step / per-epoch keys
+# (:class:`~repro.workloads.live.EpochPlanView`), so both build every
+# plan the same way.
+# ----------------------------------------------------------------------
+def _csr_plan(store, t: int):
+    indptr, indices = store.compute_csr_at(t)
+    return (indptr, indices), SnapshotPlanCache._owned_nbytes(indptr, indices)
+
+
+def _csc_plan(store, t: int):
+    indptr, indices = store.compute_csc_at(t)
+    return (indptr, indices), SnapshotPlanCache._owned_nbytes(indptr, indices)
+
+
+def _triangles_plan(store, t: int):
+    return store.sparse_at(t).triangle_count(), 0
+
+
+def _degree_order_plan(store, t: int, direction: str):
+    if direction == "out":
+        deg = store.out_degrees_at(t)
+    elif direction == "in":
+        deg = store.in_degrees_at(t)
+    elif direction == "total":
+        deg = store.out_degrees_at(t) + store.in_degrees_at(t)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    order = np.lexsort((np.arange(deg.size), -deg))
+    return order, SnapshotPlanCache._owned_nbytes(order)
+
+
+def _temporal_keys_plan(store):
+    keys = store.temporal_edge_keys()
+    return keys, SnapshotPlanCache._owned_nbytes(keys)
+
+
+def _pair_keys_plan(store):
+    keys = np.sort(
+        (store.src * store.num_nodes + store.dst) * store.num_timesteps
+        + store.t
+    )
+    return keys, SnapshotPlanCache._owned_nbytes(keys)

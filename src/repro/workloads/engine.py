@@ -16,7 +16,9 @@ reachability — in two dispatch styles:
   :meth:`~GraphQueryEngine.batch_has_edge`,
   :meth:`~GraphQueryEngine.batch_edge_window_counts`,
   :meth:`~GraphQueryEngine.batch_two_hop`,
-  :meth:`~GraphQueryEngine.batch_temporal_reach`): whole query
+  :meth:`~GraphQueryEngine.batch_temporal_reach`,
+  :meth:`~GraphQueryEngine.batch_triangle_counts`,
+  :meth:`~GraphQueryEngine.batch_degree_topk`): whole query
   *columns* — parallel arrays of nodes/timesteps — answered in bulk
   with ``searchsorted``/CSR slicing on the store, bit-identical to the
   per-query loop at a fraction of the dispatch cost.  The traversal
@@ -32,8 +34,10 @@ Every index the engine consults is a *plan* in a
 :class:`~repro.workloads.cache.SnapshotPlanCache`: forward CSR as a
 zero-copy view of the store's ``(t, src, dst)``-sorted columns,
 reverse CSC as one O(M_t log M_t) re-sort, sorted attribute orders
-for range scans, and the global sorted edge-key columns behind the
-edge-existence and temporal-range kernels.  The cache is bounded
+for range scans, the global sorted edge-key columns behind the
+edge-existence and temporal-range kernels, and the per-snapshot
+analytics memos (triangle count, degree-ranked node order) that the
+scalar and batched analytics both read.  The cache is bounded
 (``cache_memory_budget_bytes``) and shared across concurrent
 requests; no dense ``(N, N)`` matrix is ever touched
 (``track_dense_materializations`` stays 0 on this path).  The prose
@@ -122,10 +126,11 @@ class GraphQueryEngine:
         An existing :class:`SnapshotPlanCache` to share (e.g. one
         cache across several engines over the same store), or any
         object speaking the same plan protocol (``store`` attribute
-        plus ``csr`` / ``csc`` / ``attribute_order`` /
-        ``temporal_keys`` / ``pair_keys`` / ``stats`` — the live
-        tier's :class:`~repro.workloads.live.EpochPlanView` pins one
-        epoch this way).  Must wrap ``graph.store``.
+        plus ``csr`` / ``csc`` / ``attribute_order`` / ``triangles`` /
+        ``degree_order`` / ``temporal_keys`` / ``pair_keys`` /
+        ``stats`` — the live tier's
+        :class:`~repro.workloads.live.EpochPlanView` pins one epoch
+        this way).  Must wrap ``graph.store``.
     cache_memory_budget_bytes / cache_max_plans:
         Sizing for the engine's own plan cache when ``plan_cache`` is
         not given; ``None`` means unbounded.  See
@@ -313,26 +318,22 @@ class GraphQueryEngine:
     # pattern / analytic queries
     # ------------------------------------------------------------------
     def triangle_count(self, t: int) -> int:
-        """Undirected triangle count of snapshot ``t`` (CSR kernel)."""
+        """Undirected triangle count of snapshot ``t`` (per-step plan)."""
         self._check_t(t)
-        return props.triangle_count(self.graph[t])
+        return self.plans.triangles(t)
 
     def degree_topk(self, t: int, k: int, direction: str = "out") -> List[int]:
-        """The ``k`` highest-degree node ids (ties by id, ascending)."""
+        """The ``k`` highest-degree node ids (ties by id, ascending).
+
+        Degrees are the store's loop-free edge counts, the same ones
+        :meth:`out_neighbors` / :meth:`in_neighbors` slice.
+        """
         self._check_t(t)
         if k < 0:
             raise ValueError("k must be >= 0")
-        snap = self.graph[t]
-        if direction == "out":
-            deg = snap.out_degrees()
-        elif direction == "in":
-            deg = snap.in_degrees()
-        elif direction == "total":
-            deg = snap.degrees()
-        else:
+        if direction not in ("out", "in", "total"):
             raise ValueError(f"unknown direction {direction!r}")
-        order = np.lexsort((np.arange(len(deg)), -deg))
-        return order[:k].tolist()
+        return self.plans.degree_order(t, direction)[:k].tolist()
 
     def attribute_range(
         self, t: int, dim: int, lo: float, hi: float
@@ -409,8 +410,8 @@ class GraphQueryEngine:
     # ------------------------------------------------------------------
     # batched vectorized kernels (the serving path)
     # ------------------------------------------------------------------
-    # Contract, shared by all four kernels: queries arrive as parallel
-    # column arrays, results come back as arrays in query order,
+    # Contract, shared by every batch_* kernel: queries arrive as
+    # parallel column arrays, results come back as arrays in query order,
     # bit-identical to the per-query loop (the _reference_batch_*
     # twins below, pinned by tests/workloads/test_batch.py).  Columns
     # are validated vectorized up front; an empty batch returns empty
@@ -710,6 +711,60 @@ class GraphQueryEngine:
             out[active] = visited[targets[active]]
         return out
 
+    # ------------------------------------------------------------------
+    # batched per-snapshot analytics (one plan lookup per timestep)
+    # ------------------------------------------------------------------
+    def batch_triangle_counts(self, ts) -> np.ndarray:
+        """Undirected triangle count of snapshot ``ts[i]``, one per query.
+
+        Queries sharing a timestep share one ``triangles`` plan lookup;
+        the plan itself is built once per timestep and cached.
+        """
+        ts = _as_query_column(ts, "ts")
+        self._check_columns({}, {"ts": ts})
+        out = np.zeros(ts.size, dtype=np.int64)
+        for t, sel in self._timestep_groups(ts):
+            out[sel] = self.plans.triangles(t)
+        return out
+
+    def batch_degree_topk(
+        self, ts, ks, direction: str = "out"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``ks[i]`` highest-degree node ids at ``ts[i]``, CSR-packed.
+
+        Returns ``(offsets, ids)`` like :meth:`batch_neighbors`: query
+        ``i``'s ids (ties by id, ascending) are
+        ``ids[offsets[i]:offsets[i + 1]]``, ``min(ks[i], N)`` of them.
+        ``ks`` broadcasts a scalar; every query of one timestep slices
+        the same cached ``degree_order`` plan.
+        """
+        if direction not in ("out", "in", "total"):
+            raise ValueError(f"unknown direction {direction!r}")
+        ts = _as_query_column(ts, "ts")
+        ks = np.asarray(ks, dtype=np.int64)
+        if ks.ndim == 0:
+            ks = np.full(ts.size, int(ks), dtype=np.int64)
+        if ks.ndim != 1:
+            raise ValueError("ks must be one-dimensional")
+        if ts.size != ks.size:
+            raise ValueError(f"column lengths differ: {ts.size}/{ks.size}")
+        self._check_columns({}, {"ts": ts})
+        if ks.size and ks.min() < 0:
+            raise ValueError("k must be >= 0")
+        lens = np.minimum(ks, self.graph.num_nodes)
+        offsets = np.zeros(ts.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        ids = np.empty(offsets[-1], dtype=np.int64)
+        for t, sel in self._timestep_groups(ts):
+            group_lens = lens[sel]
+            order = self.plans.degree_order(t, direction)
+            # per-element rank within its own query, 0..len-1
+            intra = np.arange(group_lens.sum(), dtype=np.int64) - np.repeat(
+                np.cumsum(group_lens) - group_lens, group_lens
+            )
+            ids[np.repeat(offsets[sel], group_lens) + intra] = order[intra]
+        return offsets, ids
+
     def _timestep_groups(self, ts: np.ndarray):
         """Yield ``(t, index_array)`` per distinct timestep in ``ts``.
 
@@ -838,3 +893,41 @@ class GraphQueryEngine:
             ],
             dtype=bool,
         ).reshape(-1)
+
+    def _reference_batch_triangle_counts(self, ts) -> np.ndarray:
+        ts = _as_query_column(ts, "ts")
+        out = []
+        for t in ts.tolist():
+            self._check_t(t)
+            out.append(props.triangle_count(self.graph[t]))
+        return np.asarray(out, dtype=np.int64).reshape(-1)
+
+    def _reference_batch_degree_topk(
+        self, ts, ks, direction: str = "out"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        ts = _as_query_column(ts, "ts")
+        ks = np.asarray(ks, dtype=np.int64)
+        if ks.ndim == 0:
+            ks = np.full(ts.size, int(ks), dtype=np.int64)
+        rows = []
+        for t, k in zip(ts.tolist(), ks.tolist()):
+            self._check_t(t)
+            if k < 0:
+                raise ValueError("k must be >= 0")
+            snap = self.graph[t]
+            if direction == "out":
+                deg = snap.out_degrees()
+            elif direction == "in":
+                deg = snap.in_degrees()
+            elif direction == "total":
+                deg = snap.degrees()
+            else:
+                raise ValueError(f"unknown direction {direction!r}")
+            order = np.lexsort((np.arange(len(deg)), -deg))
+            rows.append(order[:k].tolist())
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=offsets[1:])
+        ids = np.asarray(
+            [x for row in rows for x in row], dtype=np.int64
+        ).reshape(-1)
+        return offsets, ids

@@ -42,13 +42,12 @@ class QueryKind(enum.Enum):
     but is included in serving-oriented mixes such as
     :func:`serving_mix`.
 
-    Every kind except ``TRIANGLE_COUNT`` and ``DEGREE_TOPK`` has a
-    batched vectorized kernel (``BATCHED_KINDS`` in
+    Every kind has a batched vectorized kernel (dispatched in
     :mod:`repro.workloads.batch`); the traversal kinds ``TWO_HOP``
     and ``TEMPORAL_REACH`` ride the frontier-vectorized multi-source
-    BFS kernels.  The two analytics kinds are *documented fallbacks*:
-    each one is a whole-snapshot kernel per query by nature, so they
-    always take the per-query path in batched execution.
+    BFS kernels, and the analytics kinds ``TRIANGLE_COUNT`` and
+    ``DEGREE_TOPK`` read one cached per-timestep plan per distinct
+    timestep in the batch.
     """
 
     OUT_NEIGHBORS = "out_neighbors"
@@ -79,14 +78,13 @@ class Query:
 def serving_mix() -> Dict[QueryKind, float]:
     """A point-lookup-heavy mix shaped like high-QPS serving traffic.
 
-    Every class in it has a batched kernel — the mix the throughput
-    benches and the ``bench-queries`` CLI default to.  The default
+    Point lookups only — the mix the throughput benches and the
+    ``bench-queries`` CLI default to.  The default
     :class:`WorkloadConfig` mix instead mirrors an analytics-leaning
-    OLTP profile with traversals and pattern counts; since the
-    frontier-vectorized traversal kernels landed, its ``TWO_HOP`` and
-    ``TEMPORAL_REACH`` queries are batched too, leaving only the
-    analytics kinds (``TRIANGLE_COUNT``, ``DEGREE_TOPK`` — 7% of the
-    default mix) on the per-query path.
+    OLTP profile with traversals and pattern counts.  Every class in
+    either mix has a batched kernel; the analytics kinds
+    (``TRIANGLE_COUNT``, ``DEGREE_TOPK``) read per-timestep plans, so
+    they cost one build per distinct timestep, not one per query.
     """
     return {
         QueryKind.OUT_NEIGHBORS: 0.30,

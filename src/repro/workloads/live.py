@@ -20,11 +20,15 @@ and gives each epoch's engine an :class:`EpochPlanView`, which routes
 lookups by how the underlying data can change:
 
 * **Sealed timesteps** (``t < epoch``) use the ordinary per-timestep
-  keys (``("csr", t)``, ...) — content-stable across epochs, shared
-  by every view, never invalidated.
+  keys (``("csr", t)``, ``("triangles", t)``, ...) — content-stable
+  across epochs, shared by every view, never invalidated.  A sealed
+  step's triangle count and degree order are therefore computed once
+  and answer every later epoch's queries.
 * **Open timesteps** (``t >= epoch``, empty at this epoch) use
-  ``("csr", t, "open")``-style keys, built from the view's own
-  snapshot.  When timestep ``t`` seals, the service calls
+  ``("csr", t, "open")``-style keys (``("triangles", t, "open")``,
+  ``("degree_order", t, direction, "open")`` for the analytics
+  plans), built from the view's own snapshot.  When timestep ``t``
+  seals, the service calls
   :meth:`~repro.workloads.cache.SnapshotPlanCache.invalidate_step`
   for it — the open plans are stale for the new epoch.  An in-flight
   older batch that still needs them simply rebuilds from its pinned
@@ -49,15 +53,23 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.graph.dynamic import DynamicAttributedGraph
 from repro.graph.live import LiveStoreBuilder
 from repro.graph.store import TemporalEdgeStore
 from repro.reliability import RetryPolicy
-from repro.workloads.cache import PlanCacheStats, SnapshotPlanCache
+from repro.workloads.cache import (
+    PlanCacheStats,
+    SnapshotPlanCache,
+    _csc_plan,
+    _csr_plan,
+    _degree_order_plan,
+    _pair_keys_plan,
+    _temporal_keys_plan,
+    _triangles_plan,
+)
 from repro.workloads.engine import GraphQueryEngine
 from repro.workloads.service import QueryRequest, QueryResult, QueryService
 
@@ -68,7 +80,7 @@ class EpochPlanView:
     """Plan-protocol adapter pinning one epoch over a shared cache.
 
     Quacks like a :class:`SnapshotPlanCache` to a
-    :class:`GraphQueryEngine` (``store`` + the five plan methods +
+    :class:`GraphQueryEngine` (``store`` + the seven plan methods +
     ``stats``), but routes each lookup through the *shared* cache with
     epoch-aware keys — see the module docstring for the key scheme.
     Correctness does not depend on what is resident: every build
@@ -91,29 +103,30 @@ class EpochPlanView:
         self.epoch = int(epoch)
 
     # -- per-timestep plans -------------------------------------------
-    def csr(self, t: int):
+    def _step_plan(self, shared_lookup, build, head: str, t: int, *args):
+        """Sealed ``t`` reads the shared key; open ``t`` its own snapshot."""
         if t < self.epoch:
-            return self.shared.csr(t)
-        store = self.store
+            return shared_lookup(t, *args)
+        return self.shared.get_or_build(
+            (head, t, *args, "open"), partial(build, self.store, t, *args)
+        )
 
-        def build():
-            indptr, indices = store.compute_csr_at(t)
-            owned = SnapshotPlanCache._owned_nbytes(indptr, indices)
-            return (indptr, indices), owned
-
-        return self.shared.get_or_build(("csr", t, "open"), build)
+    def csr(self, t: int):
+        return self._step_plan(self.shared.csr, _csr_plan, "csr", t)
 
     def csc(self, t: int):
-        if t < self.epoch:
-            return self.shared.csc(t)
-        store = self.store
+        return self._step_plan(self.shared.csc, _csc_plan, "csc", t)
 
-        def build():
-            indptr, indices = store.compute_csc_at(t)
-            owned = SnapshotPlanCache._owned_nbytes(indptr, indices)
-            return (indptr, indices), owned
+    def triangles(self, t: int):
+        return self._step_plan(
+            self.shared.triangles, _triangles_plan, "triangles", t
+        )
 
-        return self.shared.get_or_build(("csc", t, "open"), build)
+    def degree_order(self, t: int, direction: str):
+        return self._step_plan(
+            self.shared.degree_order, _degree_order_plan, "degree_order",
+            t, direction,
+        )
 
     def attribute_order(self, t: int, dim: int):
         # the attribute block is fixed at builder construction, so the
@@ -122,26 +135,15 @@ class EpochPlanView:
 
     # -- whole-store plans (epoch-keyed) ------------------------------
     def temporal_keys(self):
-        store = self.store
-
-        def build():
-            keys = store.temporal_edge_keys()
-            return keys, SnapshotPlanCache._owned_nbytes(keys)
-
-        return self.shared.get_or_build(("temporal_keys", self.epoch), build)
+        return self.shared.get_or_build(
+            ("temporal_keys", self.epoch),
+            partial(_temporal_keys_plan, self.store),
+        )
 
     def pair_keys(self):
-        store = self.store
-
-        def build():
-            keys = np.sort(
-                (store.src * store.num_nodes + store.dst)
-                * store.num_timesteps
-                + store.t
-            )
-            return keys, SnapshotPlanCache._owned_nbytes(keys)
-
-        return self.shared.get_or_build(("pair_keys", self.epoch), build)
+        return self.shared.get_or_build(
+            ("pair_keys", self.epoch), partial(_pair_keys_plan, self.store)
+        )
 
     # -----------------------------------------------------------------
     def stats(self) -> PlanCacheStats:

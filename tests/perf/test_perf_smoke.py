@@ -152,3 +152,51 @@ class TestPerfSmoke:
             lambda: engine.batch_temporal_reach(src, dst, t0, t1),
             lambda: engine._reference_batch_temporal_reach(src, dst, t0, t1),
         )
+
+    def test_batched_analytics(self):
+        from repro.graph import DynamicAttributedGraph
+        from repro.graph.store import TemporalEdgeStore
+        from repro.workloads import (
+            GraphQueryEngine,
+            QueryKind,
+            WorkloadConfig,
+            WorkloadGenerator,
+            run_queries_batched,
+        )
+
+        rng = np.random.default_rng(5)
+        n, m, t_len = 150, 1500, 6
+        graph = DynamicAttributedGraph.from_store(TemporalEdgeStore(
+            n, t_len,
+            rng.integers(0, n, size=m),
+            rng.integers(0, n, size=m),
+            rng.integers(0, t_len, size=m),
+            None,
+        ))
+        mix = {QueryKind.TRIANGLE_COUNT: 0.5, QueryKind.DEGREE_TOPK: 0.5}
+        queries = WorkloadGenerator(
+            graph, WorkloadConfig(num_queries=300, mix=mix, seed=2)
+        ).generate()
+
+        # plan builds are a count, not a timing: each kind builds one
+        # plan per distinct timestep, however many queries it answers
+        for kind in mix:
+            group = [q for q in queries if q.kind == kind]
+            k = len({q.t for q in group})
+            assert len(group) > 100 and k > 1
+            engine = GraphQueryEngine(graph)
+            run_queries_batched(engine, group)
+            stats = engine.plans.stats()
+            assert (stats.misses, stats.hits) == (k, 0)
+
+        engine = GraphQueryEngine(graph)
+        ts = np.array([q.t for q in queries], dtype=np.int64)
+        ks = np.full(ts.size, 10)
+        _assert_not_slower(
+            lambda: engine.batch_triangle_counts(ts),
+            lambda: engine._reference_batch_triangle_counts(ts),
+        )
+        _assert_not_slower(
+            lambda: engine.batch_degree_topk(ts, ks),
+            lambda: engine._reference_batch_degree_topk(ts, ks),
+        )

@@ -12,7 +12,6 @@ import pytest
 from repro.graph import DynamicAttributedGraph
 from repro.graph.store import TemporalEdgeStore, track_dense_materializations
 from repro.workloads import (
-    BATCHED_KINDS,
     GraphQueryEngine,
     Query,
     QueryKind,
@@ -53,6 +52,40 @@ def columns(engine, seed, size=120):
         rng.integers(0, n, size=size),
         rng.integers(0, t_len, size=size),
     )
+
+
+def twin_cardinalities(engine, queries):
+    """Per-query cardinalities from the ``_reference_batch_*`` twins."""
+    out = np.zeros(len(queries), dtype=np.int64)
+    groups = {}
+    for i, q in enumerate(queries):
+        groups.setdefault(q.kind, []).append(i)
+    for kind, idx in groups.items():
+        ts = [queries[i].t for i in idx]
+        a = [[queries[i].args[j] for i in idx]
+             for j in range(len(queries[idx[0]].args))]
+        if kind == QueryKind.OUT_NEIGHBORS:
+            out[idx] = engine._reference_batch_degrees(a[0], ts, "out")
+        elif kind == QueryKind.IN_NEIGHBORS:
+            out[idx] = engine._reference_batch_degrees(a[0], ts, "in")
+        elif kind == QueryKind.HAS_EDGE:
+            out[idx] = engine._reference_batch_has_edge(a[0], a[1], ts)
+        elif kind == QueryKind.EDGE_WINDOW:
+            out[idx] = engine._reference_batch_edge_window_counts(*a)
+        elif kind == QueryKind.ATTRIBUTE_RANGE:
+            out[idx] = engine._reference_batch_attribute_range_counts(
+                ts, *a
+            )
+        elif kind == QueryKind.TWO_HOP:
+            out[idx] = engine._reference_batch_two_hop(a[0], ts, a[1])
+        elif kind == QueryKind.TEMPORAL_REACH:
+            out[idx] = engine._reference_batch_temporal_reach(*a)
+        elif kind == QueryKind.TRIANGLE_COUNT:
+            out[idx] = engine._reference_batch_triangle_counts(ts)
+        else:
+            offsets, _ = engine._reference_batch_degree_topk(ts, a[0])
+            out[idx] = np.diff(offsets)
+    return out
 
 
 class TestKernelParity:
@@ -199,16 +232,18 @@ class TestWorkloadBatchedExecution:
         assert set(seconds) == {q.kind.value for q in queries}
 
     def test_full_default_mix_with_fallback_kinds(self, engine):
-        """The per-snapshot analytics kinds (triangle_count,
-        degree_topk) — the only ones left without kernels — fall back
-        correctly inside a full default mix."""
+        """A full default mix — including the per-snapshot analytics
+        kinds (triangle_count, degree_topk) that used to fall back per
+        query — matches the ``_reference_batch_*`` twins.  The scalar
+        methods read the same plans as the kernels, so the
+        snapshot-based twins are the independent anchor here."""
         queries = self.make_queries(
             engine.graph, mix=WorkloadConfig().mix, n=200
         )
-        assert any(q.kind not in BATCHED_KINDS for q in queries)
+        kinds = {q.kind for q in queries}
+        assert {QueryKind.TRIANGLE_COUNT, QueryKind.DEGREE_TOPK} <= kinds
         cards, _ = run_queries_batched(engine, queries)
-        ref = np.array([_run_query(engine, q) for q in queries])
-        assert np.array_equal(cards, ref)
+        assert np.array_equal(cards, twin_cardinalities(engine, queries))
 
     def test_report_matches_per_query_report(self, engine):
         queries = self.make_queries(engine.graph)

@@ -69,6 +69,32 @@ class TestPlans:
         values = store.attributes[2, :, 1]
         assert (np.diff(values[order]) >= 0).all()
 
+    def test_triangles_is_a_free_scalar_memo(self, store):
+        cache = SnapshotPlanCache(store)
+        for t in range(store.num_timesteps):
+            assert cache.triangles(t) == store.sparse_at(t).triangle_count()
+        assert cache.triangles(0) == store.sparse_at(0).triangle_count()
+        stats = cache.stats()
+        assert stats.misses == store.num_timesteps and stats.hits == 1
+        assert stats.resident_bytes == 0  # a Python int owns no arrays
+
+    @pytest.mark.parametrize("direction", ["out", "in", "total"])
+    def test_degree_order_ranks_by_degree_then_id(self, store, direction):
+        cache = SnapshotPlanCache(store)
+        out_deg, in_deg = store.out_degrees_at(3), store.in_degrees_at(3)
+        deg = {"out": out_deg, "in": in_deg, "total": out_deg + in_deg}[
+            direction
+        ]
+        order = cache.degree_order(3, direction)
+        assert order.dtype == np.int64
+        expected = sorted(range(store.num_nodes), key=lambda v: (-deg[v], v))
+        assert order.tolist() == expected
+        assert cache.stats().resident_bytes == order.nbytes
+
+    def test_degree_order_unknown_direction_rejected(self, store):
+        with pytest.raises(ValueError, match="direction"):
+            SnapshotPlanCache(store).degree_order(0, "sideways")
+
 
 class TestLRU:
     def test_hits_and_misses_counted(self, store):
@@ -189,6 +215,17 @@ class TestInvalidation:
         cache.csr(2)
         assert cache.invalidate_step(2) == 2
         assert cache.stats().resident_plans == 0
+
+    def test_invalidate_step_covers_analytics_plans(self, store):
+        cache = SnapshotPlanCache(store)
+        for t in (1, 2):
+            cache.triangles(t)
+            cache.degree_order(t, "out")
+            cache.degree_order(t, "in")
+        assert cache.invalidate_step(1) == 3
+        assert cache.stats().resident_plans == 3
+        cache.triangles(2)
+        assert cache.stats().hits == 1
 
     def test_invalidate_store_plans_spares_step_plans(self, store):
         cache = SnapshotPlanCache(store)

@@ -195,6 +195,44 @@ class TestSerialEpochPinning:
             assert epoch == T and results[0].ok
 
 
+class TestAnalyticsPlanLifecycle:
+    """Per-step analytics plans: open-step memos die with the seal,
+    sealed-step memos outlive the epoch that built them."""
+
+    def test_seal_drops_open_plans_and_sealed_plans_hit(self):
+        from repro.workloads import Query, QueryKind
+
+        src, dst, t, attrs = make_stream(CHAOS_SEED + 9)
+        builder = LiveStoreBuilder(N, T, attributes=attrs)
+        feed_all(builder, src, dst, t)
+        builder.seal_step()  # epoch 1: t=0 sealed, t=1 open
+        request = QueryRequest([
+            Query(QueryKind.TRIANGLE_COUNT, 0, ()),
+            Query(QueryKind.DEGREE_TOPK, 0, (5,)),
+            Query(QueryKind.TRIANGLE_COUNT, 1, ()),
+            Query(QueryKind.DEGREE_TOPK, 1, (5,)),
+        ])
+        oracle = Oracle(src, dst, t, attrs)
+        with LiveQueryService(builder, executor="serial") as service:
+            epoch, results = service.run_batch([request])
+            assert epoch == 1
+            oracle.check(epoch, request, results[0])
+            first = service.plan_cache_stats()
+            # 2 shared sealed plans (t=0) + 2 "open" plans (t=1)
+            assert first.misses == 4 and first.hits == 0
+
+            builder.seal_step()  # t=1 seals: its open plans are stale
+            epoch, results = service.run_batch([request])
+            assert epoch == 2
+            oracle.check(epoch, request, results[0])
+            second = service.plan_cache_stats()
+        assert second.invalidations - first.invalidations == 2
+        # t=0 plans answer the new epoch; t=1 rebuilds as sealed plans
+        assert second.hits - first.hits == 2
+        assert second.misses - first.misses == 2
+        assert second.resident_plans == 4
+
+
 class TestRefreshDegradation:
     def test_snapshot_fault_serves_stale_epoch(self):
         src, dst, t, attrs = make_stream(CHAOS_SEED + 5)

@@ -148,6 +148,80 @@ class TestTraversalKernelDegradation:
         np.testing.assert_array_equal(cards, expected)
 
 
+class TestAnalyticsKernelDegradation:
+    """The plan-cached analytics kernels degrade like every other
+    batched class: a ``query.batch_kernel`` fault sends
+    TRIANGLE_COUNT / DEGREE_TOPK back to per-query dispatch with
+    bit-identical results, and the degradation is reported."""
+
+    ANALYTICS_KINDS = {"triangle_count", "degree_topk"}
+
+    @staticmethod
+    def make_requests(graph, mix, seed):
+        config = WorkloadConfig(num_queries=90, mix=mix, seed=seed)
+        queries = WorkloadGenerator(graph, config).generate()
+        requests = [
+            QueryRequest(queries[i:i + 30]) for i in range(0, 90, 30)
+        ]
+        with QueryService(graph, executor="serial") as svc:
+            clean = svc.run_batch(requests)
+        assert all(r.ok for r in clean)
+        assert all(r.degraded_kinds == frozenset() for r in clean)
+        return requests, [r.cardinalities.copy() for r in clean]
+
+    @pytest.fixture(scope="class")
+    def analytics_workload(self, graph):
+        from repro.workloads import QueryKind
+
+        mix = {QueryKind.TRIANGLE_COUNT: 0.5, QueryKind.DEGREE_TOPK: 0.5}
+        return self.make_requests(graph, mix, seed=10)
+
+    @pytest.mark.parametrize("kind", sorted(ANALYTICS_KINDS))
+    @pytest.mark.parametrize("executor,workers", [("serial", 1), ("thread", 3)])
+    def test_analytics_kind_degrades_bit_identically(
+        self, graph, executor, workers, kind
+    ):
+        from repro.workloads import QueryKind
+
+        requests, reference = self.make_requests(
+            graph, {QueryKind(kind): 1.0}, seed=11
+        )
+        with fault_injector.arm({"query.batch_kernel": FaultPlan()}):
+            with QueryService(
+                graph, executor=executor, max_workers=workers
+            ) as svc:
+                results = svc.run_batch(requests)
+        assert all(r.ok for r in results)
+        for result in results:
+            assert result.degraded_kinds == frozenset({kind})
+        for result, expected in zip(results, reference):
+            np.testing.assert_array_equal(result.cardinalities, expected)
+
+    def test_resilient_loop_degrades_analytics(self, graph, analytics_workload):
+        requests, reference = analytics_workload
+        engine = GraphQueryEngine(graph)
+        queries = [q for r in requests for q in r.queries]
+        expected = np.concatenate(reference)
+        with fault_injector.arm({"query.batch_kernel": FaultPlan()}):
+            cards, _, degraded = run_queries_resilient(engine, queries)
+        assert set(degraded) == self.ANALYTICS_KINDS
+        np.testing.assert_array_equal(cards, expected)
+
+    def test_cache_fault_bypasses_analytics_plans(
+        self, graph, analytics_workload
+    ):
+        requests, reference = analytics_workload
+        with fault_injector.arm({"cache.plan": FaultPlan()}):
+            with QueryService(graph, executor="serial") as svc:
+                results = svc.run_batch(requests)
+                stats = svc.plan_cache_stats()
+        assert all(r.ok for r in results)
+        assert stats.bypasses > 0
+        assert stats.hits == stats.misses == stats.resident_plans == 0
+        for result, expected in zip(results, reference):
+            np.testing.assert_array_equal(result.cardinalities, expected)
+
+
 class TestCacheDegradation:
     def test_cache_fault_bypasses_without_changing_results(
         self, graph, requests, reference

@@ -1,5 +1,5 @@
-"""Randomized traversal-parity harness for the frontier-vectorized
-batched BFS kernels.
+"""Randomized parity harness for the frontier-vectorized batched BFS
+kernels and the plan-cached per-snapshot analytics kernels.
 
 The contract under test (docs/workloads.md): ``batch_two_hop`` and
 ``batch_temporal_reach`` are bit-identical to their
@@ -7,7 +7,10 @@ The contract under test (docs/workloads.md): ``batch_two_hop`` and
 methods (``two_hop_neighbors`` / ``k_hop`` / ``temporal_reachable``),
 for random stores × random query batches, across every executor
 (serial / thread / process) and the live epoch-pinned path — with
-zero dense materializations throughout.
+zero dense materializations throughout.  ``batch_triangle_counts`` /
+``batch_degree_topk`` are held to the same three-way contract against
+their snapshot-based twins and the scalar ``triangle_count`` /
+``degree_topk``.
 
 Randomization follows the ``REPRO_CHAOS_SEED`` convention: every
 store, column and workload below is a pure function of the seed
@@ -27,7 +30,6 @@ from repro.graph.store import (
     track_dense_materializations,
 )
 from repro.workloads import (
-    BATCHED_KINDS,
     GraphQueryEngine,
     LiveQueryService,
     Query,
@@ -53,6 +55,37 @@ TRAVERSAL_MIX = {
     QueryKind.TEMPORAL_REACH: 0.45,
     QueryKind.OUT_NEIGHBORS: 0.10,
 }
+
+
+#: An analytics-heavy mix: the two per-snapshot analytics classes
+#: dominate, with a sliver of point lookups interleaved.
+ANALYTICS_MIX = {
+    QueryKind.TRIANGLE_COUNT: 0.4,
+    QueryKind.DEGREE_TOPK: 0.4,
+    QueryKind.OUT_NEIGHBORS: 0.2,
+}
+
+
+def analytics_twin_cardinalities(engine, queries):
+    """Cardinalities of an ``ANALYTICS_MIX`` batch from the
+    ``_reference_batch_*`` twins (the analytics twins are the
+    snapshot-based kernels, independent of the plan cache)."""
+    out = np.zeros(len(queries), dtype=np.int64)
+    for kind in ANALYTICS_MIX:
+        idx = [i for i, q in enumerate(queries) if q.kind == kind]
+        if not idx:
+            continue
+        ts = [queries[i].t for i in idx]
+        if kind == QueryKind.TRIANGLE_COUNT:
+            out[idx] = engine._reference_batch_triangle_counts(ts)
+        elif kind == QueryKind.DEGREE_TOPK:
+            ks = [queries[i].args[0] for i in idx]
+            offsets, _ = engine._reference_batch_degree_topk(ts, ks)
+            out[idx] = np.diff(offsets)
+        else:
+            nodes = [queries[i].args[0] for i in idx]
+            out[idx] = engine._reference_batch_degrees(nodes, ts, "out")
+    return out
 
 
 def random_engine(seed, n=None, m=None, t_len=None):
@@ -135,19 +168,141 @@ class TestRandomizedKernelParity:
     @pytest.mark.parametrize("seed", ROUNDS)
     def test_grouped_dispatch_covers_traversals(self, seed):
         """run_queries_batched answers TWO_HOP / TEMPORAL_REACH via the
-        kernels (they are BATCHED_KINDS now) and stays bit-identical."""
+        kernels and stays bit-identical."""
         engine = random_engine(seed)
         config = WorkloadConfig(
             num_queries=200, mix=TRAVERSAL_MIX, seed=seed
         )
         queries = WorkloadGenerator(engine.graph, config).generate()
-        assert {q.kind for q in queries} <= BATCHED_KINDS
         with track_dense_materializations() as materialized:
             cards, seconds = run_queries_batched(engine, queries)
         assert materialized() == 0
         ref = np.array([_run_query(engine, q) for q in queries])
         np.testing.assert_array_equal(cards, ref)
         assert set(seconds) == {q.kind.value for q in queries}
+
+
+class TestRandomizedAnalyticsParity:
+    """Analytics kernels == snapshot-based twins == scalar methods."""
+
+    @pytest.mark.parametrize("seed", ROUNDS)
+    def test_triangle_counts_three_way_parity(self, seed):
+        engine = random_engine(seed)
+        _, ts, *_ = traversal_columns(engine, seed + 4)
+        with track_dense_materializations() as materialized:
+            got = engine.batch_triangle_counts(ts)
+            twin = engine._reference_batch_triangle_counts(ts)
+        assert materialized() == 0
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, twin)
+        np.testing.assert_array_equal(
+            got, [engine.triangle_count(t) for t in ts.tolist()]
+        )
+
+    @pytest.mark.parametrize("direction", ["out", "in", "total"])
+    @pytest.mark.parametrize("seed", ROUNDS)
+    def test_degree_topk_three_way_parity(self, seed, direction):
+        engine = random_engine(seed)
+        rng = np.random.default_rng(seed + 5)
+        n = engine.graph.num_nodes
+        ts = rng.integers(0, engine.graph.num_timesteps, size=120)
+        ks = rng.integers(0, n + 3, size=120)  # includes k = 0 and k > N
+        with track_dense_materializations() as materialized:
+            offsets, ids = engine.batch_degree_topk(ts, ks, direction)
+            twin = engine._reference_batch_degree_topk(ts, ks, direction)
+        assert materialized() == 0
+        np.testing.assert_array_equal(offsets, twin[0])
+        np.testing.assert_array_equal(ids, twin[1])
+        for i, (t, k) in enumerate(zip(ts.tolist(), ks.tolist())):
+            assert ids[offsets[i]:offsets[i + 1]].tolist() == (
+                engine.degree_topk(t, k, direction)
+            )
+
+    @pytest.mark.parametrize("seed", ROUNDS)
+    def test_grouped_dispatch_covers_analytics(self, seed):
+        engine = random_engine(seed)
+        config = WorkloadConfig(
+            num_queries=200, mix=ANALYTICS_MIX, seed=seed
+        )
+        queries = WorkloadGenerator(engine.graph, config).generate()
+        with track_dense_materializations() as materialized:
+            cards, seconds = run_queries_batched(engine, queries)
+        assert materialized() == 0
+        np.testing.assert_array_equal(
+            cards, analytics_twin_cardinalities(engine, queries)
+        )
+        assert set(seconds) == {q.kind.value for q in queries}
+
+
+class TestAnalyticsEdgeCases:
+    @pytest.fixture()
+    def engine(self):
+        return random_engine(CHAOS_SEED * 7919 + 29, n=25, m=200, t_len=3)
+
+    def test_k_zero_and_k_beyond_n(self, engine):
+        n = engine.graph.num_nodes
+        ts = np.array([0, 1, 2, 0])
+        ks = np.array([0, n, n + 7, 3])
+        offsets, ids = engine.batch_degree_topk(ts, ks)
+        np.testing.assert_array_equal(np.diff(offsets), [0, n, n, 3])
+        assert engine.degree_topk(0, 0) == []
+        assert engine.degree_topk(2, n + 7) == (
+            ids[offsets[2]:offsets[3]].tolist()
+        )
+        assert sorted(engine.degree_topk(1, n + 7)) == list(range(n))
+        twin = engine._reference_batch_degree_topk(ts, ks)
+        np.testing.assert_array_equal(ids, twin[1])
+
+    def test_scalar_k_broadcasts(self, engine):
+        ts = np.array([0, 2, 2])
+        offsets, ids = engine.batch_degree_topk(ts, 4)
+        twin = engine._reference_batch_degree_topk(ts, 4)
+        np.testing.assert_array_equal(offsets, twin[0])
+        np.testing.assert_array_equal(ids, twin[1])
+
+    def test_empty_batch(self, engine):
+        empty = np.zeros(0, dtype=np.int64)
+        counts = engine.batch_triangle_counts(empty)
+        assert counts.size == 0 and counts.dtype == np.int64
+        offsets, ids = engine.batch_degree_topk(empty, empty)
+        np.testing.assert_array_equal(offsets, [0])
+        assert ids.size == 0
+
+    def test_out_of_range_timestep_raises_index_error(self, engine):
+        t_len = engine.graph.num_timesteps
+        for bad in (t_len, -1):
+            with pytest.raises(IndexError, match="out of range"):
+                engine.triangle_count(bad)
+            with pytest.raises(IndexError, match="out of range"):
+                engine.batch_triangle_counts([0, bad])
+            with pytest.raises(IndexError, match="out of range"):
+                engine._reference_batch_triangle_counts([0, bad])
+            with pytest.raises(IndexError, match="out of range"):
+                engine.degree_topk(bad, 3)
+            with pytest.raises(IndexError, match="out of range"):
+                engine.batch_degree_topk([bad], [3])
+            with pytest.raises(IndexError, match="out of range"):
+                engine._reference_batch_degree_topk([bad], [3])
+
+    def test_negative_k_and_bad_direction_rejected(self, engine):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            engine.batch_degree_topk([0, 1], [2, -1])
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            engine.degree_topk(0, -1)
+        with pytest.raises(ValueError, match="direction"):
+            engine.batch_degree_topk([0], [1], "sideways")
+
+    def test_length_mismatch_rejected(self, engine):
+        with pytest.raises(ValueError, match="lengths differ"):
+            engine.batch_degree_topk([0, 1], [3])
+
+    def test_repeated_timesteps_cost_one_plan_each(self, engine):
+        ts = np.array([2, 0, 2, 2, 0, 2])
+        engine.batch_triangle_counts(ts)
+        engine.batch_degree_topk(ts, 5)
+        stats = engine.plans.stats()
+        assert stats.misses == 4  # triangles + degree_order, t in {0, 2}
+        assert stats.hits == 0
 
 
 class TestTraversalEdgeCases:
@@ -296,6 +451,46 @@ class TestExecutorParity:
         np.testing.assert_array_equal(flat, reference)
 
 
+class TestAnalyticsExecutorParity:
+    """The same analytics workload is bit-identical to the snapshot-based
+    twins on every executor."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        engine = random_engine(CHAOS_SEED * 4241 + 7, n=50, m=400, t_len=5)
+        config = WorkloadConfig(
+            num_queries=240, mix=ANALYTICS_MIX, seed=CHAOS_SEED + 13
+        )
+        queries = WorkloadGenerator(engine.graph, config).generate()
+        reference = analytics_twin_cardinalities(engine, queries)
+        return engine.graph, queries, reference
+
+    @pytest.mark.parametrize("executor,workers", [("serial", 1), ("thread", 3)])
+    def test_query_service_executors(self, workload, executor, workers):
+        graph, queries, reference = workload
+        with track_dense_materializations() as materialized:
+            with QueryService(
+                graph, executor=executor, max_workers=workers
+            ) as service:
+                results = service.run_batch(_requests(queries))
+        assert materialized() == 0
+        assert all(r.ok for r in results)
+        assert all(r.degraded_kinds == frozenset() for r in results)
+        flat = np.concatenate([r.cardinalities for r in results])
+        np.testing.assert_array_equal(flat, reference)
+
+    def test_process_executor(self, workload):
+        from repro.serving import ProcessQueryService
+
+        graph, queries, reference = workload
+        with ProcessQueryService(graph, num_workers=2) as tier:
+            results = tier.run_batch(_requests(queries))
+        assert all(r.ok for r in results)
+        assert all(r.degraded_kinds == frozenset() for r in results)
+        flat = np.concatenate([r.cardinalities for r in results])
+        np.testing.assert_array_equal(flat, reference)
+
+
 class TestLiveEpochParity:
     def test_every_epoch_matches_bulk_oracle(self):
         """Traversal batches through the live epoch-pinned path equal a
@@ -361,3 +556,86 @@ class TestLiveEpochParity:
         np.testing.assert_array_equal(
             result.cardinalities, [2, 0, 1, 0]
         )
+
+    def test_analytics_every_epoch_matches_bulk_oracle(self):
+        """Analytics batches through the live path — sealed steps on
+        shared plans, open steps on per-epoch ``"open"`` plans — equal
+        the snapshot-based twins on a bulk store of each epoch's
+        prefix."""
+        rng = np.random.default_rng(CHAOS_SEED * 6007 + 5)
+        n, t_len, m = 40, 5, 500
+        src = rng.integers(0, n, size=m)
+        dst = rng.integers(0, n, size=m)
+        t = rng.integers(0, t_len, size=m)
+        attrs = rng.normal(size=(t_len, n, 2))
+        full = TemporalEdgeStore(n, t_len, src, dst, t, attrs)
+        config = WorkloadConfig(
+            num_queries=150, mix=ANALYTICS_MIX, recent_bias=0.0,
+            seed=CHAOS_SEED + 19,
+        )
+        queries = WorkloadGenerator(
+            DynamicAttributedGraph.from_store(full), config
+        ).generate()
+        assert {q.t for q in queries} == set(range(t_len))
+        requests = _requests(queries, size=30)
+
+        builder = LiveStoreBuilder(n, t_len, attributes=attrs)
+        order = np.argsort(t, kind="stable")
+        builder.extend(src[order], dst[order], t[order])
+        with LiveQueryService(builder, executor="serial") as service:
+            for _ in range(t_len):
+                builder.seal_step()
+                epoch, results = service.run_batch(requests)
+                keep = t < epoch
+                oracle = GraphQueryEngine(
+                    DynamicAttributedGraph.from_store(TemporalEdgeStore(
+                        n, t_len, src[keep], dst[keep], t[keep], attrs
+                    ))
+                )
+                for request, result in zip(requests, results):
+                    assert result.ok
+                    assert result.degraded_kinds == frozenset()
+                    np.testing.assert_array_equal(
+                        result.cardinalities,
+                        analytics_twin_cardinalities(
+                            oracle, request.queries
+                        ),
+                    )
+
+    def test_analytics_against_open_steps(self):
+        """Open steps are empty at the pinned epoch: 0 triangles and a
+        top-k that is plain id order; sealed steps see their edges."""
+        from repro.workloads import EpochPlanView, SnapshotPlanCache
+
+        builder = LiveStoreBuilder(6, 3)
+        builder.extend(
+            np.array([0, 1, 2, 4]), np.array([1, 2, 0, 5]),
+            np.array([0, 0, 0, 1]),
+        )
+        builder.seal_step()  # epoch 1: t=0 sealed, t=1..2 open
+        epoch, store = builder.snapshot()
+        view = EpochPlanView(SnapshotPlanCache(store), store, epoch)
+        engine = GraphQueryEngine(
+            DynamicAttributedGraph.from_store(store), plan_cache=view
+        )
+        assert engine.triangle_count(0) == 1
+        assert engine.triangle_count(1) == 0  # 4 -> 5 is not sealed yet
+        assert engine.degree_topk(0, 3) == [0, 1, 2]
+        assert engine.degree_topk(1, 3) == [0, 1, 2]  # ties by id
+        np.testing.assert_array_equal(
+            engine.batch_triangle_counts([0, 1, 2, 0]), [1, 0, 0, 1]
+        )
+        offsets, ids = engine.batch_degree_topk([1, 2], [2, 6], "total")
+        np.testing.assert_array_equal(offsets, [0, 2, 8])
+        np.testing.assert_array_equal(ids, [0, 1, 0, 1, 2, 3, 4, 5])
+
+        with LiveQueryService(builder, executor="serial") as service:
+            queries = [
+                Query(QueryKind.TRIANGLE_COUNT, 0, ()),
+                Query(QueryKind.TRIANGLE_COUNT, 2, ()),
+                Query(QueryKind.DEGREE_TOPK, 1, (10,)),
+            ]
+            epoch, results = service.run_batch([QueryRequest(queries)])
+        assert epoch == 1
+        assert results[0].ok
+        np.testing.assert_array_equal(results[0].cardinalities, [1, 0, 6])
