@@ -23,16 +23,22 @@ Registered ops
     reassociation as the no-grad decode kernels in
     ``core/generator.py``), so the dominant matmul is O(N·d·h) instead
     of O(N²·d·h).
-``mixbern_row_loglik``
-    σ → clip → Bernoulli log-likelihood → diagonal mask → pool over
-    destinations, producing the per-row per-component ``(N, K)``
-    log-likelihood of Eq. 11 in one record.
+``pooled_mlp2``
+    ``Σ_j mlp(s_i - s_j)`` for a 2-layer head with a piecewise-linear
+    hidden activation, in closed form: O(N log N · h) by sorted prefix
+    sums, O(N·h) residuals (the MixBernoulli α pooling).
+``pairwise_mixbern_loglik``
+    the θ head ``σ(mlp(s_i - s_j))`` → clip → Bernoulli log-likelihood
+    → diagonal mask → pool over destinations, producing the per-row
+    per-component ``(N, K)`` log-likelihood of Eq. 11.  It keeps only
+    the ``(N, h)`` projections and recomputes each row block in the
+    VJP, so no ``(N, N, ·)`` array outlives its block.
 
 Gradient formulas mirror what the legacy engine's composition of
-primitives computes; ``pairwise_mlp2`` reassociates the first layer, so
-its parity with the closure engine is a few-ulp affair rather than
-bit-exact (the parity suite pins both engines against finite
-differences too).
+primitives computes; the pairwise records reassociate the first layer
+(and ``pooled_mlp2`` the pooling sum), so their parity with the closure
+engine is a few-ulp affair rather than bit-exact (the parity suite pins
+both engines against finite differences too).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from repro.autodiff.ops import register_op, stable_sigmoid
 from repro.autodiff.tensor import unbroadcast
 
-__all__ = ["FUSED_ACTIVATIONS"]
+__all__ = ["FUSED_ACTIVATIONS", "PIECEWISE_LINEAR", "pooled_mlp2"]
 
 #: activations the fused kernels support (same names as nn.linear)
 FUSED_ACTIVATIONS = (
@@ -276,29 +282,235 @@ def _pairwise_mlp2_vjp(
 register_op("pairwise_mlp2", _pairwise_mlp2_forward, _pairwise_mlp2_vjp)
 
 
+
+
 # ----------------------------------------------------------------------
-# mixbern_row_loglik: per-row mixture-component Bernoulli log-likelihood
+# pooled_mlp2: Σ_j mlp(s_i - s_j) in closed form, O(N log N · h)
 # ----------------------------------------------------------------------
-def _mixbern_row_loglik_forward(feats, *, adjacency, eps):
-    theta = stable_sigmoid(feats)                   # (N, N, K)
-    theta_c = np.clip(theta, eps, 1.0 - eps)
-    a = adjacency[:, :, None]
-    n = feats.shape[0]
-    dmask = (1.0 - np.eye(n))[:, :, None]
-    log_bern = a * np.log(theta_c) + (1.0 - a) * np.log(1.0 - theta_c)
-    out = (log_bern * dmask).sum(axis=1)            # (N, K)
-    return out, theta
+#: piecewise-linear activations as ``a*x + c*|x|`` (leaky slope m:
+#: a = (1+m)/2, c = (1-m)/2) — the split that lets :func:`pooled_mlp2`
+#: sum them over all pairs without an N² pass
+PIECEWISE_LINEAR = {
+    "relu": (0.5, 0.5),
+    "leaky_relu": (0.6, 0.4),  # slope 0.2
+    "identity": (1.0, 0.0),
+}
 
 
-def _mixbern_row_loglik_vjp(g, inputs, theta, *, adjacency, eps):
-    theta_c = np.clip(theta, eps, 1.0 - eps)
-    a = adjacency[:, :, None]
-    n = theta.shape[0]
-    dmask = (1.0 - np.eye(n))[:, :, None]
-    clip_mask = ((theta >= eps) & (theta <= 1.0 - eps)).astype(np.float64)
-    dtheta_c = g[:, None, :] * dmask * (a / theta_c - (1.0 - a) / (1.0 - theta_c))
-    dfeats = dtheta_c * clip_mask * theta * (1.0 - theta)
-    return (dfeats,)
+def _merged_positions(order: np.ndarray, n: int):
+    """Per column, where each ``v_i`` / ``P_j`` landed in the merged sort.
+
+    ``order`` argsorts ``[v; P]`` (``(2N, h)``, ``v`` rows first); the
+    stable sort therefore places every ``v_i`` before the ``P_j`` it
+    ties with.  Returns ``(is_p, pos_v, pos_p)``.
+    """
+    inv = np.empty_like(order)
+    np.put_along_axis(inv, order, np.arange(2 * n)[:, None], axis=0)
+    return order >= n, inv[:n], inv[n:]
 
 
-register_op("mixbern_row_loglik", _mixbern_row_loglik_forward, _mixbern_row_loglik_vjp)
+def pooled_mlp2(proj, b1, w2, b2, activation):
+    """``Σ_j mlp(s_i - s_j)`` for a 2-layer head from ``proj = s @ W1``.
+
+    Pooling commutes through the linear output layer, and the hidden
+    activation splits as ``a·x + c·|x|`` (:data:`PIECEWISE_LINEAR`), so
+    with ``x_ij = v_i - P_j`` (``v = P + b₁``) the pooled hidden vector
+    is
+
+        Σ_j act(x_ij) = a·(N·v_i - Σ_j P_j) + c·Σ_j |v_i - P_j|
+
+    and the absolute-deviation sum is the sorted prefix-sum identity:
+    with ``r_i = #{P_j < v_i}`` and ``S_i`` the sum of those ``P_j``,
+    ``Σ_j |v_i - P_j| = v_i·(2r_i - N) - 2·S_i + Σ_j P_j``.  One stable
+    argsort of ``[v; P]`` per hidden column yields every ``r_i`` and
+    ``S_i`` at once.  The shared kernel of the no-grad decode and the
+    ``pooled_mlp2`` tape record; returns ``(feats, (pooled, order))``:
+    O(N·h) residuals, ``order`` is ``None`` when ``c == 0``.
+    """
+    a, c = PIECEWISE_LINEAR[activation]
+    n = proj.shape[0]
+    v = proj + b1 if b1 is not None else proj
+    pooled = a * (n * v - proj.sum(axis=0))
+    order = None
+    if c:
+        merged = np.concatenate([v, proj])
+        order = np.argsort(merged, axis=0, kind="stable")
+        is_p, pos_v, _ = _merged_positions(order, n)
+        r = np.take_along_axis(np.cumsum(is_p, axis=0), pos_v, axis=0)
+        # prefix sums of the sorted P_j; the interleaved v rows add
+        # exact zeros, so the sums equal a cumsum over sorted P alone
+        prefix = np.cumsum(
+            np.where(is_p, np.take_along_axis(merged, order, axis=0), 0.0),
+            axis=0,
+        )
+        below = np.take_along_axis(prefix, pos_v, axis=0)
+        pooled = pooled + c * (v * (2 * r - n) - 2 * below + prefix[-1])
+    feats = pooled @ w2
+    if b2 is not None:
+        feats = feats + n * b2
+    return feats, (pooled, order)
+
+
+def _pooled_mlp2_forward(*arrays, activation, has_b1=True, has_b2=True):
+    s, w1, b1, w2, b2 = _unpack_pairwise(arrays, has_b1, has_b2)
+    return pooled_mlp2(s @ w1, b1, w2, b2, activation)
+
+
+def _pooled_mlp2_vjp(g, inputs, res, *, activation, has_b1=True, has_b2=True):
+    s, w1, b1, w2, b2 = _unpack_pairwise(inputs, has_b1, has_b2)
+    pooled, order = res
+    a, c = PIECEWISE_LINEAR[activation]
+    n = pooled.shape[0]
+    dp = g @ w2.T                                   # (N, h) on the pooled hidden
+    dp_total = dp.sum(axis=0)
+    dv = a * n * dp
+    dproj = -a * dp_total                           # broadcasts over j
+    if c:
+        # d|x|/dx with ties (x == 0) counted as x <= 0 — the same
+        # ``pre > 0`` convention as _act_with_local, so zero biases
+        # (every diagonal x_ii on the kink) match the pairwise records:
+        #   dv_i  += c·dp_i·(#{P_j < v_i} - #{P_j >= v_i})
+        #   dP_j  += c·(Σ_{v_i <= P_j} dp_i - Σ_{v_i > P_j} dp_i)
+        is_p, pos_v, pos_p = _merged_positions(order, n)
+        r = np.take_along_axis(np.cumsum(is_p, axis=0), pos_v, axis=0)
+        dv = dv + c * dp * (2 * r - n)
+        dp_sorted = np.take_along_axis(
+            np.concatenate([dp, np.zeros_like(dp)]), order, axis=0
+        )
+        le = np.take_along_axis(np.cumsum(dp_sorted, axis=0), pos_p, axis=0)
+        dproj = dproj + c * (2 * le - dp_total)
+    dproj = dproj + dv                              # v = P + b₁
+    grads = [dproj @ w1.T, s.T @ dproj]
+    if has_b1:
+        grads.append(dv.sum(axis=0))
+    grads.append(pooled.T @ g)
+    if has_b2:
+        grads.append(n * g.sum(axis=0))
+    return tuple(grads)
+
+
+register_op("pooled_mlp2", _pooled_mlp2_forward, _pooled_mlp2_vjp)
+
+
+# ----------------------------------------------------------------------
+# pairwise_mixbern_loglik: θ head + MixBernoulli row log-likelihood,
+# rematerialized in row blocks
+# ----------------------------------------------------------------------
+#: pairs per row block: small enough that the block's (B·N, h) working
+#: set stays in cache (a whole-matrix block makes the backward slower)
+_PAIR_BUDGET = 1024
+
+
+def _theta_blocks(proj, v, w2, b2, activation, slope):
+    """Yield ``(lo, hi, pre, hid, theta)`` per block of source rows.
+
+    Arrays are flat over the block's pairs — row ``(i - lo)·N + j``
+    holds pair ``(i, j)`` — with ``pre = v_i - P_j``, ``hid`` its
+    activation and ``theta = σ(hid @ W₂ + b₂)``.  Repeating ``v`` and
+    tiling ``P`` first keeps the subtraction on contiguous operands.
+    """
+    n = proj.shape[0]
+    step = max(_PAIR_BUDGET // n, 1)
+    tiled = np.tile(proj, (min(step, n), 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        pre = np.repeat(v[lo:hi], n, axis=0) - tiled[: (hi - lo) * n]
+        if activation == "leaky_relu" and slope <= 1.0:
+            hid = np.maximum(pre, slope * pre)
+        elif activation == "relu":
+            hid = np.maximum(pre, 0.0)
+        else:
+            hid = _act_with_local(activation, pre, slope)[0]
+        feats = hid @ w2
+        if b2 is not None:
+            feats = feats + b2
+        yield lo, hi, pre, hid, stable_sigmoid(feats)
+
+
+def _diagonal(n: int, lo: int, hi: int) -> np.ndarray:
+    """Flat block rows of the self-pairs ``(i, i)``, ``lo <= i < hi``."""
+    rows = np.arange(hi - lo)
+    return rows * n + rows + lo
+
+
+def _pairwise_mixbern_loglik_forward(
+    *arrays, adjacency, eps, activation, negative_slope=0.2,
+    has_b1=True, has_b2=True,
+):
+    s, w1, b1, w2, b2 = _unpack_pairwise(arrays, has_b1, has_b2)
+    proj = s @ w1
+    v = proj + b1 if b1 is not None else proj
+    n, k = proj.shape[0], w2.shape[1]
+    out = np.empty((n, k))
+    blocks = _theta_blocks(proj, v, w2, b2, activation, negative_slope)
+    for lo, hi, _, _, theta in blocks:
+        theta = np.clip(theta, eps, 1.0 - eps)
+        a = adjacency[lo:hi].reshape(-1, 1)
+        log_bern = a * np.log(theta) + (1.0 - a) * np.log(1.0 - theta)
+        log_bern[_diagonal(n, lo, hi)] = 0.0        # no self-loops
+        out[lo:hi] = log_bern.reshape(hi - lo, n, k).sum(axis=1)
+    return out, (proj, v)
+
+
+def _pairwise_mixbern_loglik_vjp(
+    g, inputs, res, *, adjacency, eps, activation, negative_slope=0.2,
+    has_b1=True, has_b2=True,
+):
+    s, w1, b1, w2, b2 = _unpack_pairwise(inputs, has_b1, has_b2)
+    proj, v = res
+    n, h = proj.shape
+    k = w2.shape[1]
+    # piecewise-linear heads split dpre = m·dhid + (1-m)·[pre > 0]·dhid
+    # (ties count as pre <= 0, like _act_with_local); the m·dhid part
+    # pools through W₂ from (·, K) sums, so only the masked part is
+    # ever (B·N, h)
+    slope = {"identity": 1.0, "relu": 0.0, "leaky_relu": negative_slope}.get(
+        activation
+    )
+    drow = np.empty((n, k))                         # Σ_j dfeats_ij
+    dcol = np.zeros((n, k))                         # Σ_i dfeats_ij
+    dv = np.zeros_like(v)                           # Σ_j of the rest of dpre
+    dcol_h = np.zeros_like(proj)                    # Σ_i of the rest of dpre
+    dw2 = np.zeros_like(w2)
+    blocks = _theta_blocks(proj, v, w2, b2, activation, negative_slope)
+    for lo, hi, pre, hid, theta in blocks:
+        # d/df of a·log θ + (1-a)·log(1-θ) is a - θ wherever the clip
+        # is inactive, and 0 where it clamps
+        inside = (theta >= eps) & (theta <= 1.0 - eps)
+        gb = np.repeat(g[lo:hi], n, axis=0)
+        dfeats = np.where(
+            inside, gb * (adjacency[lo:hi].reshape(-1, 1) - theta), 0.0
+        )
+        dfeats[_diagonal(n, lo, hi)] = 0.0
+        dw2 += hid.T @ dfeats
+        blk = dfeats.reshape(hi - lo, n, k)
+        drow[lo:hi] = blk.sum(axis=1)
+        dcol += blk.sum(axis=0)
+        if slope == 1.0:
+            continue
+        dhid = dfeats @ w2.T
+        if slope is None:
+            dpre = dhid * _act_with_local(activation, pre, negative_slope)[1]
+        else:
+            dpre = (1.0 - slope) * (dhid * (pre > 0))
+        dpre = dpre.reshape(hi - lo, n, h)
+        dv[lo:hi] = dpre.sum(axis=1)                # pre_ij = v_i - P_j
+        dcol_h += dpre.sum(axis=0)
+    if slope:
+        dv = dv + slope * (drow @ w2.T)
+        dcol_h = dcol_h + slope * (dcol @ w2.T)
+    dproj = dv - dcol_h
+    grads = [dproj @ w1.T, s.T @ dproj]
+    if has_b1:
+        grads.append(dv.sum(axis=0))
+    grads.append(dw2)
+    if has_b2:
+        grads.append(drow.sum(axis=0))
+    return tuple(grads)
+
+
+register_op(
+    "pairwise_mixbern_loglik",
+    _pairwise_mixbern_loglik_forward,
+    _pairwise_mixbern_loglik_vjp,
+)

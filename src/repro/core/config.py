@@ -69,7 +69,11 @@ class VRDAGConfig:
     attr_loss: str = "sce"
     attr_mse_weight: float = 1.0
     #: Q — non-edges sampled per node for the structure loss (§III-G's
-    #: O(N·r + N·Q) estimator); 0 uses the exact dense N² likelihood
+    #: estimator); 0 uses the exact likelihood.  The paper counts the
+    #: sampled loss as O(N·r + N·Q), but θ is still evaluated over all
+    #: N² pairs today, so only the reduction is sampled (see
+    #: MixBernoulliSampler.sampled_log_likelihood and the ROADMAP's
+    #: "truly sampled path" step)
     struct_negative_samples: int = 0
     attr_activation: str = "identity"
     seed: int = 0

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autodiff import Tensor, functional as F
-from repro.autodiff.fused import FUSED_ACTIVATIONS
+from repro.autodiff.fused import FUSED_ACTIVATIONS, PIECEWISE_LINEAR, pooled_mlp2
 from repro.autodiff.tape import Tape, tape_for
 from repro.autodiff.tensor import as_tensor
 from repro.nn import GATLayer, MLP, Module
@@ -64,16 +64,6 @@ _NP_ACTIVATIONS = {
     "identity": lambda x: x,
 }
 
-#: piecewise-linear activations decompose as ``a*x + c*|x|`` — the key
-#: to pooling them over all pairs in closed form (see
-#: :meth:`MixBernoulliSampler._pooled_alpha_features_np`)
-_ABS_DECOMPOSITION = {
-    "relu": (0.5, 0.5),
-    "leaky_relu": (0.6, 0.4),  # slope 0.2: (1+m)/2, (1-m)/2
-    "identity": (1.0, 0.0),
-}
-
-
 def _np_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -120,6 +110,35 @@ def _pairwise_head_block(
     if last.bias is not None:
         x = x + last.bias.data
     return out_act(x)
+
+
+def _fusable_head(mlp: MLP, activations) -> bool:
+    """2-layer head with an identity output and a hidden activation in
+    ``activations`` — the shape every fused pairwise record expects."""
+    return (
+        len(mlp.layers) == 2
+        and mlp.out_activation == "identity"
+        and mlp.activation in activations
+    )
+
+
+def _apply_head_record(tape: Tape, name: str, mlp: MLP, s, **kwargs):
+    """Record fused op ``name`` over ``s`` and a 2-layer head's weights."""
+    first, last = mlp.layers
+    inputs = [s, first.weight]
+    if first.bias is not None:
+        inputs.append(first.bias)
+    inputs.append(last.weight)
+    if last.bias is not None:
+        inputs.append(last.bias)
+    return tape.apply(
+        name,
+        tuple(inputs),
+        activation=mlp.activation,
+        has_b1=first.bias is not None,
+        has_b2=last.bias is not None,
+        **kwargs,
+    )
 
 
 class MixBernoulliSampler(Module):
@@ -180,27 +199,23 @@ class MixBernoulliSampler(Module):
         O(N²·d·h)); other shapes fall back to the generic pairwise pass
         on tape primitives.
         """
-        if (
-            len(mlp.layers) == 2
-            and mlp.out_activation == "identity"
-            and mlp.activation in FUSED_ACTIVATIONS
-        ):
-            first, last = mlp.layers
-            inputs = [s, first.weight]
-            if first.bias is not None:
-                inputs.append(first.bias)
-            inputs.append(last.weight)
-            if last.bias is not None:
-                inputs.append(last.bias)
-            return tape.apply(
-                "pairwise_mlp2",
-                tuple(inputs),
-                activation=mlp.activation,
-                has_b1=first.bias is not None,
-                has_b2=last.bias is not None,
-            )
+        if _fusable_head(mlp, FUSED_ACTIVATIONS):
+            return _apply_head_record(tape, "pairwise_mlp2", mlp, s)
         pair = self._pairwise(s)
         return mlp(pair).reshape(s.shape[0], s.shape[0], self.num_components)
+
+    def _alpha_tape(self, tape: Tape, s) -> "object":
+        """Mixing weights α (N, K) on the tape.
+
+        Piecewise-linear 2-layer heads pool ``Σ_j f_α(s_i - s_j)`` in
+        closed form through the ``pooled_mlp2`` record (O(N log N · h),
+        no pairwise array); other heads sum the pairwise features.
+        """
+        if _fusable_head(self.f_alpha, PIECEWISE_LINEAR):
+            pooled = _apply_head_record(tape, "pooled_mlp2", self.f_alpha, s)
+        else:
+            pooled = self._pairwise_feats_tape(tape, self.f_alpha, s).sum(axis=1)
+        return F.softmax(pooled, axis=-1)
 
     def distribution(self, s: Tensor) -> Tuple[Tensor, Tensor]:
         """Return (α, θ): mixing weights (N, K) and probs (N, N, K)."""
@@ -208,8 +223,7 @@ class MixBernoulliSampler(Module):
         tape = tape_for(s)
         if tape is not None:
             s_v = tape.lift(s)
-            alpha_feats = self._pairwise_feats_tape(tape, self.f_alpha, s_v)
-            alpha = F.softmax(alpha_feats.sum(axis=1), axis=-1)  # pool over j
+            alpha = self._alpha_tape(tape, s_v)
             theta = F.sigmoid(self._pairwise_feats_tape(tape, self.f_theta, s_v))
             return alpha, theta
         pair = self._pairwise(s)
@@ -228,16 +242,18 @@ class MixBernoulliSampler(Module):
         """
         n = s.shape[0]
         tape = tape_for(s)
-        if tape is not None:
-            # fused path: σ → clip → Bernoulli log-lik → diagonal mask →
-            # pool over j is a single mixbern_row_loglik record
+        if tape is not None and _fusable_head(self.f_theta, FUSED_ACTIVATIONS):
+            # fused path: α pools in closed form, and the θ head →
+            # σ → clip → Bernoulli log-lik → diagonal mask → pool over j
+            # is one record that recomputes its row blocks in the VJP,
+            # so no (N, N, ·) array stays on the tape
             s_v = tape.lift(s)
-            alpha_feats = self._pairwise_feats_tape(tape, self.f_alpha, s_v)
-            alpha = F.softmax(alpha_feats.sum(axis=1), axis=-1)
-            theta_feats = self._pairwise_feats_tape(tape, self.f_theta, s_v)
-            row_loglik = tape.apply(
-                "mixbern_row_loglik",
-                (theta_feats,),
+            alpha = self._alpha_tape(tape, s_v)
+            row_loglik = _apply_head_record(
+                tape,
+                "pairwise_mixbern_loglik",
+                self.f_theta,
+                s_v,
                 adjacency=np.asarray(adjacency, dtype=np.float64),
                 eps=_PROB_EPS,
             )
@@ -261,12 +277,19 @@ class MixBernoulliSampler(Module):
     ) -> Tensor:
         """Negative-sampled estimate of the structure log-likelihood.
 
-        The paper's complexity analysis (§III-G) counts the structure
-        reconstruction loss as O(N·r + N·Q): all positive edges plus Q
-        sampled non-edges per node, instead of the dense N² sum.  Each
-        sampled term is importance-weighted by the number of non-edges
-        it represents, so the estimator is unbiased for the per-row
-        Bernoulli sum (the mixture is then applied row-wise as usual).
+        The estimator sums the log-likelihood of every positive edge
+        plus Q uniformly sampled non-edges per node; each sampled term
+        is importance-weighted by the number of non-edges it
+        represents, so it is unbiased for the per-row Bernoulli sum
+        (the mixture is then applied row-wise as usual).
+
+        The paper's complexity analysis (§III-G) counts this loss as
+        O(N·r + N·Q), but the cost is not that today: θ still comes from
+        :meth:`distribution`, which evaluates the θ head over all N²
+        pairs (and leaves ``(N, N, ·)`` state on the tape); only the
+        reduction over destinations is sampled.  Evaluating θ at the sampled pairs alone
+        is the open "truly sampled path" step of the ROADMAP's
+        sub-quadratic structure likelihood item.
         """
         n = s.shape[0]
         if num_negatives < 1:
@@ -315,46 +338,22 @@ class MixBernoulliSampler(Module):
     ) -> Optional[np.ndarray]:
         """Closed-form ``Σ_j f_α(s_i - s_j)`` in O(N log N · h).
 
-        The pooled α features sum a 2-layer MLP over all destinations.
-        Pooling commutes through the (linear) output layer, and a
-        piecewise-linear hidden activation splits as ``a·x + c·|x|``,
-        so with ``x_ij = P_i + b₁ - P_j`` the pooled hidden vector is
-
-            Σ_j act(x_ij) = a·(N·v_i - Σ_j P_j) + c·Σ_j |v_i - P_j|
-
-        and the absolute-deviation sum is the classic sorted
-        prefix-sum identity — no N² pass at all.  Returns ``None``
+        The same :func:`~repro.autodiff.fused.pooled_mlp2` kernel the
+        training tape records, run on raw arrays.  Returns ``None``
         when the head's shape/activation doesn't admit the shortcut
         (caller falls back to the blocked pairwise pass).
         """
         mlp = self.f_alpha
-        if (
-            len(mlp.layers) != 2
-            or mlp.activation not in _ABS_DECOMPOSITION
-            or mlp.out_activation != "identity"
-        ):
+        if not _fusable_head(mlp, PIECEWISE_LINEAR):
             return None
-        a, c = _ABS_DECOMPOSITION[mlp.activation]
-        n, h = proj.shape
         first, last = mlp.layers
-        v = proj + first.bias.data if first.bias is not None else proj
-        linear_part = a * (n * v - proj.sum(axis=0))
-        if c:
-            q = np.sort(proj, axis=0)  # (N, h), per-dim ascending
-            prefix = np.vstack([np.zeros((1, h)), np.cumsum(q, axis=0)])
-            abs_part = np.empty_like(v)
-            for dim in range(h):
-                r = np.searchsorted(q[:, dim], v[:, dim])
-                below = prefix[r, dim]
-                abs_part[:, dim] = (
-                    v[:, dim] * (2 * r - n) - 2 * below + prefix[n, dim]
-                )
-            pooled = linear_part + c * abs_part
-        else:
-            pooled = linear_part
-        feats = pooled @ last.weight.data
-        if last.bias is not None:
-            feats = feats + n * last.bias.data
+        feats, _ = pooled_mlp2(
+            proj,
+            None if first.bias is None else first.bias.data,
+            last.weight.data,
+            None if last.bias is None else last.bias.data,
+            mlp.activation,
+        )
         return feats
 
     def _mixture_weights_np(

@@ -55,7 +55,7 @@ class TestRecording:
         names = registered_ops()
         for fused in (
             "linear_act", "gru_cell", "gat_attention",
-            "pairwise_mlp2", "mixbern_row_loglik",
+            "pairwise_mlp2", "pooled_mlp2", "pairwise_mixbern_loglik",
         ):
             assert fused in names
 
