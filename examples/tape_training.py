@@ -1,11 +1,12 @@
-"""Training on the flat-tape autodiff engine: tape vs legacy parity,
+"""Training on the flat-tape autodiff engine: a seeded fit,
 ``gradcheck``, and the per-op profiler timers.
 
-The tape engine (``repro.autodiff.Tape``) is the default training fast
-path; the legacy closure engine stays available as the reference twin.
-This example fits the same VRDAG twice — once per engine — checks the
-loss curves agree, pins a module gradient against finite differences,
-and prints the tape's per-op timing report.
+Every op — ``Tensor`` arithmetic, ``repro.autodiff.functional``, the
+fused nn-module ops — dispatches through one registry; inside
+``with Tape():`` it records onto the tape, and ``backward`` replays the
+records in reverse.  This example fits a VRDAG twice with the same seed
+and checks the loss curves are bit-identical, pins a module gradient
+against finite differences, and prints the tape's per-op timing report.
 
 Run:  python examples/tape_training.py [--tiny]
 """
@@ -24,50 +25,43 @@ def main(tiny: bool = False) -> None:
     graph = load_dataset("email", scale=scale, seed=0)
     print(f"training twin: {graph}")
 
-    # 1. Same model, same seed, both engines: near-identical losses.
-    results = {}
-    for engine in ("tape", "legacy"):
+    # 1. VRDAGTrainer records each epoch on a fresh tape; the same seed
+    #    gives the same loss curve, bit for bit.
+    histories = []
+    for run in range(2):
         cfg = VRDAGConfig(
             num_nodes=graph.num_nodes,
             num_attributes=graph.num_attributes,
             hidden_dim=16, latent_dim=8, encode_dim=16,
             mixture_components=2, seed=7,
         )
-        trainer = VRDAGTrainer(
-            VRDAG(cfg), TrainConfig(epochs=epochs, engine=engine)
-        )
-        results[engine] = trainer.fit(graph)
+        result = VRDAGTrainer(VRDAG(cfg), TrainConfig(epochs=epochs)).fit(graph)
+        histories.append(result.loss_history)
         print(
-            f"  {engine:>6s}: loss {results[engine].loss_history[0]:.4f}"
-            f" -> {results[engine].final_loss:.4f}"
+            f"  fit {run}: loss {result.loss_history[0]:.4f}"
+            f" -> {result.final_loss:.4f}"
         )
-    assert np.isclose(
-        results["tape"].final_loss, results["legacy"].final_loss, rtol=1e-6
-    ), "engines diverged"
-    print("engines agree on the loss curve")
+    assert histories[0] == histories[1], "seeded fits diverged"
+    print("seeded fits agree bit for bit")
 
-    # 2. gradcheck pins either engine against finite differences.
+    # 2. gradcheck records the loss on a tape and pins its gradients
+    #    against central finite differences.
     rng = np.random.default_rng(3)
     gru = GRUCell(4, 6, rng=rng)
     x, h = rng.normal(size=(5, 4)), rng.normal(size=(5, 6))
 
-    def legacy_loss():
+    def loss_fn():
         return (gru(Tensor(x), Tensor(h)) ** 2).mean()
 
-    def tape_loss():
-        with Tape():
-            return legacy_loss()
+    assert gradcheck(loss_fn, gru.parameters(), max_entries=8)
+    print("gradcheck OK (GRU cell vs finite differences)")
 
-    assert gradcheck(legacy_loss, gru.parameters(), max_entries=8)
-    assert gradcheck(tape_loss, gru.parameters(), max_entries=8)
-    print("gradcheck OK on both engines (GRU cell vs finite differences)")
-
-    # 3. The profiler breaks an epoch down per tape op: tape.op.* is
-    #    the forward record, tape.vjp.* the backward kernel.
+    # 3. The profiler breaks a step down per tape op: tape.op.* is the
+    #    forward record, tape.vjp.* the backward kernel.
     profiler.reset()
     with profiler.enable():
         with Tape():
-            loss = legacy_loss()
+            loss = loss_fn()
             loss.backward()
     report = profiler.report()
     tape_lines = [

@@ -1,27 +1,26 @@
 """Functional (free-function) differentiable operations.
 
-These complement the operator methods on :class:`~repro.autodiff.Tensor`
-and :class:`~repro.autodiff.tape.Variable`: nonlinearities, stable
+These complement the operator methods of
+:class:`~repro.autodiff.tensor.Operators`: nonlinearities, stable
 softmax / log-sum-exp, concatenation, stacking and the numerically
 careful primitives the VRDAG losses need (clipped log, sigmoid in the
 stable regime, etc.).
 
-Every function is engine-polymorphic: if an argument is a tape
-Variable — or a :class:`~repro.autodiff.tape.Tape` is active with grads
-enabled — the op is recorded on the tape via the registered kernel in
-:mod:`repro.autodiff.ops`; otherwise it builds the legacy closure
-graph.  Both paths compute identical values (the kernels share the
-exact same NumPy expressions).
+Each function is one call of the dispatcher
+:func:`repro.autodiff.tape.apply` on a registered op of
+:mod:`repro.autodiff.ops`: recorded on the tape inside ``with Tape():``
+(grads enabled) or on a tape :class:`~repro.autodiff.tape.Variable`'s
+tape, a plain forward call returning a constant Tensor otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, as_tensor, unbroadcast
-from repro.autodiff.tape import Variable, tape_for
+from repro.autodiff.tape import apply
+from repro.autodiff.tensor import Operators, Tensor
 
 __all__ = [
     "exp",
@@ -50,296 +49,107 @@ __all__ = [
 
 def exp(x: Tensor) -> Tensor:
     """Elementwise ``e**x``."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("exp", (x,))
-    x = as_tensor(x)
-    data = np.exp(x.data)
-    return Tensor._from_op(data, (x,), (lambda g: g * data,), "exp")
+    return apply("exp", (x,))
 
 
 def log(x: Tensor, eps: float = 0.0) -> Tensor:
     """Natural log; pass ``eps`` to clamp the argument away from zero."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("log", (x,), eps=eps)
-    x = as_tensor(x)
-    arg = x.data + eps if eps else x.data
-    data = np.log(arg)
-    return Tensor._from_op(data, (x,), (lambda g: g / arg,), "log")
+    return apply("log", (x,), eps=eps)
 
 
 def sqrt(x: Tensor) -> Tensor:
     """Elementwise square root."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("sqrt", (x,))
-    x = as_tensor(x)
-    data = np.sqrt(x.data)
-    return Tensor._from_op(data, (x,), (lambda g: g * 0.5 / data,), "sqrt")
+    return apply("sqrt", (x,))
 
 
 def abs_(x: Tensor) -> Tensor:
     """Elementwise absolute value (subgradient 0 at 0)."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("abs", (x,))
-    x = as_tensor(x)
-    data = np.abs(x.data)
-    return Tensor._from_op(data, (x,), (lambda g: g * np.sign(x.data),), "abs")
+    return apply("abs", (x,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise logistic sigmoid ``1 / (1 + e**-x)``."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("sigmoid", (x,))
-    x = as_tensor(x)
-    # numerically stable piecewise computation
-    data = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(x.data, 0, None))),
-        np.exp(np.clip(x.data, None, 0)) / (1.0 + np.exp(np.clip(x.data, None, 0))),
-    )
-    return Tensor._from_op(data, (x,), (lambda g: g * data * (1.0 - data),), "sigmoid")
+    return apply("sigmoid", (x,))
 
 
 def tanh(x: Tensor) -> Tensor:
     """Elementwise hyperbolic tangent."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("tanh", (x,))
-    x = as_tensor(x)
-    data = np.tanh(x.data)
-    return Tensor._from_op(data, (x,), (lambda g: g * (1.0 - data**2),), "tanh")
+    return apply("tanh", (x,))
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise ``max(x, 0)``."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("relu", (x,))
-    x = as_tensor(x)
-    data = np.maximum(x.data, 0.0)
-    mask = (x.data > 0).astype(np.float64)
-    return Tensor._from_op(data, (x,), (lambda g: g * mask,), "relu")
+    return apply("relu", (x,))
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     """Elementwise LeakyReLU: ``x`` if positive else ``slope * x``."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("leaky_relu", (x,), negative_slope=negative_slope)
-    x = as_tensor(x)
-    mask = np.where(x.data > 0, 1.0, negative_slope)
-    data = x.data * mask
-    return Tensor._from_op(data, (x,), (lambda g: g * mask,), "leaky_relu")
+    return apply("leaky_relu", (x,), negative_slope=negative_slope)
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     """Elementwise ELU: ``x`` if positive else ``alpha * (e**x - 1)``."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("elu", (x,), alpha=alpha)
-    x = as_tensor(x)
-    neg = alpha * (np.exp(np.clip(x.data, None, 0)) - 1.0)
-    data = np.where(x.data > 0, x.data, neg)
-    local = np.where(x.data > 0, 1.0, neg + alpha)
-    return Tensor._from_op(data, (x,), (lambda g: g * local,), "elu")
+    return apply("elu", (x,), alpha=alpha)
 
 
 def softplus(x: Tensor) -> Tensor:
     """Elementwise ``log(1 + e**x)`` (numerically stabilized)."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("softplus", (x,))
-    x = as_tensor(x)
-    data = np.logaddexp(0.0, x.data)
-    sig = 1.0 / (1.0 + np.exp(-np.clip(x.data, -60, 60)))
-    return Tensor._from_op(data, (x,), (lambda g: g * sig,), "softplus")
+    return apply("softplus", (x,))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` (shift-stabilized)."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("softmax", (x,), axis=axis)
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g: np.ndarray) -> np.ndarray:
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return data * (g - dot)
-
-    return Tensor._from_op(data, (x,), (back,), "softmax")
+    return apply("softmax", (x,), axis=axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along ``axis`` (shift-stabilized)."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("log_softmax", (x,), axis=axis)
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    soft = np.exp(data)
-
-    def back(g: np.ndarray) -> np.ndarray:
-        return g - soft * g.sum(axis=axis, keepdims=True)
-
-    return Tensor._from_op(data, (x,), (back,), "log_softmax")
+    return apply("log_softmax", (x,), axis=axis)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """``log(sum(e**x))`` along ``axis`` (shift-stabilized)."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("logsumexp", (x,), axis=axis, keepdims=keepdims)
-    x = as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    data = np.log(s) + m
-    soft = e / s
-
-    def back(g: np.ndarray) -> np.ndarray:
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis=axis)
-        return gg * soft
-
-    if not keepdims:
-        data = np.squeeze(data, axis=axis)
-    return Tensor._from_op(np.asarray(data), (x,), (back,), "logsumexp")
+    return apply("logsumexp", (x,), axis=axis, keepdims=keepdims)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Elementwise clamp to ``[lo, hi]``; gradient is 1 inside, 0 outside."""
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("clip", (x,), lo=lo, hi=hi)
-    x = as_tensor(x)
-    data = np.clip(x.data, lo, hi)
-    mask = ((x.data >= lo) & (x.data <= hi)).astype(np.float64)
-    return Tensor._from_op(data, (x,), (lambda g: g * mask,), "clip")
+    return apply("clip", (x,), lo=lo, hi=hi)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis``; gradients split back."""
-    t = tape_for(*tensors)
-    if t is not None:
-        return t.apply("concat", tuple(tensors), axis=axis)
-    tensors = [as_tensor(t_) for t_ in tensors]
-    data = np.concatenate([t_.data for t_ in tensors], axis=axis)
-    sizes = [t_.data.shape[axis] for t_ in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_back(i: int):
-        def back(g: np.ndarray) -> np.ndarray:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            return g[tuple(sl)]
-
-        return back
-
-    backs = tuple(make_back(i) for i in range(len(tensors)))
-    return Tensor._from_op(data, tuple(tensors), backs, "concat")
+    return apply("concat", tuple(tensors), axis=axis)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis``; gradients unstack."""
-    t = tape_for(*tensors)
-    if t is not None:
-        return t.apply("stack", tuple(tensors), axis=axis)
-    tensors = [as_tensor(t_) for t_ in tensors]
-    data = np.stack([t_.data for t_ in tensors], axis=axis)
-
-    def make_back(i: int):
-        def back(g: np.ndarray) -> np.ndarray:
-            return np.take(g, i, axis=axis)
-
-        return back
-
-    backs = tuple(make_back(i) for i in range(len(tensors)))
-    return Tensor._from_op(data, tuple(tensors), backs, "stack")
+    return apply("stack", tuple(tensors), axis=axis)
 
 
 def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable select; ``cond`` is a non-differentiable boolean mask."""
-    cond = np.asarray(cond, dtype=bool)
-    t = tape_for(a, b)
-    if t is not None:
-        return t.apply("where", (a, b), cond=cond)
-    a, b = as_tensor(a), as_tensor(b)
-    data = np.where(cond, a.data, b.data)
-    return Tensor._from_op(
-        data,
-        (a, b),
-        (
-            lambda g: unbroadcast(g * cond, a.shape),
-            lambda g: unbroadcast(g * (~cond), b.shape),
-        ),
-        "where",
-    )
-
-
-def _raw(v) -> np.ndarray:
-    return v.data if isinstance(v, (Tensor, Variable)) else np.asarray(v)
+    return apply("where", (a, b), cond=np.asarray(cond, dtype=bool))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise maximum of two tensors (ties route grad to the first)."""
-    if tape_for(a, b) is None:
-        a, b = as_tensor(a), as_tensor(b)
-    return where(_raw(a) >= _raw(b), a, b)
+    return where(np.asarray(a) >= np.asarray(b), a, b)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise minimum of two tensors (ties route grad to the first)."""
-    if tape_for(a, b) is None:
-        a, b = as_tensor(a), as_tensor(b)
-    return where(_raw(a) <= _raw(b), a, b)
+    return where(np.asarray(a) <= np.asarray(b), a, b)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout with keep-scale applied at training time."""
     if not training or p <= 0.0:
-        return x if isinstance(x, Variable) else as_tensor(x)
-    t = tape_for(x)
-    if t is not None:
-        return t.apply("dropout", (x,), p=p, rng=rng)
-    x = as_tensor(x)
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
-    data = x.data * mask
-    return Tensor._from_op(data, (x,), (lambda g: g * mask,), "dropout")
+        return x if isinstance(x, Operators) else Tensor(x)
+    return apply("dropout", (x,), p=p, rng=rng)
 
 
 def norm(x: Tensor, axis: int = -1, keepdims: bool = False, eps: float = 1e-12) -> Tensor:
     """Euclidean norm along ``axis`` (smoothed to stay differentiable at 0)."""
-    if not isinstance(x, Variable):
-        x = as_tensor(x)
-    sq = (x * x).sum(axis=axis, keepdims=keepdims)
+    sq = apply("sum", (apply("mul", (x, x)),), axis=axis, keepdims=keepdims)
     return sqrt(sq + eps)
-
-
-# ----------------------------------------------------------------------
-# attach convenience methods to Tensor and Variable
-# ----------------------------------------------------------------------
-def _attach():
-    for cls in (Tensor, Variable):
-        cls.exp = lambda self: exp(self)
-        cls.log = lambda self, eps=0.0: log(self, eps)
-        cls.sqrt = lambda self: sqrt(self)
-        cls.abs = lambda self: abs_(self)
-        cls.sigmoid = lambda self: sigmoid(self)
-        cls.tanh = lambda self: tanh(self)
-        cls.relu = lambda self: relu(self)
-        cls.clip = lambda self, lo, hi: clip(self, lo, hi)
-        cls.softmax = lambda self, axis=-1: softmax(self, axis)
-
-
-_attach()

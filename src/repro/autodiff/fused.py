@@ -2,10 +2,12 @@
 
 The VRDAG training step repeats a handful of motifs thousands of times
 per epoch — affine+activation layers, the GRU cell update, GAT
-attention, and the MixBernoulli pairwise heads.  On the legacy closure
-engine each motif costs 5–40 small Tensor allocations plus as many
-backward closures; here each is a single :class:`~repro.autodiff.ops.OpSpec`
-with a hand-written VJP, so both sweeps are a few large NumPy calls.
+attention, and the MixBernoulli pairwise heads.  Composed from
+primitives each motif would cost 5–40 small records; here each is a
+single :class:`~repro.autodiff.ops.OpSpec` with a hand-written VJP, so
+both sweeps are a few large NumPy calls.  The nn modules call these
+ops unconditionally: on a tape they record, otherwise their forward
+kernel is the inference path.
 
 Registered ops
 --------------
@@ -34,11 +36,12 @@ Registered ops
     the ``(N, h)`` projections and recomputes each row block in the
     VJP, so no ``(N, N, ·)`` array outlives its block.
 
-Gradient formulas mirror what the legacy engine's composition of
-primitives computes; the pairwise records reassociate the first layer
-(and ``pooled_mlp2`` the pooling sum), so their parity with the closure
-engine is a few-ulp affair rather than bit-exact (the parity suite pins
-both engines against finite differences too).
+Gradient formulas are those of the equivalent composition of
+primitives; the pairwise records reassociate the first layer (and
+``pooled_mlp2`` the pooling sum), so they agree with that composition
+to a few ulp rather than bit-exactly.  ``tests/autodiff/
+test_golden_gradients.py`` pins them against gradients recorded from
+the primitive composition and against finite differences.
 """
 
 from __future__ import annotations
@@ -47,8 +50,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff.ops import register_op, stable_sigmoid
-from repro.autodiff.tensor import unbroadcast
+from repro.autodiff.ops import register_op, stable_sigmoid, unbroadcast
 
 __all__ = ["FUSED_ACTIVATIONS", "PIECEWISE_LINEAR", "pooled_mlp2"]
 

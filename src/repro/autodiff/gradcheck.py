@@ -1,10 +1,9 @@
-"""Finite-difference gradient checking, engine-agnostic.
+"""Finite-difference gradient checking.
 
-:func:`gradcheck` pins analytic gradients (whatever ``backward``
-produced — legacy closure engine or the flat tape) against central
-finite differences of the loss.  It only relies on the shared
-``backward()`` / ``.grad`` / ``.data`` surface, so the gradient-parity
-suite runs the same checker over both engines.
+:func:`gradcheck` records ``fn()`` on a fresh
+:class:`~repro.autodiff.tape.Tape`, backpropagates, and pins the
+resulting parameter gradients against central finite differences of
+the loss evaluated without recording.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.autodiff.tape import Tape
 from repro.autodiff.tensor import Tensor, no_grad
 
 __all__ = ["gradcheck"]
@@ -32,14 +32,15 @@ def gradcheck(
     max_entries: Optional[int] = None,
     seed: int = 0,
 ) -> bool:
-    """Check ``backward`` gradients of ``fn()`` by central differences.
+    """Check tape gradients of ``fn()`` by central differences.
 
     Parameters
     ----------
     fn:
-        Zero-argument callable returning a scalar loss (legacy Tensor
-        or tape Variable).  It must be re-runnable: every call performs
-        a fresh forward pass over the current ``params`` data.
+        Zero-argument callable returning a scalar loss.  It must be
+        re-runnable: every call performs a fresh forward pass over the
+        current ``params`` data.  The analytic pass runs it inside a
+        fresh ``Tape`` (a tape ``fn`` enters itself takes precedence).
     params:
         Leaf tensors (typically ``Module.parameters()``) whose
         gradients are checked.  Their ``.data`` is perturbed in place
@@ -61,8 +62,11 @@ def gradcheck(
     params = list(params)
     for p in params:
         p.grad = None
-    out = fn()
-    out.backward()
+    with Tape() as tape:
+        out = fn()
+        if isinstance(out, Tensor):  # nothing recorded: all grads zero
+            out = tape.lift(out)
+        out.backward()
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
         for p in params

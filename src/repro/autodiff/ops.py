@@ -1,4 +1,4 @@
-"""Op registry for the flat-tape autodiff engine.
+"""Op registry of the flat-tape autodiff engine.
 
 Every primitive the tape engine can record is an :class:`OpSpec`: a
 forward kernel producing ``(output, residuals)`` plus a VJP kernel (and
@@ -22,10 +22,11 @@ Kernel contracts
     Optional forward-mode rule; ``tangents`` aligns with ``inputs``
     (zeros filled in for constant slots).
 
-The numerics intentionally mirror the legacy closure engine in
-``tensor.py`` / ``functional.py`` expression-for-expression, so
-gradient parity between the two engines is bit-exact on shared
-primitives (see ``tests/autodiff/test_engine_parity.py``).
+The registry is the only place numerics live: every ``Tensor`` /
+``Variable`` operator, every :mod:`repro.autodiff.functional` function
+and every nn module reaches these kernels through the dispatcher
+:func:`repro.autodiff.tape.apply` — recorded on a tape while training,
+plain forward calls otherwise.
 """
 
 from __future__ import annotations
@@ -35,9 +36,26 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff.tensor import unbroadcast
+__all__ = ["OpSpec", "register_op", "get_op", "registered_ops", "unbroadcast"]
 
-__all__ = ["OpSpec", "register_op", "get_op", "registered_ops"]
+
+def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Reduce ``grad`` so that it has ``shape``.
+
+    Inverse of numpy broadcasting: sums over the axes that were added or
+    stretched when an operand of ``shape`` was broadcast to ``grad.shape``.
+    """
+    if grad.shape == shape:
+        return grad
+    # Sum over leading axes that were added by broadcasting.
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    # Sum over axes that were size-1 in the original shape.
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -148,7 +166,7 @@ register_op("pow", _pow_forward, _pow_vjp)
 
 
 # ----------------------------------------------------------------------
-# matmul (ports the legacy 1-D promotion rules verbatim)
+# matmul (numpy's 1-D promotion rules, undone in the VJP)
 # ----------------------------------------------------------------------
 def _matmul_forward(a, b):
     return a @ b, None
@@ -321,7 +339,7 @@ register_op("where", _where_forward, _where_vjp)
 
 
 # ----------------------------------------------------------------------
-# elementwise nonlinearities (formulas mirror functional.py verbatim)
+# elementwise nonlinearities
 # ----------------------------------------------------------------------
 def _exp_forward(a):
     out = np.exp(a)
@@ -364,7 +382,7 @@ register_op(
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """The numerically stable piecewise sigmoid shared with functional.py."""
+    """Numerically stable piecewise sigmoid (no overflow for large |x|)."""
     return np.where(
         x >= 0,
         1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),

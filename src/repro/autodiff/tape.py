@@ -1,35 +1,39 @@
-"""Flat-tape reverse-mode engine: ``Tape``, ``Record`` and ``Variable``.
+"""Flat-tape reverse-mode engine: ``Tape``, ``Record``, ``Variable``
+and the dispatcher :func:`apply`.
 
-Instead of the legacy per-Tensor closure graph (``tensor.py``), this
-engine appends one flat :class:`Record` — ``(op, input_ids, out_id,
-impl_kwargs, residuals)`` — per primitive application to a
-:class:`Tape`.  Because records are appended in execution order the
-tape IS a topological order, so :meth:`Tape.backward` is a single
-reverse loop over records calling each op's registered VJP kernel
-(see :mod:`repro.autodiff.ops`) — no graph walk, no per-node closure
-allocation, and fused composite ops (:mod:`repro.autodiff.fused`)
-collapse whole encoder/decoder motifs into one record each.
+Every numeric op is one registered :class:`~repro.autodiff.ops.OpSpec`
+(:mod:`repro.autodiff.ops`, :mod:`repro.autodiff.fused`).  The
+dispatcher :func:`apply` is the single entry point the operator surface
+(:class:`~repro.autodiff.tensor.Operators`), :mod:`repro.autodiff.
+functional` and the nn modules call: when a tape is in play it appends
+one flat :class:`Record` — ``(op, input_ids, out_id, impl_kwargs,
+residuals)`` — to that :class:`Tape`; otherwise it runs the op's
+forward kernel and returns a constant
+:class:`~repro.autodiff.tensor.Tensor`.  Because records are appended
+in execution order the tape IS a topological order, so
+:meth:`Tape.backward` is a single reverse loop over records calling
+each op's registered VJP kernel — no graph walk, no per-node closure —
+and fused composite ops collapse whole encoder/decoder motifs into one
+record each.
 
 Usage::
 
     with Tape() as tape:
-        loss = model.sequence_loss(graph)   # modules route onto the tape
+        loss = model.sequence_loss(graph)   # every op records here
         loss.backward()                     # grads land in Parameter.grad
 
-The active-tape stack is thread-local, exactly like the legacy grad
-mode: concurrent generation threads never observe a training thread's
-tape.  Recording additionally respects :func:`no_grad`, so generation
-stays tape-free even inside a ``with Tape():`` block.
+The active-tape stack is thread-local, like grad mode: concurrent
+generation threads never observe a training thread's tape.  Recording
+additionally respects :func:`~repro.autodiff.tensor.no_grad`, so
+generation stays tape-free even inside a ``with Tape():`` block.
 
 Leaf lifting rules (``Tape.lift``):
 
-* a legacy **leaf** ``Tensor`` (e.g. ``Parameter``) becomes a tape leaf
-  remembering its source — ``backward`` accumulates into the source's
-  ``.grad`` so optimizers work unchanged;
-* plain arrays / scalars become constants;
-* a legacy **interior** node (``requires_grad`` with parents) is
-  rejected with ``RuntimeError`` — silently detaching it would drop
-  gradients for everything upstream of the engine boundary.
+* a :class:`~repro.autodiff.tensor.Tensor` with ``requires_grad``
+  (e.g. a ``Parameter``) becomes a tape leaf remembering its source —
+  ``backward`` accumulates into the source's ``.grad`` so optimizers
+  work unchanged; lifting the same Tensor twice reuses one slot;
+* other Tensors, arrays and scalars become constants.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autodiff.ops import OpSpec, get_op
-from repro.autodiff.tensor import Tensor, is_grad_enabled
+from repro.autodiff.tensor import Operators, Tensor, is_grad_enabled
 from repro.profiling import profiler
 
-__all__ = ["Record", "Tape", "Variable", "active_tape", "tape_for"]
+__all__ = ["Record", "Tape", "Variable", "active_tape", "apply", "tape_for"]
 
 
 class _ActiveTapes(threading.local):
@@ -62,11 +66,11 @@ def active_tape() -> Optional["Tape"]:
 
 
 def tape_for(*args: Any) -> Optional["Tape"]:
-    """Routing rule shared by every dual-engine call site.
+    """The routing rule of :func:`apply`.
 
     Returns the tape an operation should record onto: the tape of the
     first :class:`Variable` argument if there is one, else the active
-    tape when grad recording is enabled, else ``None`` (legacy path).
+    tape when grad recording is enabled, else ``None`` (no recording).
     """
     for a in args:
         if isinstance(a, Variable):
@@ -75,6 +79,23 @@ def tape_for(*args: Any) -> Optional["Tape"]:
     if tape is not None and is_grad_enabled():
         return tape
     return None
+
+
+def apply(name: str, inputs: Sequence[Any], **kwargs: Any):
+    """Run registered op ``name`` on ``inputs`` — the only dispatcher.
+
+    Records onto :func:`tape_for`'s tape when there is one (returning a
+    :class:`Variable`); otherwise calls the op's forward kernel and
+    returns a constant :class:`~repro.autodiff.tensor.Tensor`.
+    """
+    tape = tape_for(*inputs)
+    if tape is not None:
+        return tape.apply(name, inputs, **kwargs)
+    datas = [
+        x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        for x in inputs
+    ]
+    return Tensor(get_op(name).forward(*datas, **kwargs)[0])
 
 
 class Record:
@@ -107,14 +128,14 @@ class Tape:
     """A flat list of :class:`Record` plus the value slots they address.
 
     Also a context manager: entering pushes the tape onto the
-    thread-local active stack so module ``forward``s route onto it.
+    thread-local active stack so every :func:`apply` records onto it.
     """
 
     def __init__(self):
         self._records: List[Record] = []
         self._values: List[np.ndarray] = []
         self._requires: List[bool] = []
-        #: value id -> legacy leaf Tensor whose ``.grad`` receives grads
+        #: value id -> leaf Tensor whose ``.grad`` receives grads
         self._sources: Dict[int, Tensor] = {}
         #: id(Tensor) -> value id, so repeated lifts of the same
         #: Parameter within one tape reuse a single leaf slot
@@ -159,7 +180,7 @@ class Tape:
         requires_grad: bool = False,
         source: Optional[Tensor] = None,
     ) -> "Variable":
-        """Create a leaf value (optionally tied to a legacy Tensor)."""
+        """Create a leaf value (optionally tied to a source Tensor)."""
         arr = np.asarray(data, dtype=np.float64)
         vid = self._new_value(arr, bool(requires_grad))
         if source is not None and requires_grad:
@@ -178,13 +199,6 @@ class Tape:
             vid = self._lifted.get(id(value))
             if vid is not None:
                 return Variable(self, vid, self._values[vid])
-            if value.requires_grad and value._parents:
-                raise RuntimeError(
-                    "cannot lift a legacy interior autodiff node onto a "
-                    "tape: its upstream closure graph would be silently "
-                    "detached; detach() it explicitly or build it on the "
-                    "tape instead"
-                )
             var = self.leaf(
                 value.data,
                 requires_grad=value.requires_grad,
@@ -367,43 +381,21 @@ class Tape:
         return jvp_fn
 
 
-class Variable:
-    """A value recorded on a :class:`Tape` — the tape engine's Tensor.
+class Variable(Operators):
+    """A value recorded on a :class:`Tape`.
 
-    Mirrors the legacy :class:`~repro.autodiff.tensor.Tensor` surface
-    (arithmetic, reductions, shape ops, ``backward``) but holds no
-    closures: just ``(tape, value id, array)``.  Mixed expressions with
-    legacy Tensors work because Tensor's binary dunders return
-    ``NotImplemented`` for Variables, deferring to the reflected
-    methods here, which lift the Tensor onto the tape.
+    Shares the whole operator surface with
+    :class:`~repro.autodiff.tensor.Tensor` (:class:`~repro.autodiff.
+    tensor.Operators`) but holds only ``(tape, value id, array)``;
+    ``grad`` and ``backward`` go through its tape.
     """
 
     __slots__ = ("tape", "vid", "data")
-    __array_priority__ = 200  # outrank both np.ndarray and Tensor
-    _is_tape_variable = True
 
     def __init__(self, tape: Tape, vid: int, data: np.ndarray):
         self.tape = tape
         self.vid = vid
         self.data = data
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        """Shape of the underlying array."""
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        """Number of array dimensions."""
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        """Total number of elements."""
-        return self.data.size
 
     @property
     def requires_grad(self) -> bool:
@@ -415,144 +407,12 @@ class Variable:
         """Gradient from the tape's last backward pass, if any."""
         return self.tape.grad(self)
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         return (
             f"Variable(shape={self.shape}, vid={self.vid}, "
             f"requires_grad={self.requires_grad})"
         )
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.data, dtype=dtype)
-
-    def item(self) -> float:
-        """The single scalar value (raises if ``size != 1``)."""
-        return float(self.data)
-
-    def detach(self) -> Tensor:
-        """Cut from the tape: a constant legacy Tensor sharing data."""
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate through this Variable's tape."""
         self.tape.backward(self, grad)
-
-    # ------------------------------------------------------------------
-    # arithmetic (records onto the tape)
-    # ------------------------------------------------------------------
-    def _apply(self, name: str, inputs: Sequence[Any], **kwargs: Any) -> "Variable":
-        return self.tape.apply(name, inputs, **kwargs)
-
-    def __add__(self, other: Any) -> "Variable":
-        return self._apply("add", (self, other))
-
-    def __radd__(self, other: Any) -> "Variable":
-        return self._apply("add", (other, self))
-
-    def __sub__(self, other: Any) -> "Variable":
-        return self._apply("sub", (self, other))
-
-    def __rsub__(self, other: Any) -> "Variable":
-        return self._apply("sub", (other, self))
-
-    def __mul__(self, other: Any) -> "Variable":
-        return self._apply("mul", (self, other))
-
-    def __rmul__(self, other: Any) -> "Variable":
-        return self._apply("mul", (other, self))
-
-    def __truediv__(self, other: Any) -> "Variable":
-        return self._apply("div", (self, other))
-
-    def __rtruediv__(self, other: Any) -> "Variable":
-        return self._apply("div", (other, self))
-
-    def __neg__(self) -> "Variable":
-        return self._apply("neg", (self,))
-
-    def __pow__(self, exponent: float) -> "Variable":
-        if isinstance(exponent, (Variable, Tensor)):
-            raise TypeError("Variable exponents are not supported; use exp/log")
-        return self._apply("pow", (self,), exponent=exponent)
-
-    def __matmul__(self, other: Any) -> "Variable":
-        return self._apply("matmul", (self, other))
-
-    def __rmatmul__(self, other: Any) -> "Variable":
-        return self._apply("matmul", (other, self))
-
-    def __getitem__(self, index: Any) -> "Variable":
-        return self._apply("getitem", (self,), index=index)
-
-    # ------------------------------------------------------------------
-    # comparisons (non-differentiable, numpy results — like Tensor)
-    # ------------------------------------------------------------------
-    def __gt__(self, other: Any) -> np.ndarray:
-        return self.data > np.asarray(other)
-
-    def __lt__(self, other: Any) -> np.ndarray:
-        return self.data < np.asarray(other)
-
-    def __ge__(self, other: Any) -> np.ndarray:
-        return self.data >= np.asarray(other)
-
-    def __le__(self, other: Any) -> np.ndarray:
-        return self.data <= np.asarray(other)
-
-    # ------------------------------------------------------------------
-    # reductions / shape ops
-    # ------------------------------------------------------------------
-    def sum(self, axis=None, keepdims: bool = False) -> "Variable":
-        """Sum over ``axis`` (or all elements)."""
-        return self._apply("sum", (self,), axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Variable":
-        """Mean over ``axis`` (same sum/div composition as the legacy engine)."""
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) / float(count)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Variable":
-        """Maximum over ``axis``; gradient splits between ties."""
-        return self._apply("max", (self,), axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Variable":
-        """Reshaped view; gradient reshapes back."""
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return self._apply("reshape", (self,), shape=shape)
-
-    def transpose(self, *axes) -> "Variable":
-        """Axis permutation; gradient applies the inverse permutation."""
-        if not axes:
-            axes_ = tuple(reversed(range(self.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes_ = tuple(axes[0])
-        else:
-            axes_ = tuple(axes)
-        return self._apply("transpose", (self,), axes=axes_)
-
-    @property
-    def T(self) -> "Variable":
-        """Transposed view (gradient transposes back)."""
-        return self.transpose()
-
-    def expand_dims(self, axis: int) -> "Variable":
-        """Insert a size-1 axis at ``axis``."""
-        return self._apply("expand_dims", (self,), axis=axis)
-
-    def squeeze(self, axis: int) -> "Variable":
-        """Drop a size-1 axis at ``axis``."""
-        return self._apply("squeeze", (self,), axis=axis)
-
-    # convenience wrappers (exp/log/sigmoid/...) are attached by
-    # functional.py's _attach(), mirroring the legacy Tensor

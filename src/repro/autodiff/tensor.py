@@ -1,20 +1,21 @@
-"""Core :class:`Tensor` type and the reverse-mode tape.
+"""The plain :class:`Tensor`, grad mode, and the shared operator surface.
 
-The implementation follows the classic define-by-run design: each Tensor
-produced by an operation keeps references to its parents and a list of
-backward closures.  Gradients are accumulated into ``.grad`` (a plain
-numpy array) during :meth:`Tensor.backward`.
-
-Broadcasting is supported for elementwise ops; gradients flowing back
-through a broadcast are reduced with :func:`unbroadcast` so shapes always
-match the original operand.
+A :class:`Tensor` holds data — a ``float64`` array — plus ``grad`` and
+``requires_grad``; it records nothing itself.  Its operators live in
+:class:`Operators`, the one surface shared with tape
+:class:`~repro.autodiff.tape.Variable`: every dunder, reduction, shape
+op and convenience method calls the dispatcher
+:func:`repro.autodiff.tape.apply`, which records the registered op on
+the active :class:`~repro.autodiff.tape.Tape` (or the tape of a
+Variable argument) and otherwise runs the op's forward kernel and
+returns a constant Tensor.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,36 +54,6 @@ def is_grad_enabled() -> bool:
     return _GRAD_MODE.enabled
 
 
-def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so that it has ``shape``.
-
-    Inverse of numpy broadcasting: sums over the axes that were added or
-    stretched when an operand of ``shape`` was broadcast to ``grad.shape``.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum over leading axes that were added by broadcasting.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over axes that were size-1 in the original shape.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _is_variable(value) -> bool:
-    """Duck-typed check for a tape Variable (no import cycle with tape.py)."""
-    return getattr(type(value), "_is_tape_variable", False)
-
-
-def _as_array(value: Arrayish) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value, dtype=np.float64)
-
-
 def as_tensor(value: Arrayish) -> "Tensor":
     """Coerce ``value`` to a Tensor (no copy if it already is one).
 
@@ -93,64 +64,28 @@ def as_tensor(value: Arrayish) -> "Tensor":
     """
     if isinstance(value, Tensor):
         return value
-    if _is_variable(value):
+    if isinstance(value, Operators):
         raise TypeError(
-            "cannot coerce a tape Variable to a legacy Tensor; use "
+            "cannot coerce a tape Variable to a constant Tensor; use "
             "Variable.detach() to drop gradients explicitly"
         )
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-class Tensor:
-    """A numpy array with reverse-mode gradient support.
+class Operators:
+    """Arithmetic, reductions and shape ops, written once for
+    :class:`Tensor` and :class:`~repro.autodiff.tape.Variable`.
 
-    Parameters
-    ----------
-    data:
-        Anything ``np.asarray`` accepts; stored as ``float64``.
-    requires_grad:
-        Whether gradients should be accumulated into :attr:`grad` for this
-        tensor during :meth:`backward`.
+    Subclasses hold a ``data`` array; each method here dispatches a
+    registered op through :func:`~repro.autodiff.tape.apply`.
+    Comparisons are non-differentiable and return numpy bool arrays.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backwards", "_op")
-    __array_priority__ = 100  # so np.ndarray.__mul__ defers to Tensor
-
-    def __init__(self, data: Arrayish, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: Tuple["Tensor", ...] = ()
-        self._backwards: Tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
-        self._op: str = "leaf"
+    __slots__ = ()
+    __array_priority__ = 100  # so np.ndarray's binary ops defer to us
 
     # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def _from_op(
-        cls,
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        backwards: Sequence[Callable[[np.ndarray], np.ndarray]],
-        op: str,
-    ) -> "Tensor":
-        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
-        out = cls(data, requires_grad=requires)
-        if requires:
-            kept_parents = []
-            kept_backwards = []
-            for p, b in zip(parents, backwards):
-                if p.requires_grad:
-                    kept_parents.append(p)
-                    kept_backwards.append(b)
-            out._parents = tuple(kept_parents)
-            out._backwards = tuple(kept_backwards)
-            out._op = op
-        return out
-
-    # ------------------------------------------------------------------
-    # shape / dtype conveniences
+    # introspection
     # ------------------------------------------------------------------
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -167,13 +102,11 @@ class Tensor:
         """Total number of elements."""
         return self.data.size
 
-    @property
-    def T(self) -> "Tensor":
-        """Transposed view (gradient transposes back)."""
-        return self.transpose()
-
     def __len__(self) -> int:
         return len(self.data)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.data, dtype=dtype)
 
     def numpy(self) -> np.ndarray:
         """Return the underlying array (shared, not copied)."""
@@ -184,242 +117,76 @@ class Tensor:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        """Return a new leaf Tensor sharing data but cut from the tape."""
+        """A constant Tensor sharing this data, cut from any tape."""
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        """Reset the accumulated gradient to ``None``."""
-        self.grad = None
-
-    def __repr__(self) -> str:
-        return (
-            f"Tensor(shape={self.shape}, op={self._op!r}, "
-            f"requires_grad={self.requires_grad})"
-        )
-
-    # ------------------------------------------------------------------
-    # backward
-    # ------------------------------------------------------------------
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded tape.
-
-        Parameters
-        ----------
-        grad:
-            Upstream gradient; defaults to ones (valid for scalar outputs).
-        """
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError(
-                    "backward() without an explicit gradient requires a "
-                    f"scalar output, got shape {self.shape}"
-                )
-            grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != self.data.shape:
-            raise ValueError(
-                f"gradient shape {grad.shape} does not match tensor shape "
-                f"{self.shape}"
-            )
-
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and not node._parents:
-                node.grad = g if node.grad is None else node.grad + g
-            elif node.requires_grad and node._parents:
-                # interior node that the user flagged: also store grad
-                if node.grad is not None or node._op == "leaf":
-                    node.grad = g if node.grad is None else node.grad + g
-            for parent, back in zip(node._parents, node._backwards):
-                pg = back(g)
-                if pg is None:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
-
-    def retain_grad(self) -> "Tensor":
-        """Mark a non-leaf tensor so backward() stores its gradient."""
-        self.grad = np.zeros_like(self.data)
-        return self
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
-    def __add__(self, other: Arrayish) -> "Tensor":
-        if _is_variable(other):
-            return NotImplemented  # defer to Variable's reflected op
-        other = as_tensor(other)
-        data = self.data + other.data
-        return Tensor._from_op(
-            data,
-            (self, other),
-            (
-                lambda g: unbroadcast(g, self.shape),
-                lambda g: unbroadcast(g, other.shape),
-            ),
-            "add",
-        )
+    def __add__(self, other):
+        return apply("add", (self, other))
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return apply("add", (other, self))
 
-    def __sub__(self, other: Arrayish) -> "Tensor":
-        if _is_variable(other):
-            return NotImplemented
-        other = as_tensor(other)
-        data = self.data - other.data
-        return Tensor._from_op(
-            data,
-            (self, other),
-            (
-                lambda g: unbroadcast(g, self.shape),
-                lambda g: unbroadcast(-g, other.shape),
-            ),
-            "sub",
-        )
+    def __sub__(self, other):
+        return apply("sub", (self, other))
 
-    def __rsub__(self, other: Arrayish) -> "Tensor":
-        return as_tensor(other) - self
+    def __rsub__(self, other):
+        return apply("sub", (other, self))
 
-    def __mul__(self, other: Arrayish) -> "Tensor":
-        if _is_variable(other):
-            return NotImplemented
-        other = as_tensor(other)
-        data = self.data * other.data
-        return Tensor._from_op(
-            data,
-            (self, other),
-            (
-                lambda g: unbroadcast(g * other.data, self.shape),
-                lambda g: unbroadcast(g * self.data, other.shape),
-            ),
-            "mul",
-        )
+    def __mul__(self, other):
+        return apply("mul", (self, other))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return apply("mul", (other, self))
 
-    def __truediv__(self, other: Arrayish) -> "Tensor":
-        if _is_variable(other):
-            return NotImplemented
-        other = as_tensor(other)
-        data = self.data / other.data
-        return Tensor._from_op(
-            data,
-            (self, other),
-            (
-                lambda g: unbroadcast(g / other.data, self.shape),
-                lambda g: unbroadcast(
-                    -g * self.data / (other.data**2), other.shape
-                ),
-            ),
-            "div",
-        )
+    def __truediv__(self, other):
+        return apply("div", (self, other))
 
-    def __rtruediv__(self, other: Arrayish) -> "Tensor":
-        return as_tensor(other) / self
+    def __rtruediv__(self, other):
+        return apply("div", (other, self))
 
-    def __neg__(self) -> "Tensor":
-        return Tensor._from_op(-self.data, (self,), (lambda g: -g,), "neg")
+    def __neg__(self):
+        return apply("neg", (self,))
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise TypeError("Tensor exponents are not supported; use exp/log")
-        data = self.data**exponent
-        return Tensor._from_op(
-            data,
-            (self,),
-            (lambda g: g * exponent * self.data ** (exponent - 1),),
-            "pow",
-        )
+    def __pow__(self, exponent: float):
+        if isinstance(exponent, Operators):
+            raise TypeError("tensor exponents are not supported; use exp/log")
+        return apply("pow", (self,), exponent=exponent)
 
-    def __matmul__(self, other: Arrayish) -> "Tensor":
-        if _is_variable(other):
-            return NotImplemented
-        other = as_tensor(other)
-        data = self.data @ other.data
-        # promote 1-D operands to 2-D for the backward pass, mirroring
-        # numpy's matmul promotion rules
-        a2 = self.data[None, :] if self.ndim == 1 else self.data
-        b2 = other.data[:, None] if other.ndim == 1 else other.data
+    def __matmul__(self, other):
+        return apply("matmul", (self, other))
 
-        def promote_grad(g: np.ndarray) -> np.ndarray:
-            gg = g
-            if self.ndim == 1:
-                gg = gg[None, ...]
-            if other.ndim == 1:
-                gg = gg[..., None]
-            return gg
+    def __rmatmul__(self, other):
+        return apply("matmul", (other, self))
 
-        def back_self(g: np.ndarray) -> np.ndarray:
-            gg = promote_grad(g) @ np.swapaxes(b2, -1, -2)
-            if self.ndim == 1:
-                gg = gg.reshape(-1, self.shape[0]).sum(axis=0)
-            return unbroadcast(gg, self.shape)
-
-        def back_other(g: np.ndarray) -> np.ndarray:
-            gg = np.swapaxes(a2, -1, -2) @ promote_grad(g)
-            if other.ndim == 1:
-                gg = gg.reshape(-1, other.shape[0]) if gg.ndim > 2 else gg
-                gg = np.squeeze(gg, axis=-1) if gg.shape[-1] == 1 else gg
-                gg = gg.sum(axis=tuple(range(gg.ndim - 1))) if gg.ndim > 1 else gg
-            return unbroadcast(gg, other.shape)
-
-        return Tensor._from_op(data, (self, other), (back_self, back_other), "matmul")
+    def __getitem__(self, index):
+        return apply("getitem", (self,), index=index)
 
     # ------------------------------------------------------------------
     # comparisons (non-differentiable, return numpy bool arrays)
     # ------------------------------------------------------------------
-    def __gt__(self, other: Arrayish) -> np.ndarray:
-        return self.data > _as_array(other)
+    def __gt__(self, other) -> np.ndarray:
+        return self.data > np.asarray(other)
 
-    def __lt__(self, other: Arrayish) -> np.ndarray:
-        return self.data < _as_array(other)
+    def __lt__(self, other) -> np.ndarray:
+        return self.data < np.asarray(other)
 
-    def __ge__(self, other: Arrayish) -> np.ndarray:
-        return self.data >= _as_array(other)
+    def __ge__(self, other) -> np.ndarray:
+        return self.data >= np.asarray(other)
 
-    def __le__(self, other: Arrayish) -> np.ndarray:
-        return self.data <= _as_array(other)
+    def __le__(self, other) -> np.ndarray:
+        return self.data <= np.asarray(other)
 
     # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis=None, keepdims: bool = False):
         """Sum over ``axis`` (or all elements)."""
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+        return apply("sum", (self,), axis=axis, keepdims=keepdims)
 
-        def back(g: np.ndarray) -> np.ndarray:
-            if axis is None:
-                return np.broadcast_to(g, self.shape).copy()
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(gg, axis=axis)
-            return np.broadcast_to(gg, self.shape).copy()
-
-        return Tensor._from_op(np.asarray(data), (self,), (back,), "sum")
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis=None, keepdims: bool = False):
         """Mean over ``axis`` (or all elements)."""
         if axis is None:
             count = self.data.size
@@ -428,71 +195,99 @@ class Tensor:
             count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Maximum over ``axis``; gradient flows to the argmax entries."""
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def back(g: np.ndarray) -> np.ndarray:
-            gg = g
-            dd = data
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis=axis)
-                dd = np.expand_dims(dd, axis=axis)
-            mask = (self.data == dd).astype(np.float64)
-            # split gradient between ties to keep it a valid subgradient
-            denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            return gg * mask / denom
-
-        return Tensor._from_op(np.asarray(data), (self,), (back,), "max")
+    def max(self, axis=None, keepdims: bool = False):
+        """Maximum over ``axis``; gradient splits between ties."""
+        return apply("max", (self,), axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------
     # shape ops
     # ------------------------------------------------------------------
-    def reshape(self, *shape) -> "Tensor":
+    def reshape(self, *shape):
         """Reshaped view; gradient reshapes back."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-        return Tensor._from_op(
-            data, (self,), (lambda g: g.reshape(self.shape),), "reshape"
-        )
+        return apply("reshape", (self,), shape=shape)
 
-    def transpose(self, *axes) -> "Tensor":
+    def transpose(self, *axes):
         """Axis permutation; gradient applies the inverse permutation."""
         if not axes:
-            axes_ = tuple(reversed(range(self.ndim)))
+            axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes_ = tuple(axes[0])
-        else:
-            axes_ = tuple(axes)
-        data = self.data.transpose(axes_)
-        inv = tuple(np.argsort(axes_))
-        return Tensor._from_op(
-            data, (self,), (lambda g: g.transpose(inv),), "transpose"
-        )
+            axes = tuple(axes[0])
+        return apply("transpose", (self,), axes=tuple(axes))
 
-    def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
+    @property
+    def T(self):
+        """Transposed view (gradient transposes back)."""
+        return self.transpose()
 
-        def back(g: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(self.data)
-            np.add.at(out, index, g)
-            return out
-
-        return Tensor._from_op(np.asarray(data), (self,), (back,), "getitem")
-
-    def expand_dims(self, axis: int) -> "Tensor":
+    def expand_dims(self, axis: int):
         """Insert a size-1 axis at ``axis``."""
-        data = np.expand_dims(self.data, axis)
-        return Tensor._from_op(
-            data, (self,), (lambda g: np.squeeze(g, axis=axis),), "expand_dims"
-        )
+        return apply("expand_dims", (self,), axis=axis)
 
-    def squeeze(self, axis: int) -> "Tensor":
+    def squeeze(self, axis: int):
         """Drop a size-1 axis at ``axis``."""
-        data = np.squeeze(self.data, axis=axis)
-        return Tensor._from_op(
-            data, (self,), (lambda g: np.expand_dims(g, axis=axis),), "squeeze"
-        )
+        return apply("squeeze", (self,), axis=axis)
 
-    # convenience wrappers implemented in functional.py are attached below
+    # ------------------------------------------------------------------
+    # elementwise conveniences (same ops as repro.autodiff.functional)
+    # ------------------------------------------------------------------
+    def exp(self):
+        return apply("exp", (self,))
+
+    def log(self, eps: float = 0.0):
+        return apply("log", (self,), eps=eps)
+
+    def sqrt(self):
+        return apply("sqrt", (self,))
+
+    def abs(self):
+        return apply("abs", (self,))
+
+    def sigmoid(self):
+        return apply("sigmoid", (self,))
+
+    def tanh(self):
+        return apply("tanh", (self,))
+
+    def relu(self):
+        return apply("relu", (self,))
+
+    def clip(self, lo: float, hi: float):
+        return apply("clip", (self,), lo=lo, hi=hi)
+
+    def softmax(self, axis: int = -1):
+        return apply("softmax", (self,), axis=axis)
+
+
+class Tensor(Operators):
+    """A ``float64`` array with an optional accumulated gradient.
+
+    Parameters
+    ----------
+    data:
+        Anything ``np.asarray`` accepts; stored as ``float64``.
+    requires_grad:
+        Whether a :class:`~repro.autodiff.tape.Tape` that lifts this
+        tensor tracks it as a leaf: ``Tape.backward`` then accumulates
+        into :attr:`grad`.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad")
+
+    def __init__(self, data: Arrayish, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: Optional[np.ndarray] = None
+        self.requires_grad = bool(requires_grad)
+
+    def zero_grad(self) -> None:
+        """Reset the accumulated gradient to ``None``."""
+        self.grad = None
+
+    def __repr__(self) -> str:
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+# the dispatcher lives with the tape, which builds on Tensor; bound last
+# so the two modules can name each other
+from repro.autodiff.tape import apply  # noqa: E402

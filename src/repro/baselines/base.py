@@ -22,7 +22,6 @@ generator speaks two data-oriented protocols consumed by
 from __future__ import annotations
 
 import abc
-import contextlib
 import inspect
 from typing import Any, Dict, Optional
 
@@ -81,7 +80,13 @@ class GraphGenerator(abc.ABC):
 
     @classmethod
     def from_config(cls, **config: Any) -> "GraphGenerator":
-        """Build an unfitted instance from :meth:`to_config` output."""
+        """Build an unfitted instance from :meth:`to_config` output.
+
+        Configs saved before the closure autodiff engine was retired
+        carry an ``engine`` key for a constructor argument that no
+        longer exists; it is dropped so those artifacts still load.
+        """
+        config.pop("engine", None)
         return cls(**config)
 
     # ------------------------------------------------------------------
@@ -107,28 +112,6 @@ class GraphGenerator(abc.ABC):
         """Restore :meth:`get_state` output onto a config-built instance."""
         for name, value in state.items():
             setattr(self, name, value)
-
-    def _train_ctx(self):
-        """Context manager for one training unit on the configured engine.
-
-        Generators that train nn modules take an ``engine`` constructor
-        argument (``"tape"`` or ``"legacy"``, see ``docs/training.md``)
-        and wrap each optimisation unit — an epoch or a batch — in this
-        context: on the fast path the forward pass records onto a fresh
-        flat :class:`~repro.autodiff.tape.Tape`; on the legacy closure
-        engine the context is a no-op.
-        """
-        engine = getattr(self, "engine", "legacy")
-        if engine not in ("tape", "legacy"):
-            raise ValueError(
-                f"unknown autodiff engine {engine!r}; "
-                "expected 'tape' or 'legacy'"
-            )
-        if engine == "tape":
-            from repro.autodiff import Tape
-
-            return Tape()
-        return contextlib.nullcontext()
 
     def _require_fitted(self) -> None:
         if not self.fitted:

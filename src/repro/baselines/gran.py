@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F, no_grad
+from repro.autodiff import Tape, functional as F, no_grad
 from repro.autodiff.tensor import as_tensor
 from repro.baselines.base import GraphGenerator
 from repro.graph import DynamicAttributedGraph, GraphSnapshot
@@ -60,14 +60,12 @@ class GRAN(GraphGenerator):
         hidden_dim: int = 16,
         epochs: int = 30,
         learning_rate: float = 1e-2,
-        engine: str = "tape",
         seed: int = 0,
     ):
         super().__init__(seed)
         self.hidden_dim = hidden_dim
         self.epochs = epochs
         self.learning_rate = learning_rate
-        self.engine = engine
         self._scorer: Optional[MLP] = None
         self._num_nodes = 0
         self._avg_edges = 0.0
@@ -109,7 +107,7 @@ class GRAN(GraphGenerator):
         feats, labels = feats[idx], labels[idx]
         x = as_tensor(feats)
         for _ in range(self.epochs):
-            with self._train_ctx():
+            with Tape():
                 logits = self._scorer(x).reshape(len(labels))
                 p = F.clip(F.sigmoid(logits), 1e-7, 1 - 1e-7)
                 loss = -(

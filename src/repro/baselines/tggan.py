@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff import functional as F, no_grad
+from repro.autodiff import Tape, functional as F, no_grad
 from repro.autodiff.tensor import as_tensor
 from repro.baselines.base import GraphGenerator
 from repro.baselines.taggen import _with_zero_attrs
@@ -72,7 +72,6 @@ class TGGAN(GraphGenerator):
         adversarial_rounds: int = 3,
         disc_epochs: int = 20,
         time_window: int = 1,
-        engine: str = "tape",
         seed: int = 0,
     ):
         super().__init__(seed)
@@ -81,7 +80,6 @@ class TGGAN(GraphGenerator):
         self.adversarial_rounds = adversarial_rounds
         self.disc_epochs = disc_epochs
         self.time_window = time_window
-        self.engine = engine
         self._bigram: Dict[int, Dict[int, float]] = {}
         self._start_probs: Optional[np.ndarray] = None
         self._edges_per_step: List[int] = []
@@ -148,7 +146,7 @@ class TGGAN(GraphGenerator):
         x = as_tensor(np.concatenate([xr, xf]))
         y = np.concatenate([np.ones(len(xr)), np.zeros(len(xf))])
         for _ in range(self.disc_epochs):
-            with self._train_ctx():
+            with Tape():
                 logits = self._discriminator(x).reshape(len(y))
                 p = F.clip(F.sigmoid(logits), 1e-7, 1 - 1e-7)
                 loss = -(y * F.log(p) + (1 - y) * F.log(1 - p)).mean()

@@ -19,9 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F, no_grad
-from repro.autodiff.tape import tape_for
-from repro.autodiff.tensor import as_tensor
+from repro.autodiff import Tape, Tensor, functional as F, no_grad
 from repro.baselines.base import GraphGenerator
 from repro.baselines.taggen import _with_zero_attrs
 from repro.baselines.walks import (
@@ -51,13 +49,7 @@ class _WalkRNN(Module):
 
     def step(self, nodes: np.ndarray, h: Tensor) -> Tuple[Tensor, Tensor]:
         """One RNN step over a batch of current nodes; returns (logits, h)."""
-        tape = tape_for(h)
-        if tape is not None:
-            # record the embedding lookup as a tape getitem so the
-            # scatter-add VJP flows back into the Parameter
-            emb = tape.apply("getitem", (self.embedding,), index=nodes)
-        else:
-            emb = self.embedding[nodes]
+        emb = self.embedding[nodes]  # scatter-add VJP into the Parameter
         h_new = self.gru(emb, h)
         return self.out(h_new), h_new
 
@@ -80,7 +72,6 @@ class TIGGER(GraphGenerator):
         batch_size: int = 64,
         learning_rate: float = 1e-2,
         time_window: int = 2,
-        engine: str = "tape",
         seed: int = 0,
     ):
         super().__init__(seed)
@@ -92,7 +83,6 @@ class TIGGER(GraphGenerator):
         self.batch_size = batch_size
         self.learning_rate = learning_rate
         self.time_window = time_window
-        self.engine = engine
         self._rnn: Optional[_WalkRNN] = None
         self._start_probs: Optional[np.ndarray] = None
         self._gap_p: float = 0.5  # geometric time-gap parameter
@@ -145,7 +135,7 @@ class TIGGER(GraphGenerator):
                 # graph for every batch, so batches are the natural
                 # tape granularity here (epochs are for whole-sequence
                 # losses like the VRDAG trainer's)
-                with self._train_ctx():
+                with Tape():
                     loss = self._batch_loss(batch)
                     if loss is None:
                         continue

@@ -91,11 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--latent-dim", type=int, default=12,
                        help="VRDAG only")
     train.add_argument(
-        "--engine", choices=("tape", "legacy"), default=None,
-        help="autodiff engine for net-training generators "
-        "(default: the generator's own default, 'tape')",
-    )
-    train.add_argument(
         "--profile", action="store_true",
         help="run fit under the profiler and print the per-scope "
         "report (includes per-op tape.op.* / tape.vjp.* timers)",
@@ -271,17 +266,6 @@ def _cmd_train(args) -> int:
         config.setdefault("hidden_dim", args.hidden_dim)
         config.setdefault("latent_dim", args.latent_dim)
         config.setdefault("encode_dim", args.hidden_dim)
-    if args.engine is not None:
-        from repro.api.registry import generator_entry
-
-        if "engine" not in generator_entry(args.generator).cls.config_keys():
-            print(
-                f"train: generator {args.generator!r} does not train "
-                "nn modules and has no --engine knob",
-                file=sys.stderr,
-            )
-            return 2
-        config["engine"] = args.engine
     generator = api.get_generator(args.generator, **config)
 
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)

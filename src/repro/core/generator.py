@@ -15,9 +15,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F
+from repro.autodiff import Tensor, apply, functional as F
 from repro.autodiff.fused import FUSED_ACTIVATIONS, PIECEWISE_LINEAR, pooled_mlp2
-from repro.autodiff.tape import Tape, tape_for
 from repro.autodiff.tensor import as_tensor
 from repro.nn import GATLayer, MLP, Module
 from repro.nn.linear import get_activation
@@ -122,8 +121,8 @@ def _fusable_head(mlp: MLP, activations) -> bool:
     )
 
 
-def _apply_head_record(tape: Tape, name: str, mlp: MLP, s, **kwargs):
-    """Record fused op ``name`` over ``s`` and a 2-layer head's weights."""
+def _apply_head_op(name: str, mlp: MLP, s, **kwargs):
+    """Apply fused op ``name`` over ``s`` and a 2-layer head's weights."""
     first, last = mlp.layers
     inputs = [s, first.weight]
     if first.bias is not None:
@@ -131,7 +130,7 @@ def _apply_head_record(tape: Tape, name: str, mlp: MLP, s, **kwargs):
     inputs.append(last.weight)
     if last.bias is not None:
         inputs.append(last.bias)
-    return tape.apply(
+    return apply(
         name,
         tuple(inputs),
         activation=mlp.activation,
@@ -191,45 +190,36 @@ class MixBernoulliSampler(Module):
         diff = s.expand_dims(1) - s.expand_dims(0)  # (N, N, d)
         return diff.reshape(n * n, d)
 
-    def _pairwise_feats_tape(self, tape: Tape, mlp: MLP, s) -> "object":
-        """Head features ``mlp(s_i - s_j)`` as an ``(N, N, K)`` tape value.
+    def _pairwise_feats(self, mlp: MLP, s) -> Tensor:
+        """Head features ``mlp(s_i - s_j)`` as an ``(N, N, K)`` value.
 
         The standard 2-layer heads go through the fused ``pairwise_mlp2``
-        record (first-layer projection trick: O(N·d·h) instead of
+        op (first-layer projection trick: O(N·d·h) instead of
         O(N²·d·h)); other shapes fall back to the generic pairwise pass
-        on tape primitives.
+        on primitives.
         """
         if _fusable_head(mlp, FUSED_ACTIVATIONS):
-            return _apply_head_record(tape, "pairwise_mlp2", mlp, s)
+            return _apply_head_op("pairwise_mlp2", mlp, s)
         pair = self._pairwise(s)
         return mlp(pair).reshape(s.shape[0], s.shape[0], self.num_components)
 
-    def _alpha_tape(self, tape: Tape, s) -> "object":
-        """Mixing weights α (N, K) on the tape.
+    def _alpha(self, s) -> Tensor:
+        """Mixing weights α (N, K).
 
         Piecewise-linear 2-layer heads pool ``Σ_j f_α(s_i - s_j)`` in
-        closed form through the ``pooled_mlp2`` record (O(N log N · h),
+        closed form through the ``pooled_mlp2`` op (O(N log N · h),
         no pairwise array); other heads sum the pairwise features.
         """
         if _fusable_head(self.f_alpha, PIECEWISE_LINEAR):
-            pooled = _apply_head_record(tape, "pooled_mlp2", self.f_alpha, s)
+            pooled = _apply_head_op("pooled_mlp2", self.f_alpha, s)
         else:
-            pooled = self._pairwise_feats_tape(tape, self.f_alpha, s).sum(axis=1)
+            pooled = self._pairwise_feats(self.f_alpha, s).sum(axis=1)
         return F.softmax(pooled, axis=-1)
 
     def distribution(self, s: Tensor) -> Tuple[Tensor, Tensor]:
         """Return (α, θ): mixing weights (N, K) and probs (N, N, K)."""
-        n = s.shape[0]
-        tape = tape_for(s)
-        if tape is not None:
-            s_v = tape.lift(s)
-            alpha = self._alpha_tape(tape, s_v)
-            theta = F.sigmoid(self._pairwise_feats_tape(tape, self.f_theta, s_v))
-            return alpha, theta
-        pair = self._pairwise(s)
-        alpha_feats = self.f_alpha(pair).reshape(n, n, self.num_components)
-        alpha = F.softmax(alpha_feats.sum(axis=1), axis=-1)  # pool over j
-        theta = F.sigmoid(self.f_theta(pair)).reshape(n, n, self.num_components)
+        alpha = self._alpha(s)
+        theta = F.sigmoid(self._pairwise_feats(self.f_theta, s))
         return alpha, theta
 
     # ------------------------------------------------------------------
@@ -241,19 +231,16 @@ class MixBernoulliSampler(Module):
         structurally impossible.
         """
         n = s.shape[0]
-        tape = tape_for(s)
-        if tape is not None and _fusable_head(self.f_theta, FUSED_ACTIVATIONS):
+        if _fusable_head(self.f_theta, FUSED_ACTIVATIONS):
             # fused path: α pools in closed form, and the θ head →
             # σ → clip → Bernoulli log-lik → diagonal mask → pool over j
             # is one record that recomputes its row blocks in the VJP,
             # so no (N, N, ·) array stays on the tape
-            s_v = tape.lift(s)
-            alpha = self._alpha_tape(tape, s_v)
-            row_loglik = _apply_head_record(
-                tape,
+            alpha = self._alpha(s)
+            row_loglik = _apply_head_op(
                 "pairwise_mixbern_loglik",
                 self.f_theta,
-                s_v,
+                s,
                 adjacency=np.asarray(adjacency, dtype=np.float64),
                 eps=_PROB_EPS,
             )
@@ -478,9 +465,19 @@ class MixBernoulliSampler(Module):
     # ------------------------------------------------------------------
     # reference decode (parity-test ground truth)
     # ------------------------------------------------------------------
+    def _reference_distribution(self, s: Tensor) -> Tuple[Tensor, Tensor]:
+        """(α, θ) by the explicit all-pairs composition: both heads
+        evaluated on every ``s_i - s_j`` row, α pooled by a plain sum."""
+        n = s.shape[0]
+        pair = self._pairwise(s)
+        alpha_feats = self.f_alpha(pair).reshape(n, n, self.num_components)
+        alpha = F.softmax(alpha_feats.sum(axis=1), axis=-1)  # pool over j
+        theta = F.sigmoid(self.f_theta(pair)).reshape(n, n, self.num_components)
+        return alpha, theta
+
     def _reference_edge_probabilities(self, s: Tensor) -> np.ndarray:
         """Dense-tensor marginal Ã (reference)."""
-        alpha, theta = self.distribution(as_tensor(s))
+        alpha, theta = self._reference_distribution(as_tensor(s))
         probs = (theta.data * alpha.data[:, None, :]).sum(axis=2)
         np.fill_diagonal(probs, 0.0)
         return probs
@@ -489,7 +486,7 @@ class MixBernoulliSampler(Module):
         """Dense-tensor adjacency sampling (reference)."""
         s = as_tensor(s)
         n = s.shape[0]
-        alpha, theta = self.distribution(s)
+        alpha, theta = self._reference_distribution(s)
         alpha_np = alpha.data
         theta_np = theta.data
         alpha_np = alpha_np / alpha_np.sum(axis=1, keepdims=True)

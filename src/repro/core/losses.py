@@ -1,11 +1,11 @@
 """VRDAG loss terms (§III-E, Eq. 14–18).
 
-Engine-polymorphic by construction: every term is built from
-:mod:`repro.autodiff.functional` ops and Tensor/Variable arithmetic,
-so inside a training :class:`~repro.autodiff.tape.Tape` the same code
-records flat tape entries, while outside it builds the legacy closure
-graph.  Constant inputs (``x_true``, adjacency, masks) stay plain
-arrays / legacy Tensors on both engines.
+Every term is built from :mod:`repro.autodiff.functional` ops and
+Tensor/Variable arithmetic, all dispatched through
+:func:`repro.autodiff.tape.apply`: inside a training
+:class:`~repro.autodiff.tape.Tape` the terms record flat tape entries,
+outside one they evaluate to constant Tensors.  Constant inputs
+(``x_true``, adjacency, masks) stay plain arrays or constant Tensors.
 """
 
 from __future__ import annotations

@@ -1,16 +1,12 @@
 """Joint optimization loop for VRDAG (§III-E).
 
-Training runs on one of two autodiff engines (see ``docs/training.md``):
-``"tape"`` (default) wraps each epoch in a
-:class:`~repro.autodiff.tape.Tape` so the forward pass records flat op
-entries and the backward pass is a single reverse sweep with fused
-VJP kernels; ``"legacy"`` keeps the original per-Tensor closure graph
-and serves as the reference twin for the gradient-parity suite.
+Each epoch runs inside a fresh :class:`~repro.autodiff.tape.Tape` (see
+``docs/training.md``): the forward pass records flat op entries and the
+backward pass is a single reverse sweep with fused VJP kernels.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -46,9 +42,6 @@ class TrainConfig:
     #: optional per-epoch KL-weight schedule (scales the config's
     #: ``kl_weight``); the standard anti-posterior-collapse warmup
     kl_schedule: Optional[Schedule] = None
-    #: autodiff engine: "tape" (flat-tape fast path, default) or
-    #: "legacy" (per-Tensor closure graph, the reference twin)
-    engine: str = "tape"
 
 
 @dataclass
@@ -85,11 +78,6 @@ class VRDAGTrainer:
 
     def fit(self, graph: DynamicAttributedGraph) -> TrainResult:
         """Optimize the step-wise ELBO on ``graph``; returns the history."""
-        if self.config.engine not in ("tape", "legacy"):
-            raise ValueError(
-                f"unknown autodiff engine {self.config.engine!r}; "
-                "expected 'tape' or 'legacy'"
-            )
         result = TrainResult()
         start = time.perf_counter()
         graph = self.model.calibrate(graph)
@@ -104,13 +92,8 @@ class VRDAGTrainer:
                     base_kl_weight * self.config.kl_schedule.value(epoch)
                 )
             # one fresh tape per epoch: forward records onto it, backward
-            # replays it in reverse; the legacy engine needs no context
-            epoch_ctx = (
-                Tape()
-                if self.config.engine == "tape"
-                else contextlib.nullcontext()
-            )
-            with epoch_ctx:
+            # replays it in reverse
+            with Tape():
                 with profiler.timer("trainer.forward"):
                     loss, logs = self.model.sequence_loss(graph)
                 self.optimizer.zero_grad()

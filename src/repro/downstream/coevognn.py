@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F, no_grad
+from repro.autodiff import Tape, Tensor, functional as F, no_grad
 from repro.autodiff.tensor import as_tensor
 from repro.graph import DynamicAttributedGraph, GraphSnapshot
 from repro.nn import Adam, GINLayer, GRUCell, Linear, MLP, Module, Parameter
@@ -94,36 +94,41 @@ class CoEvoGNN(Module):
         forecasting task.  Hidden states are computed incrementally in a
         single sequential pass per epoch (the prefix ``t`` encoding is the
         continuation of the prefix ``t-1`` encoding), so one epoch costs
-        O(T) snapshot encodings rather than O(T^2).  Returns the loss
-        history.
+        O(T) snapshot encodings rather than O(T^2).  Each epoch records
+        onto a fresh :class:`~repro.autodiff.tape.Tape`.  Returns the
+        loss history.
         """
         cfg = self.config
         optimizer = Adam(self.parameters(), lr=cfg.learning_rate)
         history: List[float] = []
         for _ in range(cfg.epochs):
-            total_loss: Optional[Tensor] = None
-            count = 0
-            for seq in sequences:
-                if seq.num_timesteps < 2:
-                    continue
-                h = Tensor(np.zeros((cfg.num_nodes, cfg.hidden_dim)))
-                for t in range(1, seq.num_timesteps):
-                    h = self._encode_step(h, seq.snapshots[t - 1])
-                    loss = self._forecast_loss(h, seq, t)
-                    total_loss = (
-                        loss if total_loss is None else total_loss + loss
-                    )
-                    count += 1
-            if count == 0:
-                raise ValueError("no sequence long enough to forecast")
-            total_loss = total_loss / count
-            optimizer.zero_grad()
-            total_loss.backward()
+            with Tape():
+                total_loss = self._epoch_loss(sequences)
+                optimizer.zero_grad()
+                total_loss.backward()
             if cfg.grad_clip:
                 optimizer.clip_grad_norm(cfg.grad_clip)
             optimizer.step()
             history.append(float(total_loss.data))
         return history
+
+    def _epoch_loss(self, sequences: Sequence[DynamicAttributedGraph]) -> Tensor:
+        """Mean forecast loss over every (prefix -> next snapshot) task."""
+        cfg = self.config
+        total_loss: Optional[Tensor] = None
+        count = 0
+        for seq in sequences:
+            if seq.num_timesteps < 2:
+                continue
+            h = Tensor(np.zeros((cfg.num_nodes, cfg.hidden_dim)))
+            for t in range(1, seq.num_timesteps):
+                h = self._encode_step(h, seq.snapshots[t - 1])
+                loss = self._forecast_loss(h, seq, t)
+                total_loss = loss if total_loss is None else total_loss + loss
+                count += 1
+        if count == 0:
+            raise ValueError("no sequence long enough to forecast")
+        return total_loss / count
 
     def _encode_step(self, h: Tensor, snap: GraphSnapshot) -> Tensor:
         """One GNN+GRU recurrence step: fold ``snap`` into state ``h``."""

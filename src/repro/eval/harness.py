@@ -33,7 +33,6 @@ class VRDAGGenerator(GraphGenerator):
         learning_rate: float = 5e-3,
         correlated_noise: bool = True,
         kl_warmup_epochs: int = 0,
-        engine: str = "tape",
         seed: int = 0,
     ):
         super().__init__(seed)
@@ -49,8 +48,6 @@ class VRDAGGenerator(GraphGenerator):
         self.correlated_noise = correlated_noise
         #: KL annealing warmup length (0 = constant weight, the default)
         self.kl_warmup_epochs = kl_warmup_epochs
-        #: autodiff engine for training ("tape" or "legacy")
-        self.engine = engine
         self.model: Optional[VRDAG] = None
         self.train_result = None
 
@@ -79,7 +76,6 @@ class VRDAGGenerator(GraphGenerator):
                 epochs=self.epochs,
                 learning_rate=self.learning_rate,
                 kl_schedule=kl_schedule,
-                engine=self.engine,
             ),
         )
         self.train_result = trainer.fit(graph)

@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F
-from repro.autodiff.tape import tape_for
+from repro.autodiff import Tensor, apply
 from repro.nn.module import Module, Parameter
 from repro.nn import init
 from repro.nn.linear import Linear
@@ -48,33 +47,16 @@ class GATLayer(Module):
     def forward(self, h: Tensor, adj: np.ndarray) -> Tensor:
         """Attend over ``adj`` (constant 0/1 matrix, row i = neighbours of i).
 
-        On the tape engine everything after the input projection —
-        scores, masked softmax, renormalization, aggregation, ELU — is
-        one fused ``gat_attention`` record.
+        Everything after the input projection — scores, masked
+        softmax, renormalization, aggregation, ELU — is one fused
+        ``gat_attention`` op.
         """
-        tape = tape_for(h)
-        if tape is not None:
-            wh = self.proj(h)
-            mask = np.asarray(adj, dtype=np.float64).copy()
-            np.fill_diagonal(mask, 1.0)
-            return tape.apply(
-                "gat_attention",
-                (wh, self.attn_src, self.attn_dst),
-                mask=mask,
-                negative_slope=self.negative_slope,
-            )
-        n = h.shape[0]
         wh = self.proj(h)                        # (N, d)
-        src = wh @ self.attn_src                 # (N, 1) contribution of i
-        dst = wh @ self.attn_dst                 # (N, 1) contribution of j
-        scores = F.leaky_relu(src + dst.transpose(), self.negative_slope)  # (N, N)
-
         mask = np.asarray(adj, dtype=np.float64).copy()
         np.fill_diagonal(mask, 1.0)              # ensure self-loops
-        neg_inf = np.where(mask > 0, 0.0, -1e9)
-        alpha = F.softmax(scores + neg_inf, axis=1)
-        # zero out the masked entries explicitly to avoid tiny leakage
-        alpha = alpha * mask
-        denom = alpha.sum(axis=1, keepdims=True) + 1e-12
-        alpha = alpha / denom
-        return F.elu(alpha @ wh)
+        return apply(
+            "gat_attention",
+            (wh, self.attn_src, self.attn_dst),
+            mask=mask,
+            negative_slope=self.negative_slope,
+        )

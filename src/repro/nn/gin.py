@@ -9,13 +9,11 @@ neighbourhood of node ``i``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F
-from repro.autodiff.tensor import as_tensor
-from repro.autodiff.tape import tape_for
+from repro.autodiff import Tensor, apply
 from repro.nn.module import Module, Parameter
 from repro.nn.linear import MLP
 
@@ -59,12 +57,5 @@ class GINLayer(Module):
         ``adj`` is a constant ``(N, N)`` 0/1 matrix: ``adj[i, j] = 1``
         means node ``j``'s state contributes to node ``i``'s update.
         """
-        adj_np = np.asarray(adj, dtype=np.float64)
-        tape = tape_for(h)
-        if tape is not None:
-            hv = tape.lift(h)
-            agg = tape.apply("matmul", (adj_np, hv))
-            return self.mlp((1.0 + tape.lift(self.epsilon)) * hv + agg)
-        adj_t = as_tensor(adj_np)
-        agg = adj_t @ h
+        agg = apply("matmul", (np.asarray(adj, dtype=np.float64), h))
         return self.mlp((1.0 + self.epsilon) * h + agg)

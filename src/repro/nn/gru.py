@@ -6,8 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F
-from repro.autodiff.tape import tape_for
+from repro.autodiff import Tensor, apply
 from repro.nn.module import Module, Parameter
 from repro.nn import init
 
@@ -51,21 +50,15 @@ class GRUCell(Module):
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         """One GRU step: returns the next hidden state ``(N, H)``.
 
-        On the tape engine the full step is one fused ``gru_cell``
-        record (three gates + convex combination, one VJP kernel).
+        The full step is one fused ``gru_cell`` op (three gates +
+        convex combination, one VJP kernel).
         """
-        tape = tape_for(x, h)
-        if tape is not None:
-            return tape.apply(
-                "gru_cell",
-                (
-                    x, h,
-                    self.w_xr, self.w_hr, self.b_r,
-                    self.w_xz, self.w_hz, self.b_z,
-                    self.w_xn, self.w_hn, self.b_n,
-                ),
-            )
-        r = F.sigmoid(x @ self.w_xr + h @ self.w_hr + self.b_r)
-        z = F.sigmoid(x @ self.w_xz + h @ self.w_hz + self.b_z)
-        n = F.tanh(x @ self.w_xn + (r * h) @ self.w_hn + self.b_n)
-        return (1.0 - z) * n + z * h
+        return apply(
+            "gru_cell",
+            (
+                x, h,
+                self.w_xr, self.w_hr, self.b_r,
+                self.w_xz, self.w_hz, self.b_z,
+                self.w_xn, self.w_hn, self.b_n,
+            ),
+        )

@@ -6,8 +6,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F
-from repro.autodiff.tape import tape_for
+from repro.autodiff import Tensor, apply, functional as F
 from repro.nn.module import Module, Parameter
 from repro.nn import init
 
@@ -60,23 +59,13 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        """Affine map ``x @ W + b``.
+        """Affine map ``x @ W + b``: one fused ``linear_act`` op."""
+        return self._affine(x, "identity")
 
-        On the tape engine the whole layer is one fused ``linear_act``
-        record; otherwise it builds the legacy closure graph.
-        """
-        tape = tape_for(x)
-        if tape is not None:
-            inputs = (
-                (x, self.weight)
-                if self.bias is None
-                else (x, self.weight, self.bias)
-            )
-            return tape.apply("linear_act", inputs, activation="identity")
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def _affine(self, x: Tensor, activation: str) -> Tensor:
+        """``activation(x @ W + b)`` as one ``linear_act`` op."""
+        inputs = (x, self.weight) if self.bias is None else (x, self.weight, self.bias)
+        return apply("linear_act", inputs, activation=activation)
 
 
 class MLP(Module):
@@ -104,30 +93,17 @@ class MLP(Module):
             Linear(self.sizes[i], self.sizes[i + 1], bias=bias, rng=rng)
             for i in range(len(self.sizes) - 1)
         ]
+        get_activation(activation)  # fail fast on unknown names
+        get_activation(out_activation)
         self.activation = activation
         self.out_activation = out_activation
-        self._act = get_activation(activation)
-        self._out_act = get_activation(out_activation)
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply all layers with the configured activations.
 
-        On the tape engine each affine+activation pair is one fused
-        ``linear_act`` record (a 3-layer MLP is 3 records total).
+        Each affine+activation pair is one fused ``linear_act`` op (a
+        3-layer MLP is 3 records on a tape).
         """
-        tape = tape_for(x)
-        if tape is not None:
-            last = len(self.layers) - 1
-            for i, layer in enumerate(self.layers):
-                act = self.activation if i < last else self.out_activation
-                inputs = (
-                    (x, layer.weight)
-                    if layer.bias is None
-                    else (x, layer.weight, layer.bias)
-                )
-                x = tape.apply("linear_act", inputs, activation=act)
-            return x
         for layer in self.layers[:-1]:
-            x = self._act(layer(x))
-        x = self.layers[-1](x)
-        return self._out_act(x)
+            x = layer._affine(x, self.activation)
+        return self.layers[-1]._affine(x, self.out_activation)

@@ -12,9 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F
-from repro.autodiff.tensor import as_tensor
-from repro.autodiff.tape import Variable, tape_for
+from repro.autodiff import Tensor, apply, functional as F
 from repro.nn.module import Module, Parameter
 
 
@@ -32,21 +30,8 @@ class Time2Vec(Module):
 
     def forward(self, t: float) -> Tensor:
         """Embed scalar time ``t``; returns a ``(dim,)`` tensor."""
-        tape = tape_for()
-        if tape is not None:
-            raw = tape.lift(self.w) * float(t) + tape.lift(self.phi)
-        else:
-            raw = self.w * as_tensor(float(t)) + self.phi
+        raw = self.w * float(t) + self.phi
         if self.dim == 1:
             return raw
-        linear = raw[0:1]
-        periodic = _sin(raw[1:])
-        return F.concat([linear, periodic], axis=0)
-
-
-def _sin(x: Tensor) -> Tensor:
-    if isinstance(x, Variable):
-        return x.tape.apply("sin", (x,))
-    data = np.sin(x.data)
-    cos = np.cos(x.data)
-    return Tensor._from_op(data, (x,), (lambda g: g * cos,), "sin")
+        periodic = apply("sin", (raw[1:],))
+        return F.concat([raw[0:1], periodic], axis=0)

@@ -4,8 +4,8 @@ any numpy autodiff."""
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
-from repro.autodiff.tensor import unbroadcast
+from repro.autodiff import Tape, Tensor
+from repro.autodiff.ops import unbroadcast
 
 from tests.conftest import numeric_gradient
 
@@ -57,7 +57,8 @@ def test_broadcast_grads_match_numeric(shape_a, shape_b, op_name, rng):
     b_data = rng.normal(size=shape_b)
     a = Tensor(a_data.copy(), requires_grad=True)
     b = Tensor(b_data.copy(), requires_grad=True)
-    op(a, b).sum().backward()
+    with Tape():
+        op(a, b).sum().backward()
     num_a = numeric_gradient(
         lambda x: float(op(Tensor(x), Tensor(b_data)).sum().data), a_data.copy()
     )
@@ -74,9 +75,10 @@ def test_pairwise_difference_pattern(rng):
     """The MixBernoulli pairwise pattern: s[:,None,:] - s[None,:,:]."""
     s_data = rng.normal(size=(5, 3))
     s = Tensor(s_data.copy(), requires_grad=True)
-    diff = s.expand_dims(1) - s.expand_dims(0)
-    assert diff.shape == (5, 5, 3)
-    (diff**2).sum().backward()
+    with Tape():
+        diff = s.expand_dims(1) - s.expand_dims(0)
+        assert diff.shape == (5, 5, 3)
+        (diff**2).sum().backward()
     num = numeric_gradient(
         lambda x: float(
             ((x[:, None, :] - x[None, :, :]) ** 2).sum()
@@ -89,7 +91,8 @@ def test_pairwise_difference_pattern(rng):
 def test_row_broadcast_time_vector(rng):
     """Recurrence pattern: (1, dT) vector broadcast to (N, dT)."""
     v = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    rows = v.expand_dims(0) + np.zeros((6, 1))
-    assert rows.shape == (6, 4)
-    rows.sum().backward()
+    with Tape():
+        rows = v.expand_dims(0) + np.zeros((6, 1))
+        assert rows.shape == (6, 4)
+        rows.sum().backward()
     np.testing.assert_allclose(v.grad, np.full(4, 6.0))

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, functional as F
+from repro.autodiff import Tape, Tensor, functional as F
 
 from tests.conftest import numeric_gradient
 
 
 def check_unary(op, x_data, tol=1e-5):
     x = Tensor(x_data.copy(), requires_grad=True)
-    op(x).sum().backward()
+    with Tape():
+        op(x).sum().backward()
     num = numeric_gradient(lambda a: float(op(Tensor(a)).sum().data), x_data.copy())
     np.testing.assert_allclose(x.grad, num, rtol=tol, atol=tol)
 
@@ -115,42 +116,47 @@ class TestSoftmaxFamily:
 class TestStructuralOps:
     def test_clip_grad_masks_outside(self):
         x = Tensor(np.array([-2.0, 0.5, 2.0]), requires_grad=True)
-        F.clip(x, -1.0, 1.0).sum().backward()
+        with Tape():
+            F.clip(x, -1.0, 1.0).sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
     def test_concat_axis1(self, rng):
         a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        out = F.concat([a, b], axis=1)
-        assert out.shape == (3, 6)
-        (out * np.arange(6)).sum().backward()
+        with Tape():
+            out = F.concat([a, b], axis=1)
+            assert out.shape == (3, 6)
+            (out * np.arange(6)).sum().backward()
         np.testing.assert_allclose(a.grad, np.tile([0.0, 1.0], (3, 1)))
         np.testing.assert_allclose(b.grad, np.tile([2.0, 3.0, 4.0, 5.0], (3, 1)))
 
     def test_concat_axis0(self, rng):
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-        out = F.concat([a, b], axis=0)
-        assert out.shape == (3, 3)
-        out.sum().backward()
+        with Tape():
+            out = F.concat([a, b], axis=0)
+            assert out.shape == (3, 3)
+            out.sum().backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 3)))
         np.testing.assert_allclose(b.grad, np.ones((1, 3)))
 
     def test_stack(self, rng):
         a = Tensor(rng.normal(size=(3,)), requires_grad=True)
         b = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        out = F.stack([a, b], axis=0)
-        assert out.shape == (2, 3)
-        (out[0] * 2 + out[1] * 3).sum().backward()
+        with Tape():
+            out = F.stack([a, b], axis=0)
+            assert out.shape == (2, 3)
+            (out[0] * 2 + out[1] * 3).sum().backward()
         np.testing.assert_allclose(a.grad, np.full(3, 2.0))
         np.testing.assert_allclose(b.grad, np.full(3, 3.0))
 
     def test_where_select_and_grads(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([10.0, 20.0]), requires_grad=True)
-        out = F.where(np.array([True, False]), a, b)
-        np.testing.assert_allclose(out.data, [1.0, 20.0])
-        out.sum().backward()
+        with Tape():
+            out = F.where(np.array([True, False]), a, b)
+            np.testing.assert_allclose(out.data, [1.0, 20.0])
+            out.sum().backward()
         np.testing.assert_allclose(a.grad, [1.0, 0.0])
         np.testing.assert_allclose(b.grad, [0.0, 1.0])
 
@@ -166,7 +172,8 @@ class TestStructuralOps:
 
     def test_norm_at_zero_finite_grad(self):
         x = Tensor(np.zeros((1, 3)), requires_grad=True)
-        F.norm(x, axis=1).sum().backward()
+        with Tape():
+            F.norm(x, axis=1).sum().backward()
         assert np.all(np.isfinite(x.grad))
 
 

@@ -1,15 +1,17 @@
 """The finite-difference checker itself: catches wrong gradients,
-passes correct ones, on both engines."""
+passes correct ones."""
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tape, Tensor, functional as F, gradcheck
+from repro.autodiff import Tape, Tensor, apply, functional as F, gradcheck
+from repro.autodiff import ops
 from repro.nn import Parameter
 
 
 class TestGradcheckPasses:
-    def test_legacy_engine(self):
+    def test_expression_on_parameters(self):
+        """``fn`` needs no tape of its own: gradcheck records it."""
         p = Parameter(np.array([0.3, -1.2, 0.7]))
 
         def fn():
@@ -17,7 +19,7 @@ class TestGradcheckPasses:
 
         assert gradcheck(fn, [p])
 
-    def test_tape_engine(self):
+    def test_fn_with_its_own_tape(self):
         p = Parameter(np.array([0.3, -1.2, 0.7]))
 
         def fn():
@@ -48,17 +50,18 @@ class TestGradcheckPasses:
 
 
 class TestGradcheckCatchesBugs:
-    def test_wrong_backward_is_flagged(self):
+    def test_wrong_backward_is_flagged(self, monkeypatch):
         p = Parameter(np.array([0.5, 1.5]))
 
+        # deliberately broken VJP: claims d(sum 2p)/dp = 3
+        monkeypatch.setitem(ops._REGISTRY, "test_broken_sum2", ops.OpSpec(
+            "test_broken_sum2",
+            lambda a: (np.asarray(np.sum(2.0 * a)), None),
+            lambda g, inputs, res: (3.0 * np.ones_like(inputs[0]) * g,),
+        ))
+
         def fn():
-            # deliberately broken VJP: claims d(sum 2p)/dp = 3
-            return Tensor._from_op(
-                np.asarray(np.sum(2.0 * p.data)),
-                (p,),
-                (lambda g: 3.0 * np.ones_like(p.data) * g,),
-                "broken",
-            )
+            return apply("test_broken_sum2", (p,))
 
         with pytest.raises(AssertionError, match="gradcheck failed"):
             gradcheck(fn, [p])

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.autodiff import Tensor, functional as F
+from repro.autodiff import Tape, Tensor, functional as F
 
 arrays = hnp.arrays(
     dtype=np.float64,
@@ -26,7 +26,8 @@ def test_add_zero_identity(x):
 def test_mul_grad_is_other_operand(x):
     a = Tensor(x, requires_grad=True)
     b = np.full_like(x, 3.0)
-    (a * b).sum().backward()
+    with Tape():
+        (a * b).sum().backward()
     np.testing.assert_allclose(a.grad, b)
 
 
@@ -34,7 +35,8 @@ def test_mul_grad_is_other_operand(x):
 @given(arrays)
 def test_sum_grad_is_ones(x):
     t = Tensor(x, requires_grad=True)
-    t.sum().backward()
+    with Tape():
+        t.sum().backward()
     np.testing.assert_array_equal(t.grad, np.ones_like(x))
 
 
@@ -71,7 +73,8 @@ def test_exp_log_roundtrip(x):
 @given(arrays)
 def test_reshape_roundtrip_grad(x):
     t = Tensor(x, requires_grad=True)
-    t.reshape(-1).reshape(*x.shape).sum().backward()
+    with Tape():
+        t.reshape(-1).reshape(*x.shape).sum().backward()
     np.testing.assert_array_equal(t.grad, np.ones_like(x))
 
 
@@ -79,8 +82,10 @@ def test_reshape_roundtrip_grad(x):
 @given(arrays, st.floats(0.1, 5.0))
 def test_linearity_of_backward(x, c):
     a = Tensor(x, requires_grad=True)
-    (a * c).sum().backward()
+    with Tape():
+        (a * c).sum().backward()
     grad1 = a.grad.copy()
     a.zero_grad()
-    a.sum().backward()
+    with Tape():
+        a.sum().backward()
     np.testing.assert_allclose(grad1, c * a.grad, rtol=1e-9)

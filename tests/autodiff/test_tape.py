@@ -1,17 +1,21 @@
-"""Flat-tape engine mechanics: recording, lifting, backward, threading.
+"""Flat-tape engine mechanics: dispatch, recording, lifting, backward,
+threading.
 
-Gradient *values* are covered by the parity suite
-(``test_engine_parity.py``); this file pins the tape's structural
-contracts — what gets recorded when, how legacy Tensors cross the
-engine boundary, and the thread-locality of the active-tape stack.
+Gradient *values* are covered by the golden fixture and finite
+differences (``test_golden_gradients.py``); this file pins the tape's
+structural contracts — what the dispatcher records when, how Tensors
+are lifted onto a tape, and the thread-locality of the active-tape
+stack.
 """
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tape, Tensor, Variable, no_grad
+import repro
+from repro.autodiff import Tape, Tensor, Variable, apply, no_grad
 from repro.autodiff.ops import get_op, registered_ops
 from repro.autodiff.tape import active_tape, tape_for
 from repro.autodiff.tensor import as_tensor
@@ -84,15 +88,16 @@ class TestLifting:
             loss.backward()
         np.testing.assert_allclose(p.grad, 6.0 * np.ones(2))
 
-    def test_legacy_interior_node_is_rejected(self):
-        p = Parameter(np.ones(3))
-        interior = p * 2.0  # legacy closure node with parents
+    def test_mixed_parameter_and_variable_expression(self):
+        """``p * 2.0`` inside a tape records there, so it combines with
+        a lifted Variable and both leaves get exact grads."""
+        p = Parameter(np.array([1.0, -2.0, 3.0]))
+        q = Parameter(np.array([0.5, 0.25, 4.0]))
         with Tape() as tape:
-            with pytest.raises(RuntimeError, match="interior"):
-                tape.lift(interior)
-            # detaching explicitly is the sanctioned escape hatch
-            v = tape.lift(interior.detach())
-            assert not v.requires_grad
+            loss = ((p * 2.0) + tape.lift(q)).sum()
+            loss.backward()
+        np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(q.grad, np.ones(3))
 
     def test_cross_tape_mixing_is_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -131,7 +136,7 @@ class TestMixedEngine:
 
 
 class TestRouting:
-    def test_no_active_tape_routes_legacy(self):
+    def test_no_active_tape_routes_nowhere(self):
         assert tape_for() is None
         assert active_tape() is None
 
@@ -168,6 +173,32 @@ class TestRouting:
             assert active_tape() is tape
         assert seen["worker_tape"] is None
         assert seen["worker_inner"] is True
+
+
+class TestDispatcher:
+    def test_without_a_tape_apply_is_a_forward_call(self):
+        out = apply("mul", (Tensor(np.array([1.0, 2.0]), requires_grad=True), 3.0))
+        assert type(out) is Tensor and not out.requires_grad
+        np.testing.assert_array_equal(out.data, [3.0, 6.0])
+
+    def test_inside_a_tape_apply_records(self):
+        p = Parameter(np.ones(2))
+        with Tape() as tape:
+            out = apply("mul", (p, 3.0))
+        assert isinstance(out, Variable) and out.tape is tape
+        assert [r.spec.name for r in tape.records] == ["mul"]
+
+    def test_tape_for_is_called_only_by_the_dispatcher(self):
+        src = Path(repro.__file__).parent
+        callers = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if "tape_for(" in path.read_text()
+        )
+        assert callers == ["autodiff/tape.py"]
+        text = (src / "autodiff" / "tape.py").read_text()
+        # the definition plus the one call inside apply()
+        assert text.count("tape_for(") == 2
 
 
 class TestBackwardValidation:

@@ -1,17 +1,23 @@
-"""Gradient checks for Tensor operator methods vs finite differences."""
+"""Gradient checks for Tensor operator methods vs finite differences.
+
+Forwards run inside ``with Tape():`` (the ops record there) and the
+tape's VJPs are compared with central differences of the tape-free
+forward.
+"""
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tape, Tensor
 
 from tests.conftest import numeric_gradient
 
 
 def check_unary(op, x_data, tol=1e-5):
     x = Tensor(x_data.copy(), requires_grad=True)
-    out = op(x)
-    out.sum().backward()
+    with Tape():
+        out = op(x)
+        out.sum().backward()
     num = numeric_gradient(lambda a: float(op(Tensor(a)).sum().data), x_data.copy())
     np.testing.assert_allclose(x.grad, num, rtol=tol, atol=tol)
 
@@ -19,7 +25,8 @@ def check_unary(op, x_data, tol=1e-5):
 def check_binary(op, a_data, b_data, tol=1e-5):
     a = Tensor(a_data.copy(), requires_grad=True)
     b = Tensor(b_data.copy(), requires_grad=True)
-    op(a, b).sum().backward()
+    with Tape():
+        op(a, b).sum().backward()
     num_a = numeric_gradient(
         lambda x: float(op(Tensor(x), Tensor(b_data)).sum().data), a_data.copy()
     )
@@ -59,16 +66,19 @@ class TestArithmetic:
 
     def test_scalar_operands(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        out = (2.0 * x + 1.0 - 0.5) / 2.0
-        out.sum().backward()
+        with Tape():
+            out = (2.0 * x + 1.0 - 0.5) / 2.0
+            out.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0, 1.0])
 
     def test_rsub_rdiv(self):
         x = Tensor(np.array([2.0, 4.0]), requires_grad=True)
-        (1.0 - x).sum().backward()
+        with Tape():
+            (1.0 - x).sum().backward()
         np.testing.assert_allclose(x.grad, [-1.0, -1.0])
         x.zero_grad()
-        (8.0 / x).sum().backward()
+        with Tape():
+            (8.0 / x).sum().backward()
         np.testing.assert_allclose(x.grad, -8.0 / np.array([4.0, 16.0]))
 
 
@@ -94,9 +104,10 @@ class TestReductions:
 
     def test_sum_keepdims(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        out = x.sum(axis=1, keepdims=True)
-        assert out.shape == (3, 1)
-        out.sum().backward()
+        with Tape():
+            out = x.sum(axis=1, keepdims=True)
+            assert out.shape == (3, 1)
+            out.sum().backward()
         np.testing.assert_allclose(x.grad, np.ones((3, 4)))
 
     def test_mean(self, rng):
@@ -111,7 +122,8 @@ class TestReductions:
 
     def test_max_tie_subgradient(self):
         x = Tensor(np.array([[2.0, 2.0]]), requires_grad=True)
-        x.max(axis=1).sum().backward()
+        with Tape():
+            x.max(axis=1).sum().backward()
         # ties split the gradient: still a valid subgradient summing to 1
         assert pytest.approx(1.0) == x.grad.sum()
 
@@ -127,15 +139,16 @@ class TestShapeOps:
 
     def test_transpose_axes(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        out = x.transpose(2, 0, 1)
-        assert out.shape == (4, 2, 3)
-        out.sum().backward()
+        with Tape():
+            out = x.transpose(2, 0, 1)
+            assert out.shape == (4, 2, 3)
+            out.sum().backward()
         np.testing.assert_allclose(x.grad, np.ones((2, 3, 4)))
 
     def test_getitem_rows(self, rng):
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        out = x[np.array([0, 2, 2])]
-        out.sum().backward()
+        with Tape():
+            x[np.array([0, 2, 2])].sum().backward()
         expected = np.zeros((5, 3))
         expected[0] = 1.0
         expected[2] = 2.0  # repeated index accumulates
@@ -143,47 +156,53 @@ class TestShapeOps:
 
     def test_getitem_slice(self, rng):
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        x[1:3].sum().backward()
+        with Tape():
+            x[1:3].sum().backward()
         expected = np.zeros((5, 3))
         expected[1:3] = 1.0
         np.testing.assert_allclose(x.grad, expected)
 
     def test_expand_squeeze(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        out = x.expand_dims(1)
-        assert out.shape == (3, 1, 4)
-        assert out.squeeze(1).shape == (3, 4)
-        out.squeeze(1).sum().backward()
+        with Tape():
+            out = x.expand_dims(1)
+            assert out.shape == (3, 1, 4)
+            assert out.squeeze(1).shape == (3, 4)
+            out.squeeze(1).sum().backward()
         np.testing.assert_allclose(x.grad, np.ones((3, 4)))
 
 
 class TestBackwardSemantics:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        with pytest.raises(ValueError):
+        with Tape(), pytest.raises(ValueError):
             (x * 2).backward()
 
     def test_backward_explicit_grad(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        (x * 3).backward(np.full((2, 2), 2.0))
+        with Tape():
+            (x * 3).backward(np.full((2, 2), 2.0))
         np.testing.assert_allclose(x.grad, np.full((2, 2), 6.0))
 
     def test_grad_shape_mismatch(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        with pytest.raises(ValueError):
+        with Tape(), pytest.raises(ValueError):
             (x * 3).backward(np.ones(3))
 
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        (x * 2).sum().backward()
-        (x * 2).sum().backward()
+        with Tape():
+            (x * 2).sum().backward()
+        with Tape():
+            (x * 2).sum().backward()
         np.testing.assert_allclose(x.grad, np.full(3, 4.0))
 
     def test_diamond_graph_accumulation(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = x * 3
-        z = y + y * y  # two paths through y
-        z.sum().backward()
+        with Tape():
+            y = x * 3
+            z = y + y * y  # two paths through y
+            z.sum().backward()
         # dz/dx = 3 + 2*y*3 = 3 + 36 = 39
         np.testing.assert_allclose(x.grad, [39.0])
 
@@ -191,10 +210,10 @@ class TestBackwardSemantics:
         from repro.autodiff import no_grad
 
         x = Tensor(np.ones(3), requires_grad=True)
-        with no_grad():
+        with Tape() as tape, no_grad():
             y = x * 2
         assert not y.requires_grad
-        assert y._parents == ()
+        assert len(tape) == 0
 
     def test_no_grad_is_thread_local(self):
         """no_grad in one thread must not disable recording in others."""
@@ -214,7 +233,8 @@ class TestBackwardSemantics:
         try:
             seen["main"] = is_grad_enabled()
             x = Tensor(np.ones(2), requires_grad=True)
-            y = x * 3
+            with Tape():
+                y = x * 3
             seen["recorded"] = y.requires_grad
         finally:
             release.set()
@@ -224,10 +244,23 @@ class TestBackwardSemantics:
 
     def test_detach(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2).detach()
-        assert not y.requires_grad
-        z = y * 3
-        assert not z.requires_grad
+        with Tape():
+            y = (x * 2).detach()
+            assert not y.requires_grad
+            z = y * 3
+            assert not z.requires_grad
 
     def test_repr(self):
         assert "shape=(2,)" in repr(Tensor(np.ones(2)))
+
+    def test_ops_without_a_tape_return_constant_tensors(self):
+        """Outside a tape every op is a plain forward call: the result
+        is a constant Tensor holding the kernel's value."""
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        y = (x * 3.0).relu() + 1.0
+        assert type(y) is Tensor and not y.requires_grad
+        np.testing.assert_array_equal(y.data, [4.0, 1.0])
+
+    def test_tensor_is_a_plain_holder(self):
+        for name in ("backward", "_from_op", "_parents", "retain_grad"):
+            assert not hasattr(Tensor(np.ones(1)), name)

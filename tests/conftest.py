@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,14 @@ def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         grad[idx] = (f_plus - f_minus) / (2 * eps)
         it.iternext()
     return grad
+
+
+def store_digest(graph) -> str:
+    """SHA-256 over every column of ``graph``'s store (dtype, shape, bytes)."""
+    store = graph.store
+    h = hashlib.sha256()
+    for arr in (store.src, store.dst, store.t, store.offsets, store.attributes):
+        a = np.ascontiguousarray(arr)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()

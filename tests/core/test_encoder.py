@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.autodiff import Tape
 from repro.core import BiFlowEncoder
 from repro.graph import GraphSnapshot
 
@@ -57,8 +58,8 @@ class TestBiFlowEncoder:
         assert not np.allclose(base[0], out[0])
 
     def test_gradients_reach_all_parameters(self, encoder, tiny_snapshot):
-        out = encoder(tiny_snapshot)
-        out.sum().backward()
+        with Tape():
+            encoder(tiny_snapshot).sum().backward()
         grads = [p.grad is not None for _, p in encoder.named_parameters()]
         # in-flows, out-flows, aggregator, pool and input proj all used
         assert all(grads)

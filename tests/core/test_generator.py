@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tape, Tensor
 from repro.core import AttributeDecoder, MixBernoulliSampler
 
 
@@ -81,7 +81,8 @@ class TestMixBernoulliSampler:
         adj = (rng.random((8, 8)) < 0.2).astype(float)
         np.fill_diagonal(adj, 0.0)
         s = Tensor(states.data.copy(), requires_grad=True)
-        (-sampler.log_likelihood(s, adj)).backward()
+        with Tape():
+            (-sampler.log_likelihood(s, adj)).backward()
         assert s.grad is not None
         for _, p in sampler.named_parameters():
             assert p.grad is not None

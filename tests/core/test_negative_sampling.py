@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tape, Tensor
 from repro.core import MixBernoulliSampler, TrainConfig, VRDAG, VRDAGConfig, VRDAGTrainer
 
 
@@ -59,7 +59,8 @@ class TestSampledLogLikelihood:
 
     def test_gradients_flow(self, sampler, states, sparse_adj, rng):
         s = Tensor(states.data.copy(), requires_grad=True)
-        (-sampler.sampled_log_likelihood(s, sparse_adj, 5, rng)).backward()
+        with Tape():
+            (-sampler.sampled_log_likelihood(s, sparse_adj, 5, rng)).backward()
         assert s.grad is not None
         assert np.all(np.isfinite(s.grad))
 

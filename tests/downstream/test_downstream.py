@@ -61,6 +61,32 @@ class TestCoEvoGNN:
         assert len(history) == 5
         assert all(np.isfinite(h) for h in history)
 
+    def test_seeded_fits_have_identical_loss_histories(self, tiny_graph):
+        cfg = CoEvoGNNConfig(
+            num_nodes=tiny_graph.num_nodes,
+            num_attributes=tiny_graph.num_attributes,
+            hidden_dim=8,
+            epochs=5,
+            seed=0,
+        )
+        first = CoEvoGNN(cfg).fit([tiny_graph])
+        second = CoEvoGNN(cfg).fit([tiny_graph])
+        assert first == second  # bit-identical floats
+
+    def test_each_epoch_records_on_a_fresh_tape(self, model, tiny_graph, monkeypatch):
+        from repro.autodiff import tape as tape_mod
+
+        entered = []
+        orig_enter = tape_mod.Tape.__enter__
+
+        def spy(self):
+            entered.append(self)
+            return orig_enter(self)
+
+        monkeypatch.setattr(tape_mod.Tape, "__enter__", spy)
+        model.fit([tiny_graph])
+        assert len(entered) == 5 and len(set(map(id, entered))) == 5
+
     def test_fit_multiple_sequences(self, model, tiny_graph):
         history = model.fit([tiny_graph, tiny_graph.copy()])
         assert len(history) == 5

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tape, Tensor
 from repro.nn import Linear, MLP, Module, Parameter
 from repro.nn.linear import get_activation
 
@@ -22,8 +22,8 @@ class TestLinear:
 
     def test_gradients_flow_to_params(self, rng):
         layer = Linear(4, 3, rng=rng)
-        out = layer(Tensor(rng.normal(size=(5, 4))))
-        out.sum().backward()
+        with Tape():
+            layer(Tensor(rng.normal(size=(5, 4)))).sum().backward()
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
         assert layer.weight.grad.shape == (4, 3)
@@ -66,10 +66,11 @@ class TestMLP:
         opt = Adam(mlp.parameters(), lr=1e-2)
         losses = []
         for _ in range(60):
-            pred = mlp(Tensor(x))
-            loss = ((pred - y) ** 2).mean()
-            opt.zero_grad()
-            loss.backward()
+            with Tape():
+                pred = mlp(Tensor(x))
+                loss = ((pred - y) ** 2).mean()
+                opt.zero_grad()
+                loss.backward()
             opt.step()
             losses.append(float(loss.data))
         assert losses[-1] < 0.5 * losses[0]
@@ -108,7 +109,8 @@ class TestModule:
 
     def test_zero_grad(self, rng):
         layer = Linear(2, 2, rng=rng)
-        layer(Tensor(rng.normal(size=(3, 2)))).sum().backward()
+        with Tape():
+            layer(Tensor(rng.normal(size=(3, 2)))).sum().backward()
         assert layer.weight.grad is not None
         layer.zero_grad()
         assert layer.weight.grad is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tape
 from repro.nn import Adam, SGD
 from repro.nn.module import Parameter
 
@@ -17,9 +17,10 @@ class TestSGD:
         p = Parameter(np.zeros(4))
         opt = SGD([p], lr=0.1)
         for _ in range(100):
-            loss = quad_loss(p)
-            opt.zero_grad()
-            loss.backward()
+            with Tape():
+                loss = quad_loss(p)
+                opt.zero_grad()
+                loss.backward()
             opt.step()
         np.testing.assert_allclose(p.data, 3.0, atol=1e-3)
 
@@ -28,9 +29,10 @@ class TestSGD:
             p = Parameter(np.zeros(1))
             opt = SGD([p], lr=0.02, momentum=momentum)
             for _ in range(30):
-                loss = quad_loss(p)
-                opt.zero_grad()
-                loss.backward()
+                with Tape():
+                    loss = quad_loss(p)
+                    opt.zero_grad()
+                    loss.backward()
                 opt.step()
             return abs(float(p.data[0]) - 3.0)
 
@@ -60,9 +62,10 @@ class TestAdam:
         p = Parameter(np.zeros(4))
         opt = Adam([p], lr=0.2)
         for _ in range(200):
-            loss = quad_loss(p)
-            opt.zero_grad()
-            loss.backward()
+            with Tape():
+                loss = quad_loss(p)
+                opt.zero_grad()
+                loss.backward()
             opt.step()
         np.testing.assert_allclose(p.data, 3.0, atol=1e-2)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tape, Tensor
 from repro.nn import GATLayer, GINLayer, GRUCell, Time2Vec
 
 from tests.conftest import numeric_gradient
@@ -50,10 +50,11 @@ class TestGRUCell:
             return h
 
         x = Tensor(x_data.copy(), requires_grad=True)
-        h = Tensor(np.zeros((4, 3)))
-        for _ in range(3):
-            h = cell(x, h)
-        h.sum().backward()
+        with Tape():
+            h = Tensor(np.zeros((4, 3)))
+            for _ in range(3):
+                h = cell(x, h)
+            h.sum().backward()
         num = numeric_gradient(
             lambda a: float(run(a).sum().data), x_data.copy(), eps=1e-6
         )
@@ -92,8 +93,8 @@ class TestGINLayer:
     def test_epsilon_is_learnable(self, rng):
         layer = GINLayer(2, 2, rng=rng)
         adj = np.ones((3, 3)) - np.eye(3)
-        out = layer(Tensor(rng.normal(size=(3, 2))), adj)
-        out.sum().backward()
+        with Tape():
+            layer(Tensor(rng.normal(size=(3, 2))), adj).sum().backward()
         assert layer.epsilon.grad is not None
 
 
@@ -126,7 +127,8 @@ class TestGATLayer:
         layer = GATLayer(3, 3, rng=rng)
         adj = (rng.random((5, 5)) < 0.5).astype(float)
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        layer(x, adj).sum().backward()
+        with Tape():
+            layer(x, adj).sum().backward()
         assert x.grad is not None
         assert layer.attn_src.grad is not None
 
@@ -160,7 +162,7 @@ class TestTime2Vec:
 
     def test_parameters_learnable(self, rng):
         t2v = Time2Vec(4, rng=rng)
-        out = t2v(2.0)
-        out.sum().backward()
+        with Tape():
+            t2v(2.0).sum().backward()
         assert t2v.w.grad is not None
         assert t2v.phi.grad is not None

@@ -239,7 +239,7 @@ class TestCLI:
         rc = main([
             "train", "--dataset", "email", "--scale", "0.012",
             "--epochs", "2", "--hidden-dim", "8", "--latent-dim", "4",
-            "--profile", "--engine", "tape",
+            "--profile",
             "--model-out", model_path,
         ])
         assert rc == 0
@@ -249,17 +249,6 @@ class TestCLI:
         # per-op tape timers from the profiled fit
         assert "tape.op." in out
         assert "tape.vjp." in out
-
-    def test_train_engine_flag_on_non_nn_generator_fails(
-        self, tmp_path, capsys
-    ):
-        rc = main([
-            "train", "--dataset", "email", "--scale", "0.012",
-            "--generator", "GenCAT", "--engine", "tape",
-            "--model-out", str(tmp_path / "m.npz"),
-        ])
-        assert rc == 2
-        assert "--engine" in capsys.readouterr().err
 
     def _save_workload_graph(self, tmp_path):
         import numpy as np
