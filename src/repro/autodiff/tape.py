@@ -213,7 +213,18 @@ class Tape:
     # recording
     # ------------------------------------------------------------------
     def apply(self, name: str, inputs: Sequence[Any], **kwargs: Any) -> "Variable":
-        """Run op ``name`` on ``inputs``, recording it when grads are on."""
+        """Run op ``name`` on ``inputs``, recording it when grads are on.
+
+        Raises ``RuntimeError`` unless this tape is on this thread's
+        active stack: off the stack, parameter-only subexpressions
+        (``1.0 + epsilon``) would not record here, and their
+        parameters' gradients would silently go missing.
+        """
+        if self not in _ACTIVE.stack:
+            raise RuntimeError(
+                "recording onto a tape that is not active on this "
+                "thread; record inside `with tape:`"
+            )
         spec = get_op(name)
         vars_ = [self.lift(x) for x in inputs]
         datas = tuple(v.data for v in vars_)

@@ -156,33 +156,20 @@ class RetryPolicy:
     ) -> Tuple[T, int]:
         """Call ``fn`` under this policy; returns ``(result, attempts)``.
 
-        Retries only ``retry_on`` exceptions, never sleeps past the
-        ``deadline``, and annotates the finally-raised exception with
-        ``_retry_attempts`` so callers can report how much work the
-        failure cost.
+        Retries only ``retry_on`` exceptions and never sleeps past the
+        ``deadline``.
         """
         attempts = 0
         while True:
             if deadline is not None and deadline.expired:
-                exc = deadline.exceeded()
-                exc._retry_attempts = attempts
-                raise exc
+                raise deadline.exceeded()
             attempts += 1
             try:
                 return fn(), attempts
             except self.retry_on as exc:
                 if attempts >= self.max_attempts:
-                    exc._retry_attempts = attempts
                     raise
                 delay = self.backoff_seconds(attempts - 1, key)
                 if deadline is not None and deadline.remaining() <= delay:
-                    expiry = deadline.exceeded()
-                    expiry._retry_attempts = attempts
-                    raise expiry from exc
+                    raise deadline.exceeded() from exc
                 sleep(delay)
-            except Exception as exc:
-                try:
-                    exc._retry_attempts = attempts
-                except Exception:  # exotic exception types without a dict
-                    pass
-                raise

@@ -128,9 +128,6 @@ class ProcessQueryService:
     cache_memory_budget_bytes / cache_max_plans:
         Per-worker plan-cache bounds (each worker owns a cache; the
         budget is per worker, not pooled).
-    batched:
-        ``False`` forces per-query dispatch inside workers — the
-        comparison baseline; results are identical either way.
     retry_policy / deadline_seconds / max_pending:
         The :class:`~repro.workloads.service.QueryService` reliability
         knobs, threaded across the process boundary (see module
@@ -152,7 +149,6 @@ class ProcessQueryService:
         num_workers: int = 2,
         cache_memory_budget_bytes: Optional[int] = None,
         cache_max_plans: Optional[int] = None,
-        batched: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         deadline_seconds: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -173,7 +169,6 @@ class ProcessQueryService:
         self.num_workers = int(num_workers)
         self.cache_memory_budget_bytes = cache_memory_budget_bytes
         self.cache_max_plans = cache_max_plans
-        self.batched = batched
         import multiprocessing as mp
 
         start_method = start_method or default_start_method()
@@ -210,17 +205,13 @@ class ProcessQueryService:
     def _worker_config(self, worker_id: int) -> WorkerConfig:
         # replicate the parent's current fault arming so chaos
         # schedules survive the process boundary (fork or spawn)
-        plans, seed, enabled = fault_injector.arming()
         return WorkerConfig(
             manifest=self.segment.manifest,
             worker_id=worker_id,
             cache_memory_budget_bytes=self.cache_memory_budget_bytes,
             cache_max_plans=self.cache_max_plans,
-            batched=self.batched,
             retry_policy=self._guard.retry_policy,
-            fault_plans=plans,
-            fault_seed=seed,
-            fault_enabled=enabled,
+            fault_arming=fault_injector.arming(),
         )
 
     def _spawn(self, worker_id: int, slot: Optional[_Worker] = None) -> _Worker:

@@ -28,10 +28,12 @@ need to provoke deterministically.
 the parent's armed :data:`~repro.reliability.fault_injector`
 (arrival counters and all), a spawned worker gets a fresh one — so
 the worker never trusts inherited state: it re-arms the injector
-(:meth:`~repro.reliability.FaultInjector.rearm`) from the plans/seed
-carried in :class:`WorkerConfig`.
-Chaos schedules are therefore a pure function of the config under
-both start methods.
+(:meth:`~repro.reliability.FaultInjector.rearm`) from the
+:meth:`~repro.reliability.FaultInjector.arming` copy carried in
+:class:`WorkerConfig`, once at startup.  Chaos schedules are
+therefore a pure function of the config under both start methods,
+and arrival counters and ``max_triggers`` caps count per worker
+process.
 
 Wire messages (see :class:`~repro.serving.router.ProcessQueryService`
 for the parent half):
@@ -54,7 +56,7 @@ deterministic replay of the crash that killed its predecessor.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.reliability import Deadline, RetryPolicy, fault_injector
@@ -71,22 +73,19 @@ class WorkerConfig:
     """Everything one worker needs, shipped once at spawn time.
 
     Picklable and small: the store arrives by shared-memory name
-    (``manifest``), not by value.  ``fault_plans`` / ``fault_seed`` /
-    ``fault_enabled`` replicate the parent's fault-injector arming so
-    chaos schedules survive the process boundary (see module
-    docstring); a parent with a disarmed injector ships
-    ``fault_enabled=False`` and the worker runs clean.
+    (``manifest``), not by value.  ``fault_arming`` is the parent's
+    :meth:`~repro.reliability.FaultInjector.arming` copy, so chaos
+    schedules survive the process boundary (see module docstring); a
+    parent with a disarmed injector ships a disabled copy and the
+    worker runs clean.
     """
 
     manifest: StoreManifest
     worker_id: int
     cache_memory_budget_bytes: Optional[int] = None
     cache_max_plans: Optional[int] = None
-    batched: bool = True
     retry_policy: Optional[RetryPolicy] = None
-    fault_plans: Dict[str, FaultPlan] = field(default_factory=dict)
-    fault_seed: int = 0
-    fault_enabled: bool = False
+    fault_arming: Tuple[Dict[str, FaultPlan], int, bool] = ({}, 0, False)
 
 
 def _build_engine(config: WorkerConfig, store):
@@ -140,9 +139,7 @@ def worker_main(config: WorkerConfig, conn) -> None:
     """
     try:
         attached = attach_store(config.manifest)
-        fault_injector.rearm(
-            config.fault_plans, config.fault_seed, config.fault_enabled
-        )
+        fault_injector.rearm(*config.fault_arming)
         engine = _build_engine(config, attached.store)
     except Exception as exc:
         try:
@@ -168,8 +165,7 @@ def worker_main(config: WorkerConfig, conn) -> None:
                 _, request_id, columns, budget_seconds, attempt_base = message
                 outcome = guarded_call(
                     lambda: execute_encoded(
-                        engine, ColumnarQueryRequest.from_columns(columns),
-                        degrade=config.batched,
+                        engine, ColumnarQueryRequest.from_columns(columns)
                     ),
                     point="serving.worker",
                     index=request_id,

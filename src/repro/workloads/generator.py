@@ -42,12 +42,15 @@ class QueryKind(enum.Enum):
     but is included in serving-oriented mixes such as
     :func:`serving_mix`.
 
-    Every kind has a batched vectorized kernel (dispatched in
-    :mod:`repro.workloads.batch`); the traversal kinds ``TWO_HOP``
-    and ``TEMPORAL_REACH`` ride the frontier-vectorized multi-source
-    BFS kernels, and the analytics kinds ``TRIANGLE_COUNT`` and
-    ``DEGREE_TOPK`` read one cached per-timestep plan per distinct
-    timestep in the batch.
+    Every kind has a batched vectorized kernel; the traversal kinds
+    ``TWO_HOP`` and ``TEMPORAL_REACH`` ride the frontier-vectorized
+    multi-source BFS kernels, and the analytics kinds
+    ``TRIANGLE_COUNT`` and ``DEGREE_TOPK`` read one cached
+    per-timestep plan per distinct timestep in the batch.  A kind's
+    batched form is one row of the column table
+    :data:`repro.workloads.batch.ARG_SLOTS` plus one branch of its
+    kernel dispatch; adding a kind means adding both (and a branch of
+    the per-query reference :func:`_run_query`).
     """
 
     OUT_NEIGHBORS = "out_neighbors"

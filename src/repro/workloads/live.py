@@ -175,7 +175,7 @@ class LiveQueryService:
     """Serve query batches against a :class:`LiveStoreBuilder`.
 
     Parameters mirror :class:`~repro.workloads.service.QueryService`
-    (``executor`` serial/thread, ``max_workers``, ``batched``,
+    (``executor`` serial/thread, ``max_workers``,
     ``retry_policy``, ``deadline_seconds``, ``max_pending``);
     ``cache_memory_budget_bytes`` / ``cache_max_plans`` size the one
     plan cache shared across every epoch.
@@ -195,7 +195,6 @@ class LiveQueryService:
         max_workers: Optional[int] = None,
         cache_memory_budget_bytes: Optional[int] = None,
         cache_max_plans: Optional[int] = None,
-        batched: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         deadline_seconds: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -219,7 +218,6 @@ class LiveQueryService:
             self._engine,
             executor=executor,
             max_workers=max_workers,
-            batched=batched,
             retry_policy=retry_policy,
             deadline_seconds=deadline_seconds,
             max_pending=max_pending,

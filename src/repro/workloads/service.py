@@ -57,7 +57,6 @@ from repro.workloads.generator import (
     WorkloadConfig,
     WorkloadReport,
     replay_workload,
-    run_queries_per_query,
 )
 
 __all__ = [
@@ -149,10 +148,6 @@ class QueryService:
         Budget for the shared plan cache when the service builds its
         own engine (ignored when an engine is passed in — its cache,
         and its budget, are adopted).
-    batched:
-        ``False`` forces per-query dispatch inside every request —
-        the comparison baseline the throughput benches use; results
-        are identical either way.
     retry_policy, deadline_seconds, max_pending:
         Retries of transient failures, a per-request budget and an
         admission bound, as described on the shared
@@ -166,7 +161,6 @@ class QueryService:
         executor: str = "thread",
         max_workers: Optional[int] = None,
         cache_memory_budget_bytes: Optional[int] = None,
-        batched: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         deadline_seconds: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -197,7 +191,6 @@ class QueryService:
         # force the lazy plan cache now: an invalid budget must fail
         # service construction, not degrade the first request
         self.engine.plans
-        self.batched = batched
 
     # ------------------------------------------------------------------
     def _run_once(
@@ -206,10 +199,7 @@ class QueryService:
         engine: Optional[GraphQueryEngine] = None,
     ) -> Tuple[np.ndarray, Dict[str, float], FrozenSet[str]]:
         engine = engine if engine is not None else self.engine
-        if self.batched:
-            return run_queries_resilient(engine, request.queries)
-        cards, by_kind = run_queries_per_query(engine, request.queries)
-        return np.asarray(cards, dtype=np.int64), by_kind, frozenset()
+        return run_queries_resilient(engine, request.queries)
 
     # ------------------------------------------------------------------
     def run_batch(

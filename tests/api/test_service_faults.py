@@ -78,6 +78,25 @@ class TestPerRequestIsolation:
         assert sum(r.ok for r in results) == 2
 
 
+
+class TestFaultCounterScope:
+    """``docs/reliability.md``: the process executor re-arms the
+    injector per request, so arrival counters and ``max_triggers``
+    caps count per request there — and per process run otherwise."""
+
+    @pytest.mark.parametrize("point", ["generation.request", "artifact.load"])
+    def test_caps_count_per_request_under_process(self, artifact, point):
+        plans = {point: FaultPlan(rate=1.0, max_triggers=1)}
+        failed = {}
+        for executor in ("serial", "process"):
+            with fault_injector.arm(plans):
+                with api.GenerationService(
+                    executor=executor, max_workers=2
+                ) as svc:
+                    results = svc.run_batch(_requests(artifact, 3))
+            failed[executor] = [i for i, r in enumerate(results) if not r.ok]
+        assert failed == {"serial": [0], "process": [0, 1, 2]}
+
 class TestRetries:
     def test_retry_policy_heals_first_attempt_faults(self, artifact):
         plans = {"generation.request": FaultPlan(rate=1.0, max_triggers=2)}

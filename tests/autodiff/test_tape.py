@@ -19,7 +19,8 @@ from repro.autodiff import Tape, Tensor, Variable, apply, no_grad
 from repro.autodiff.ops import get_op, registered_ops
 from repro.autodiff.tape import active_tape, tape_for
 from repro.autodiff.tensor import as_tensor
-from repro.nn import Parameter
+from repro.downstream.coevognn import CoEvoGNN, CoEvoGNNConfig
+from repro.nn import GINLayer, Parameter, Time2Vec
 
 
 class TestRecording:
@@ -199,6 +200,75 @@ class TestDispatcher:
         text = (src / "autodiff" / "tape.py").read_text()
         # the definition plus the one call inside apply()
         assert text.count("tape_for(") == 2
+
+
+def _gin_case(tape):
+    rng = np.random.default_rng(0)
+    gin = GINLayer(3, 2, rng=rng)
+    adj = (rng.random((4, 4)) < 0.5).astype(float)
+    h = tape.leaf(rng.normal(size=(4, 3)), requires_grad=True)
+    return gin.epsilon, lambda: gin(h, adj).sum()
+
+
+def _time2vec_case(tape):
+    t2v = Time2Vec(3, rng=np.random.default_rng(0))
+    h = tape.leaf(np.ones(3), requires_grad=True)
+    return t2v.w, lambda: (t2v(2.0) * h).sum()
+
+
+def _link_logits_case(tape):
+    rng = np.random.default_rng(0)
+    model = CoEvoGNN(CoEvoGNNConfig(num_nodes=4, num_attributes=1,
+                                    hidden_dim=3))
+    h = tape.leaf(rng.normal(size=(4, 3)), requires_grad=True)
+    pairs = np.array([[0, 1], [2, 3], [1, 1]])
+    prev_adj = np.eye(4)
+    return (model.repeat_weight,
+            lambda: model.link_logits(h, pairs, prev_adj).sum())
+
+
+class TestRecordingNeedsAnActiveTape:
+    """A Variable of a tape whose ``with`` block has exited must not
+    record: parameter-only subexpressions (``1.0 + epsilon``) route to
+    the active tape only, so their gradients would silently vanish."""
+
+    @pytest.mark.parametrize(
+        "case", [_gin_case, _time2vec_case, _link_logits_case],
+        ids=["gin", "time2vec", "link_logits"],
+    )
+    def test_exited_tape_raises_and_with_block_records(self, case):
+        param, loss = case(Tape())
+        with pytest.raises(RuntimeError, match="with tape"):
+            loss()
+        assert param.grad is None
+        with Tape() as tape:
+            param, loss = case(tape)
+            loss().backward()
+        assert param.grad is not None and np.any(param.grad != 0)
+
+    def test_outer_tape_records_inside_a_nested_one(self):
+        with Tape() as outer:
+            x = outer.leaf(np.ones(2), requires_grad=True)
+            with Tape() as inner:
+                y = (x * 3.0).sum()
+            assert len(inner) == 0 and len(outer) == 2
+            y.backward()
+
+    def test_tape_active_on_another_thread_raises(self):
+        errors = []
+        with Tape() as tape:
+            x = tape.leaf(np.ones(2), requires_grad=True)
+
+            def worker():
+                try:
+                    x * 2.0
+                except RuntimeError as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+        assert len(errors) == 1
 
 
 class TestBackwardValidation:

@@ -18,6 +18,7 @@ from repro.workloads import (
     WorkloadConfig,
     WorkloadGenerator,
 )
+from repro.workloads.batch import ARG_SLOTS, run_queries_batched
 from repro.workloads.generator import _run_query
 
 
@@ -102,3 +103,66 @@ def test_execute_encoded_degrades_per_query_on_kernel_fault(
     ):
         with pytest.raises(Exception):
             execute_encoded(engine, enc, degrade=False)
+
+
+@pytest.fixture
+def every_kind_queries(serving_graph):
+    """A mix over ``tuple(QueryKind)`` itself, kinds interleaved."""
+    config = WorkloadConfig(
+        num_queries=270, mix={k: 1.0 for k in tuple(QueryKind)}, seed=3
+    )
+    queries = WorkloadGenerator(serving_graph, config).generate()
+    assert {q.kind for q in queries} == set(QueryKind)
+    return queries
+
+
+def test_every_kind_has_a_slot_entry():
+    assert set(ARG_SLOTS) == set(QueryKind)
+
+
+def test_every_kind_round_trips_through_the_columns(every_kind_queries):
+    enc = encode_queries(every_kind_queries)
+    assert decode_queries(enc) == every_kind_queries
+    ranges = [q for q in every_kind_queries
+              if q.kind == QueryKind.ATTRIBUTE_RANGE]
+    mask = enc.kinds == KIND_CODES.index(QueryKind.ATTRIBUTE_RANGE)
+    np.testing.assert_array_equal(enc.f0[mask], [q.args[1] for q in ranges])
+    np.testing.assert_array_equal(enc.f1[mask], [q.args[2] for q in ranges])
+    assert not all(float(lo).is_integer() for lo in enc.f0[mask])
+
+
+def test_every_kind_agrees_across_entry_points(
+    serving_graph, every_kind_queries
+):
+    engine = GraphQueryEngine(serving_graph)
+    reference = [_run_query(engine, q) for q in every_kind_queries]
+    batched, _ = run_queries_batched(engine, every_kind_queries)
+    encoded, _, degraded = execute_encoded(
+        engine, encode_queries(every_kind_queries)
+    )
+    np.testing.assert_array_equal(batched, reference)
+    np.testing.assert_array_equal(encoded, reference)
+    assert degraded == frozenset()
+
+
+def test_kernel_fault_keys_arrive_in_first_appearance_order(
+    serving_graph, every_kind_queries, monkeypatch
+):
+    engine = GraphQueryEngine(serving_graph)
+    fired = []
+    monkeypatch.setattr(
+        fault_injector, "fire",
+        lambda point, key=None: fired.append((point, key)),
+    )
+    first_seen = list(dict.fromkeys(q.kind.value for q in every_kind_queries))
+    run_queries_batched(engine, every_kind_queries)
+    execute_encoded(engine, encode_queries(every_kind_queries))
+    kernel_keys = [key for point, key in fired
+                   if point == "query.batch_kernel"]
+    assert kernel_keys == first_seen * 2
+
+def test_empty_query_list_returns_empty_arrays(serving_graph):
+    engine = GraphQueryEngine(serving_graph)
+    cards, seconds = run_queries_batched(engine, [])
+    assert cards.dtype == np.int64 and cards.shape == (0,)
+    assert seconds == {}

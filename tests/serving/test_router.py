@@ -198,6 +198,29 @@ def test_in_worker_faults_isolate_without_retry(
             )
 
 
+
+@pytest.mark.parametrize("num_workers", [1, 2])
+def test_fault_counters_count_per_worker_process(
+    serving_graph, serving_queries, num_workers
+):
+    """``docs/reliability.md``: each worker arms once at spawn, so
+    arrival counters and ``max_triggers`` caps count per worker."""
+    requests = _requests(serving_queries)
+    with fault_injector.arm(
+        {"serving.worker": FaultPlan(kind="error", rate=1.0, max_triggers=1)}
+    ):
+        with ProcessQueryService(
+            serving_graph, num_workers=num_workers
+        ) as tier:
+            results = tier.run_batch(requests)
+            points = [w["fault_points"]["serving.worker"]
+                      for w in tier.worker_stats()]
+    # one capped trigger per worker: its first request fails
+    assert sum(not r.ok for r in results) == num_workers
+    assert [p["triggers"] for p in points] == [1] * num_workers
+    assert sum(p["arrivals"] for p in points) == len(requests)
+    assert all(p["arrivals"] > 0 for p in points)
+
 def test_worker_death_heals_with_respawn_and_resend(
     serving_graph, serving_queries, baseline
 ):

@@ -6,9 +6,13 @@ query order, for any mix of nodes/timesteps including duplicates —
 dispatch style must never change an answer.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.graph import DynamicAttributedGraph
 from repro.graph.store import TemporalEdgeStore, track_dense_materializations
 from repro.workloads import (
@@ -275,3 +279,58 @@ class TestWorkloadBatchedExecution:
         assert np.array_equal(
             cards, [_run_query(engine, q) for q in queries]
         )
+
+
+def _tests_query_kind(test: ast.expr) -> bool:
+    """True when ``test`` compares something against a ``QueryKind``
+    member (``kind == QueryKind.X`` or ``kind in (QueryKind.X, ...)``)."""
+    for node in ast.walk(test):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in [node.left, *node.comparators]:
+            for leaf in getattr(operand, "elts", [operand]):
+                if (isinstance(leaf, ast.Attribute)
+                        and isinstance(leaf.value, ast.Name)
+                        and leaf.value.id == "QueryKind"):
+                    return True
+    return False
+
+
+def _kind_branching_functions():
+    """``(name, calls a batch_* kernel)`` for every function in
+    ``src/repro`` with an ``if`` that tests a ``QueryKind`` member."""
+    src = Path(repro.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if not any(
+                isinstance(node, (ast.If, ast.IfExp))
+                and _tests_query_kind(node.test)
+                for node in ast.walk(fn)
+            ):
+                continue
+            calls_kernel = any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr.startswith("batch_")
+                for node in ast.walk(fn)
+            )
+            found.append((f"{path.relative_to(src)}::{fn.name}", calls_kernel))
+    return found
+
+
+def test_one_function_picks_each_kinds_batched_kernel():
+    """Every batched path shares one kind -> kernel dispatch, and the
+    per-kind column layout is a table, not another if-chain."""
+    found = _kind_branching_functions()
+    assert [name for name, kernel in found if kernel] == [
+        "workloads/batch.py::_batch_kernel"
+    ]
+    # besides it: the per-query reference twin and the generator's
+    # per-kind argument draws
+    assert sorted(name for name, kernel in found if not kernel) == [
+        "workloads/generator.py::_run_query",
+        "workloads/generator.py::generate",
+    ]

@@ -87,14 +87,6 @@ class TestService:
                 )
             assert np.array_equal(flat, ref)
 
-    def test_unbatched_mode_identical(self, graph, queries):
-        requests = [QueryRequest(queries)]
-        with QueryService(graph, executor="serial", batched=False) as svc:
-            results = svc.run_batch(requests)
-        assert np.array_equal(
-            results[0].cardinalities, reference_cards(graph, queries)
-        )
-
     def test_empty_batch(self, graph):
         assert QueryService(graph, executor="serial").run_batch([]) == []
 
