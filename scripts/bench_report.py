@@ -2,10 +2,16 @@
 """Performance trajectory report: kernels + paper-scale experiments.
 
 Runs (a) micro-benchmarks of every vectorized hot-path kernel against
-its ``_reference_*`` Python implementation and (b) the reduced-scale
-Fig. 9 / Table III / Table IV timing experiments, then writes the
-results to ``BENCH_perf.json`` so successive PRs have a perf trajectory
-to compare against (schema documented in ``benchmarks/README.md``).
+its ``_reference_*`` twin and (b) the reduced-scale Fig. 9 / Table III /
+Table IV timing experiments, then writes the results to
+``BENCH_perf.json`` (schema documented in ``benchmarks/README.md``).
+
+It measures only what the gated end-to-end benchmark (``perfbench/``,
+declared in ``BENCHMARK.json``) cannot see: a kernel next to its twin.
+Training, batched / live / multi-process serving are timed end to end
+by the perfbench ``fit``, ``serve_live`` and ``serve_process``
+workloads, and their floors are ``-m perf`` tests
+(``tests/perf/test_serving_gates.py``).
 
 Usage::
 
@@ -24,6 +30,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
@@ -60,6 +67,20 @@ def _random_stream(n: int, e: int, t_len: int, seed: int) -> TemporalEdgeList:
         if u != v:
             tel.add(int(u), int(v), int(t))
     return tel
+
+
+def _table1_events(quick: bool, seed: int) -> tuple:
+    """Random Table-I-shaped events as ``TemporalEdgeStore`` arguments:
+    ``(n, t_len, src, dst, t, attributes)`` with two node attributes."""
+    n, m, t_len = (200, 2400, 8) if quick else (600, 7200, 10)
+    rng = np.random.default_rng(seed)
+    return (
+        n, t_len,
+        rng.integers(0, n, size=m),
+        rng.integers(0, n, size=m),
+        rng.integers(0, t_len, size=m),
+        rng.normal(size=(t_len, n, 2)),
+    )
 
 
 def bench_kernels(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
@@ -140,97 +161,20 @@ def bench_kernels(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
         ),
     }
 
-    out.update(bench_training(quick, repeats))
     out.update(bench_store(quick, repeats))
     out.update(bench_generation(quick, repeats))
     out.update(bench_ingest(quick, repeats))
     out.update(bench_api(quick, repeats))
     out.update(bench_workloads(quick, repeats))
-    out.update(bench_serving(quick, repeats))
-    out.update(bench_live(quick, repeats))
     out.update(bench_reliability(quick, repeats))
 
     for entry in out.values():
-        if "reference_s" not in entry:  # training.fit: no reference twin
-            continue
         entry["speedup"] = (
             entry["reference_s"] / entry["vectorized_s"]
             if entry["vectorized_s"] > 0
             else float("inf")
         )
     return out
-
-
-def bench_training(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
-    """Per-epoch training time of every net-training generator.
-
-    One ``training.fit`` entry on the email twin.  For VRDAG the
-    per-epoch time is the profiled ``trainer.forward`` +
-    ``trainer.backward`` seconds (the autodiff work; optimizer and
-    calibration are excluded); for the baselines it is fit wall-clock
-    over their epoch count.  ``vectorized_s`` is the VRDAG per-epoch
-    time.  The entry has no ``reference_s``: the closure engine it was
-    once compared against is retired, and the gated training contract
-    is the perfbench ``fit`` workload (``BENCHMARK.json``).
-    """
-    from repro.baselines.gran import GRAN
-    from repro.baselines.tggan import TGGAN
-    from repro.baselines.tigger import TIGGER
-    from repro.core import TrainConfig, VRDAG, VRDAGConfig, VRDAGTrainer
-    from repro.datasets import load_dataset
-
-    scale = 0.03 if quick else 0.1
-    epochs = 2
-    graph = load_dataset("email", scale=scale, seed=0)
-
-    # -- VRDAG: profiled forward+backward per epoch
-    cfg = VRDAGConfig(
-        num_nodes=graph.num_nodes,
-        num_attributes=graph.num_attributes,
-        hidden_dim=24, latent_dim=12, encode_dim=24,
-        mixture_components=3, seed=7,
-    )
-    trainer = VRDAGTrainer(VRDAG(cfg), TrainConfig(epochs=epochs))
-    was_enabled = profiler.enabled
-    profiler.reset()
-    profiler.enabled = True
-    try:
-        trainer.fit(graph)
-        timers = profiler.snapshot()["timers"]
-    finally:
-        profiler.enabled = was_enabled
-        profiler.reset()
-    vrdag_epoch_s = (
-        timers["trainer.forward"]["seconds"]
-        + timers["trainer.backward"]["seconds"]
-    ) / epochs
-    generators: Dict[str, Dict[str, float]] = {
-        "VRDAG": {"epoch_s": vrdag_epoch_s}
-    }
-
-    # -- net-training baselines: fit wall-clock over epoch count
-    cases = [
-        ("GRAN", lambda: GRAN(epochs=10, seed=4), 10),
-        ("TIGGER", lambda: TIGGER(epochs=2, walks_per_edge=0.5, seed=4), 2),
-        (
-            "TGGAN",
-            lambda: TGGAN(adversarial_rounds=2, disc_epochs=10, seed=4),
-            2 * 10,
-        ),
-    ]
-    for name, factory, n_epochs in cases:
-        wall = _best_of(lambda: factory().fit(graph), repeats)
-        generators[name] = {"epoch_s": wall / n_epochs}
-
-    return {
-        "training.fit": {
-            "n": graph.num_nodes,
-            "edges": graph.num_temporal_edges,
-            "epochs": epochs,
-            "vectorized_s": vrdag_epoch_s,
-            "generators": generators,
-        }
-    }
 
 
 def bench_store(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
@@ -242,11 +186,8 @@ def bench_store(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     store views vs dense row sums), and *metric evaluation* (the CSR
     structure-summary kernels vs their dense references).
     """
-    n, m, t_len = (200, 2400, 8) if quick else (600, 7200, 10)
-    rng = np.random.default_rng(7)
-    src = rng.integers(0, n, size=m)
-    dst = rng.integers(0, n, size=m)
-    t = np.sort(rng.integers(0, t_len, size=m))
+    n, t_len, src, dst, t, _ = _table1_events(quick, seed=7)
+    t = np.sort(t)
     keep = src != dst
     src, dst, t = src[keep], dst[keep], t[keep]
     out: Dict[str, Dict[str, float]] = {}
@@ -373,8 +314,7 @@ def bench_generation(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
         critical = max(
             _best_of(
                 lambda t=ShardTask(
-                    lo, hi, n, sampler.num_components, head, proj,
-                    alpha[lo:hi], state, block,
+                    lo, hi, head, proj, alpha[lo:hi], state, block
                 ): decode_shard(t),
                 repeats,
             )
@@ -411,15 +351,27 @@ def bench_generation(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     }
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes tracemalloc traces during one (untimed) ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def bench_ingest(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     """Bounded-memory streaming ingestion vs bulk store construction.
 
     ``reference_s`` is the one-shot canonicalization
     (``TemporalEdgeStore(src, dst, t)``: full-stream lexsort),
     ``vectorized_s`` the chunked :func:`ingest_stream` fold whose
-    transient working set is one chunk.  This entry tracks the *cost
-    of bounded memory* — the target is parity (speedup ≈ 1), not a
-    win; equality of the resulting stores is asserted before timing.
+    transient working set is one chunk.  The target is bounded memory
+    at time parity, not a win, so the entry reports both sides' traced
+    peak bytes (``reference_peak_bytes`` / ``vectorized_peak_bytes``,
+    measured in one untimed tracemalloc run each) next to their times;
+    equality of the resulting stores is asserted before timing.
     """
     from repro.graph.streams import ingest_stream
 
@@ -444,6 +396,8 @@ def bench_ingest(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
             "edges": m,
             "reference_s": _best_of(bulk, repeats),
             "vectorized_s": _best_of(streaming, repeats),
+            "reference_peak_bytes": _traced_peak(bulk),
+            "vectorized_peak_bytes": _traced_peak(streaming),
             "chunk_events": chunk,
         }
     }
@@ -504,21 +458,15 @@ def bench_api(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
 
 
 def bench_workloads(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
-    """Query serving: batched kernels + QueryService vs per-query dispatch.
+    """Query kernels: batched vs per-query dispatch.
 
-    Three entries over a Table-I-shaped store-backed graph and a
+    Two entries over a Table-I-shaped store-backed graph and a
     point-lookup-heavy serving mix (``serving_mix()``):
 
     - ``workloads.batched_queries`` — one workload replayed through
       the batched vectorized kernels (``run_queries_batched``) vs the
       per-query dispatch loop.  Result cardinalities are asserted
       bit-identical before timing.
-    - ``workloads.service_throughput`` — the same workload served by
-      ``QueryService`` request batches; ``vectorized_s`` is the best
-      wall-clock across the (executor × pool size × batch size) grid
-      and the ``service`` sub-dict records the full queries/sec
-      curve.  Batched serving must beat per-query dispatch — the run
-      asserts it.
     - ``workloads.batched_traversals`` — the frontier-vectorized BFS
       kernels (``batch_two_hop`` / ``batch_temporal_reach``) vs their
       per-query reference twins, one ``kinds`` sub-dict per traversal
@@ -526,14 +474,9 @@ def bench_workloads(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
       before timing; at full scale each kind must clear a 5x speedup
       floor.
     """
-    from repro.graph.store import (
-        TemporalEdgeStore,
-        track_dense_materializations,
-    )
+    from repro.graph.store import track_dense_materializations
     from repro.workloads import (
         GraphQueryEngine,
-        QueryRequest,
-        QueryService,
         WorkloadConfig,
         WorkloadGenerator,
         run_queries_batched,
@@ -541,16 +484,9 @@ def bench_workloads(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     )
     from repro.workloads.generator import _run_query
 
-    n, m, t_len = (200, 2400, 8) if quick else (600, 7200, 10)
+    store = TemporalEdgeStore(*_table1_events(quick, seed=17))
+    n, m, t_len = store.num_nodes, store.num_edges, store.num_timesteps
     n_q = 500 if quick else 2000
-    rng = np.random.default_rng(17)
-    store = TemporalEdgeStore(
-        n, t_len,
-        rng.integers(0, n, size=m),
-        rng.integers(0, n, size=m),
-        rng.integers(0, t_len, size=m),
-        rng.normal(size=(t_len, n, 2)),
-    )
     graph = DynamicAttributedGraph.from_store(store)
     config = WorkloadConfig(num_queries=n_q, mix=serving_mix(), seed=5)
     queries = WorkloadGenerator(graph, config).generate()
@@ -579,40 +515,8 @@ def bench_workloads(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
         }
     }
 
-    # -- concurrent serving: qps across the (executor, workers, batch) grid
-    grid = [("serial", 1), ("thread", 2), ("thread", 4)]
-    batch_sizes = (64, 256) if quick else (64, 256, 1024)
-    curve: Dict[str, Dict[str, float]] = {}
-    for executor, workers in grid:
-        with QueryService(engine, executor=executor,
-                          max_workers=workers) as service:
-            for batch_size in batch_sizes:
-                requests = [
-                    QueryRequest(queries[i:i + batch_size])
-                    for i in range(0, len(queries), batch_size)
-                ]
-                service.run_batch(requests)  # warm pool + plans
-                wall = _best_of(lambda: service.run_batch(requests), repeats)
-                curve[f"{executor}:w{workers}:b{batch_size}"] = {
-                    "wall_s": wall,
-                    "qps": n_q / wall if wall else float("inf"),
-                }
-    per_query_s = out["workloads.batched_queries"]["reference_s"]
-    best_wall = min(entry["wall_s"] for entry in curve.values())
-    assert best_wall < per_query_s, (
-        f"batched serving ({best_wall:.4f}s) failed to beat per-query "
-        f"dispatch ({per_query_s:.4f}s)"
-    )
-    out["workloads.service_throughput"] = {
-        "n": n,
-        "edges": m,
-        "num_queries": n_q,
-        "reference_s": per_query_s,
-        "vectorized_s": best_wall,
-        "service": curve,
-    }
-
     # -- frontier-vectorized traversals: batched BFS vs per-query BFS
+    rng = np.random.default_rng(18)
     nodes = rng.integers(0, n, size=n_q)
     hop_ts = rng.integers(0, t_len, size=n_q)
     src = rng.integers(0, n, size=n_q)
@@ -666,293 +570,6 @@ def bench_workloads(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def bench_serving(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
-    """Multi-process serving tier: worker-count scaling vs one process.
-
-    One ``workloads.multiprocess_throughput`` entry: ``reference_s``
-    serves a Table-I-shaped serving-mix workload through the
-    single-process serial ``QueryService``; ``vectorized_s`` is the
-    best wall-clock of ``ProcessQueryService`` across worker counts
-    (1, 2, 4), with the full queries/sec curve under ``workers``.
-    Requests travel in the tier's native columnar form, so the timing
-    measures the shared-memory + pipe serving path, not per-query
-    Python.
-
-    Before timing, every worker count is checked against the
-    single-process results (bit-identical cardinalities) and every
-    worker must report ``resident_copy_bytes == 0`` — the
-    one-resident-copy invariant of the shared store segment.
-
-    Scaling is hardware-bound: the ``>= 2x at 4 workers`` target needs
-    at least 4 usable cores.  The entry records ``cpu_count`` and sets
-    ``hardware_limited`` when the host cannot express the parallelism;
-    on capable hosts the run *asserts* the target.
-    """
-    import os
-
-    from repro.serving import ProcessQueryService, encode_queries
-    from repro.workloads import (
-        QueryRequest,
-        QueryService,
-        WorkloadConfig,
-        WorkloadGenerator,
-        serving_mix,
-    )
-
-    n, m, t_len = (200, 2400, 8) if quick else (600, 7200, 10)
-    n_q = 4000 if quick else 40_000
-    batch = 2048
-    worker_counts = (1, 2, 4)
-    rng = np.random.default_rng(17)
-    store = TemporalEdgeStore(
-        n, t_len,
-        rng.integers(0, n, size=m),
-        rng.integers(0, n, size=m),
-        rng.integers(0, t_len, size=m),
-        rng.normal(size=(t_len, n, 2)),
-    )
-    graph = DynamicAttributedGraph.from_store(store)
-    config = WorkloadConfig(num_queries=n_q, mix=serving_mix(), seed=17)
-    queries = WorkloadGenerator(graph, config).generate()
-    chunks = [queries[i:i + batch] for i in range(0, len(queries), batch)]
-    columnar = [encode_queries(c) for c in chunks]
-    plain = [QueryRequest(c) for c in chunks]
-
-    with QueryService(graph, executor="serial") as single:
-        ref_results = single.run_batch(plain)  # also warms the plan cache
-        assert all(r.ok for r in ref_results)
-        single_s = _best_of(lambda: single.run_batch(plain), repeats)
-    ref_cards = [r.cardinalities for r in ref_results]
-
-    workers_curve: Dict[str, Dict[str, float]] = {}
-    for k in worker_counts:
-        with ProcessQueryService(graph, num_workers=k) as tier:
-            results = tier.run_batch(columnar)  # warm caches + pipes
-            assert all(r.ok for r in results)
-            for got, want in zip(results, ref_cards):
-                assert np.array_equal(got.cardinalities, want), (
-                    f"multiprocess serving parity violated at {k} workers"
-                )
-            stats = tier.worker_stats()
-            assert len(stats) == k and all(
-                s["resident_copy_bytes"] == 0 for s in stats
-            ), "worker holds a resident store copy"
-            wall = _best_of(lambda: tier.run_batch(columnar), repeats)
-        workers_curve[str(k)] = {
-            "wall_s": wall,
-            "qps": n_q / wall if wall else float("inf"),
-        }
-
-    best_wall = min(e["wall_s"] for e in workers_curve.values())
-    speedup_at_4 = single_s / workers_curve["4"]["wall_s"]
-    cpu_count = len(os.sched_getaffinity(0)) if hasattr(
-        os, "sched_getaffinity"
-    ) else (os.cpu_count() or 1)
-    hardware_limited = cpu_count < 4
-    meets_target = speedup_at_4 >= 2.0
-    assert meets_target or hardware_limited, (
-        f"multiprocess serving reached only {speedup_at_4:.2f}x at 4 "
-        f"workers on {cpu_count} cores (target: 2x)"
-    )
-    return {
-        "workloads.multiprocess_throughput": {
-            "n": n,
-            "edges": m,
-            "num_queries": n_q,
-            "reference_s": single_s,
-            "vectorized_s": best_wall,
-            "single_process_qps": n_q / single_s if single_s else float("inf"),
-            "workers": workers_curve,
-            "speedup_at_4": speedup_at_4,
-            "cpu_count": cpu_count,
-            "hardware_limited": hardware_limited,
-            "meets_2x_target": meets_target,
-        }
-    }
-
-
-def bench_live(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
-    """Live serving: query-while-ingesting vs frozen-snapshot serving.
-
-    One ``workloads.live_serving`` entry over a Table-I-shaped graph
-    and the serving mix: ``reference_s`` is the per-batch p50 latency
-    of a frozen serial ``QueryService``; ``vectorized_s`` the per-batch
-    p50 of a ``LiveQueryService`` at the final epoch (identical work,
-    so the delta is the epoch-pinning machinery).  The ``rate_curve``
-    sub-dict records, per target ingest rate, the achieved sustained
-    rate and the mid-ingest batch latencies while a writer thread is
-    sealing timesteps concurrently.
-
-    Three claims are asserted before the entry is written: sustained
-    ingest stays above 100k events/s (pure replay, no pacing), every
-    final-epoch result is bit-identical to frozen serving, each
-    snapshot's edge columns own zero bytes
-    (:func:`~repro.graph.live.snapshot_owned_bytes` — prefix views,
-    not copies), and the live p50 stays within 2x of frozen (plus a
-    5ms scheduler-jitter allowance).
-    """
-    import threading
-
-    from repro.graph.live import LiveStoreBuilder, snapshot_owned_bytes
-    from repro.workloads import (
-        LiveQueryService,
-        QueryRequest,
-        QueryService,
-        WorkloadConfig,
-        WorkloadGenerator,
-        serving_mix,
-    )
-
-    n, m, t_len = (200, 2400, 8) if quick else (600, 7200, 10)
-    n_q = 500 if quick else 2000
-    batch = 64
-    rng = np.random.default_rng(23)
-    store = TemporalEdgeStore(
-        n, t_len,
-        rng.integers(0, n, size=m),
-        rng.integers(0, n, size=m),
-        rng.integers(0, t_len, size=m),
-        rng.normal(size=(t_len, n, 2)),
-    )
-    graph = DynamicAttributedGraph.from_store(store)
-    offsets = store.offsets
-    config = WorkloadConfig(num_queries=n_q, mix=serving_mix(), seed=23)
-    queries = WorkloadGenerator(graph, config).generate()
-    requests = [
-        QueryRequest(queries[i:i + batch])
-        for i in range(0, len(queries), batch)
-    ]
-
-    def replay_step(builder: LiveStoreBuilder, step: int) -> None:
-        lo, hi = int(offsets[step]), int(offsets[step + 1])
-        builder.extend(store.src[lo:hi], store.dst[lo:hi], store.t[lo:hi])
-
-    # -- sustained ingest rate: full unpaced replay, extend + seal
-    def ingest_only() -> LiveStoreBuilder:
-        builder = LiveStoreBuilder(n, t_len, attributes=store.attributes)
-        for step in range(t_len):
-            replay_step(builder, step)
-            builder.seal_step()
-        return builder
-
-    assert ingest_only().freeze() == store, "live replay parity violated"
-    ingest_s = _best_of(ingest_only, repeats)
-    ingest_rate = store.num_edges / ingest_s if ingest_s else float("inf")
-    assert ingest_rate >= 100_000, (
-        f"live ingest sustained only {ingest_rate:,.0f} events/s "
-        "(target: 100k)"
-    )
-
-    def p50_of(run) -> float:
-        latencies = []
-        for request in requests:
-            t0 = time.perf_counter()
-            run(request)
-            latencies.append(time.perf_counter() - t0)
-        return float(np.median(latencies))
-
-    # -- frozen baseline: per-batch p50 of a warm serial QueryService
-    with QueryService(graph, executor="serial") as frozen:
-        frozen_results = frozen.run_batch(requests)  # warm the plans
-        assert all(r.ok for r in frozen_results)
-        frozen_cards = [r.cardinalities for r in frozen_results]
-        frozen_p50 = min(
-            p50_of(lambda req: frozen.run_batch([req]))
-            for _ in range(repeats)
-        )
-
-    # -- live serving at a sweep of target ingest rates
-    rate_curve: Dict[str, Dict[str, object]] = {}
-    for label, rate in (
-        ("100k", 100_000.0),
-        ("400k", 400_000.0),
-        ("unthrottled", None),
-    ):
-        builder = LiveStoreBuilder(n, t_len, attributes=store.attributes)
-        writer_error: list = []
-        writer_stats: Dict[str, float] = {}
-
-        def write(builder=builder, rate=rate):
-            start = time.perf_counter()
-            try:
-                for step in range(t_len):
-                    replay_step(builder, step)
-                    if rate is not None:
-                        lag = (
-                            builder.events_ingested / rate
-                            - (time.perf_counter() - start)
-                        )
-                        if lag > 0:
-                            time.sleep(lag)
-                    builder.seal_step()
-            except Exception as exc:
-                writer_error.append(exc)
-            finally:
-                writer_stats["seconds"] = time.perf_counter() - start
-
-        with LiveQueryService(builder, executor="serial") as live:
-            writer = threading.Thread(target=write, daemon=True)
-            writer.start()
-            mid_latencies = []
-            i = 0
-            while writer.is_alive():
-                request = requests[i % len(requests)]
-                t0 = time.perf_counter()
-                live.run_batch([request])
-                mid_latencies.append(time.perf_counter() - t0)
-                i += 1
-            writer.join()
-            assert not writer_error, f"live writer failed: {writer_error[0]}"
-            final_epoch = live.refresh()
-            assert final_epoch == t_len
-            final_latencies = []
-            for request, want in zip(requests, frozen_cards):
-                t0 = time.perf_counter()
-                _, results = live.run_batch([request], refresh=False)
-                final_latencies.append(time.perf_counter() - t0)
-                assert results[0].ok and np.array_equal(
-                    results[0].cardinalities, want
-                ), "live final-epoch parity with frozen serving violated"
-            _, final_store = builder.snapshot()
-            assert snapshot_owned_bytes(final_store) == 0, (
-                "live snapshot copied its edge columns"
-            )
-        seconds = writer_stats["seconds"]
-        rate_curve[label] = {
-            "target_rate": rate,
-            "events_per_s": (
-                builder.events_ingested / seconds
-                if seconds
-                else float("inf")
-            ),
-            "p50_mid_ingest_batch_s": (
-                float(np.median(mid_latencies)) if mid_latencies else None
-            ),
-            "p50_final_epoch_batch_s": float(np.median(final_latencies)),
-            "mid_ingest_batches": len(mid_latencies),
-        }
-
-    live_p50 = min(
-        e["p50_final_epoch_batch_s"] for e in rate_curve.values()
-    )
-    assert live_p50 <= 2.0 * frozen_p50 + 0.005, (
-        f"live serving p50 ({live_p50:.5f}s) exceeds 2x the frozen "
-        f"baseline ({frozen_p50:.5f}s)"
-    )
-    return {
-        "workloads.live_serving": {
-            "n": n,
-            "edges": store.num_edges,
-            "num_queries": n_q,
-            "reference_s": frozen_p50,
-            "vectorized_s": live_p50,
-            "ingest_events_per_s": ingest_rate,
-            "snapshot_owned_bytes": 0,
-            "rate_curve": rate_curve,
-        }
-    }
-
-
 #: the reliability stack's wall-clock budget over a bare service
 RELIABILITY_BUDGET = 0.05
 
@@ -976,7 +593,6 @@ def bench_reliability(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     on this run.  ``reference_s`` / ``vectorized_s`` are the median
     per-replay seconds.
     """
-    from repro.graph.store import TemporalEdgeStore
     from repro.reliability import RetryPolicy, fault_injector
     from repro.workloads import (
         QueryRequest,
@@ -986,18 +602,10 @@ def bench_reliability(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
         serving_mix,
     )
 
-    n, m, t_len = (200, 2400, 8) if quick else (600, 7200, 10)
+    store = TemporalEdgeStore(*_table1_events(quick, seed=19))
     n_q = 500 if quick else 2000
     rounds = 40 if quick else 20
     pairs = max(5 * repeats, 11)
-    rng = np.random.default_rng(19)
-    store = TemporalEdgeStore(
-        n, t_len,
-        rng.integers(0, n, size=m),
-        rng.integers(0, n, size=m),
-        rng.integers(0, t_len, size=m),
-        rng.normal(size=(t_len, n, 2)),
-    )
     graph = DynamicAttributedGraph.from_store(store)
     config = WorkloadConfig(num_queries=n_q, mix=serving_mix(), seed=5)
     queries = WorkloadGenerator(graph, config).generate()
@@ -1043,8 +651,8 @@ def bench_reliability(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     )
     return {
         "reliability.overhead": {
-            "n": n,
-            "edges": m,
+            "n": store.num_nodes,
+            "edges": store.num_edges,
             "num_queries": n_q,
             "pairs": pairs,
             "rounds": rounds,
@@ -1126,9 +734,6 @@ def main(argv: List[str] | None = None) -> int:
     print(f"wrote {args.output}")
     print(f"{'kernel':<36} {'ref_s':>9} {'vec_s':>9} {'speedup':>8}")
     for name, entry in kernels.items():
-        if "reference_s" not in entry:
-            print(f"{name:<36} {'-':>9} {entry['vectorized_s']:>9.4f} {'-':>8}")
-            continue
         print(
             f"{name:<36} {entry['reference_s']:>9.4f} "
             f"{entry['vectorized_s']:>9.4f} {entry['speedup']:>7.1f}x"

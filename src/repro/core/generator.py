@@ -111,6 +111,53 @@ def _pairwise_head_block(
     return out_act(x)
 
 
+def sample_rows(
+    head,
+    proj: np.ndarray,
+    alpha: np.ndarray,
+    lo: int,
+    hi: int,
+    block: int,
+    component_rng: np.random.Generator,
+    edge_rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample adjacency rows ``[lo, hi)`` as CSR-ordered ``(src, dst)``.
+
+    The one decode loop of :meth:`MixBernoulliSampler.sample_edges`
+    (rows ``[0, N)``) and of ``repro.generation``'s shards.  ``alpha``
+    holds the rows' normalized mixing weights; components are
+    inverse-CDF draws on ``component_rng``, and each ``(block, N)`` row
+    block draws its edge uniforms from ``edge_rng`` when reached —
+    exactly the stream one ``(hi - lo, N)`` draw consumes, so a shard
+    on a stream slice matches the monolithic decode bit for bit.
+    """
+    n = proj.shape[0]
+    k = alpha.shape[1]
+    u = component_rng.random((hi - lo, 1))
+    components = (u > np.cumsum(alpha, axis=1)).sum(axis=1).clip(0, k - 1)
+    srcs = []
+    dsts = []
+    for blo in range(lo, hi, block):
+        bhi = min(blo + block, hi)
+        edge_u = edge_rng.random((bhi - blo, n))
+        theta = _np_sigmoid(
+            _pairwise_head_block(head, proj, blo, bhi)
+        ).reshape(bhi - blo, n, k)
+        row_theta = np.take_along_axis(
+            theta, components[blo - lo:bhi - lo, None, None], axis=2
+        )[:, :, 0]
+        hit = edge_u < row_theta
+        diag = np.arange(blo, bhi)
+        hit[diag - blo, diag] = False
+        rows, cols = np.nonzero(hit)
+        srcs.append(rows.astype(np.int64) + blo)
+        dsts.append(cols.astype(np.int64))
+    return (
+        np.concatenate(srcs) if srcs else np.zeros(0, np.int64),
+        np.concatenate(dsts) if dsts else np.zeros(0, np.int64),
+    )
+
+
 def _fusable_head(mlp: MLP, activations) -> bool:
     """2-layer head with an identity output and a hidden activation in
     ``activations`` — the shape every fused pairwise record expects."""
@@ -392,14 +439,13 @@ class MixBernoulliSampler(Module):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw one adjacency sample as ``(src, dst)`` edge columns.
 
-        Fused decode: one blocked pass pools the α features, the row
-        components are drawn, then a second blocked pass evaluates θ and
-        samples edges — only the chosen component's probabilities are
-        ever used, and no autodiff nodes are created.  Edges stream out
-        as int columns in CSR order, ready for a
+        Fused decode: :func:`prepare_decode`, then :func:`sample_rows`
+        over rows ``[0, N)`` on ``rng`` — only the chosen component's
+        probabilities are ever used, and no autodiff nodes are created.
+        Edges stream out as int columns in CSR order, ready for a
         :class:`~repro.graph.store.TemporalEdgeStoreBuilder`; only the
         per-block ``(B, N)`` working set is dense.  RNG consumption
-        (one ``(N, 1)`` draw, one ``(N, N)`` draw) matches
+        (``N`` component uniforms, then ``N²`` edge uniforms) matches
         :meth:`_reference_sample` exactly; θ agrees with the reference
         to within a few ulp (reassociated first layer), so both paths
         produce the same graphs from identical generator states except
@@ -408,38 +454,9 @@ class MixBernoulliSampler(Module):
         contiguous window of the stream — the invariant
         ``repro.generation`` slices to decode shards bit-identically.
         """
-        s_np = np.asarray(s.data if isinstance(s, Tensor) else s, dtype=np.float64)
-        n = s_np.shape[0]
-        block = self._decode_block_rows(n, block_size)
-        alpha = self._mixture_weights_np(s_np, block)
-        # normalize to be safe against float drift, then vectorize the
-        # categorical draw via inverse-CDF sampling per row
-        alpha = alpha / alpha.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(alpha, axis=1)
-        u = rng.random((n, 1))
-        components = (u > cdf).sum(axis=1).clip(0, self.num_components - 1)
-        edge_u = rng.random((n, n))
-        proj = _first_layer_projection(self.f_theta, s_np)
-        srcs = []
-        dsts = []
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            theta = _np_sigmoid(
-                _pairwise_head_block(self.f_theta, proj, lo, hi)
-            ).reshape(hi - lo, n, self.num_components)
-            row_theta = np.take_along_axis(
-                theta, components[lo:hi, None, None], axis=2
-            )[:, :, 0]
-            hit = edge_u[lo:hi] < row_theta
-            # no self-loops: mask the diagonal entries of this row block
-            diag = np.arange(lo, hi)
-            hit[diag - lo, diag] = False
-            rows, cols = np.nonzero(hit)
-            srcs.append(rows.astype(np.int64) + lo)
-            dsts.append(cols.astype(np.int64))
-        return (
-            np.concatenate(srcs) if srcs else np.zeros(0, np.int64),
-            np.concatenate(dsts) if dsts else np.zeros(0, np.int64),
+        alpha, proj, block = prepare_decode(self, s, block_size)
+        return sample_rows(
+            self.f_theta, proj, alpha, 0, proj.shape[0], block, rng, rng
         )
 
     def sample(
@@ -497,6 +514,24 @@ class MixBernoulliSampler(Module):
         adj = (rng.random((n, n)) < row_theta).astype(np.float64)
         np.fill_diagonal(adj, 0.0)
         return adj
+
+
+def prepare_decode(
+    sampler: MixBernoulliSampler, s, block_size: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The decode's row-independent prologue: ``(alpha, proj, block)``.
+
+    ``alpha`` is the normalized ``(N, K)`` mixing weights (closed-form
+    O(N log N) pooling when the head admits it); ``proj`` the ``(N, h)``
+    θ-head first-layer projection — the only O(N·d·h) matmul of the
+    decode; ``block`` the row-block height.  Computed once per decode
+    (once for all shards) and shared by every :func:`sample_rows` call.
+    """
+    s_np = np.asarray(s.data if isinstance(s, Tensor) else s, dtype=np.float64)
+    block = sampler._decode_block_rows(s_np.shape[0], block_size)
+    alpha = sampler._mixture_weights_np(s_np, block)
+    alpha = alpha / alpha.sum(axis=1, keepdims=True)  # float drift
+    return alpha, _first_layer_projection(sampler.f_theta, s_np), block
 
 
 class AttributeDecoder(Module):

@@ -9,10 +9,10 @@ with the same attribute layout the fused kernels in
 packed into one :class:`ShardTask` (everything a worker needs,
 picklable, no model object).
 
-Numerics are byte-for-byte those of
-:meth:`~repro.core.generator.MixBernoulliSampler.sample_edges`: the
-same row-blocked pairwise kernel, the same inverse-CDF component draw,
-and RNG slices of the same master stream (see
+A shard runs the same prologue and the same row loop
+(:func:`~repro.core.generator.sample_rows`) as
+:meth:`~repro.core.generator.MixBernoulliSampler.sample_edges`, on
+RNG slices of the same master stream (see
 ``repro.generation.sharding``), so a shard's ``(src, dst)`` output
 equals the corresponding row range of the monolithic decode exactly.
 Per-shard peak memory is the ``(block, N)`` pairwise working set —
@@ -22,17 +22,11 @@ never an ``(N, N)`` buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor
-from repro.core.generator import (
-    MixBernoulliSampler,
-    _first_layer_projection,
-    _np_sigmoid,
-    _pairwise_head_block,
-)
+from repro.core.generator import prepare_decode, sample_rows
 from repro.generation.sharding import sliced_generator
 
 __all__ = ["PlainHead", "ShardTask", "decode_shard", "prepare_decode"]
@@ -109,10 +103,6 @@ class ShardTask:
     ------
     lo, hi:
         The shard's row range within ``[0, N)``.
-    num_nodes:
-        Destination-column count ``N``.
-    num_components:
-        Mixture size ``K``.
     head:
         :class:`PlainHead` mirror of the θ MLP.
     proj:
@@ -130,8 +120,6 @@ class ShardTask:
 
     lo: int
     hi: int
-    num_nodes: int
-    num_components: int
     head: PlainHead
     proj: np.ndarray
     alpha: np.ndarray
@@ -144,62 +132,13 @@ def decode_shard(task: ShardTask) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns ``(src, dst)`` int64 columns in CSR order with absolute
     row indices — the exact sub-columns the monolithic
-    ``sample_edges`` would emit for rows ``[lo, hi)``.
+    ``sample_edges`` would emit for rows ``[lo, hi)``: the component
+    uniforms are rows ``[lo, hi)`` of the master's ``N``-draw block,
+    the edge uniforms rows ``[lo, hi)`` of its ``N²``-draw block.
     """
-    lo, hi, n = task.lo, task.hi, task.num_nodes
-    rows_here = hi - lo
-    if rows_here <= 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    # component draw: rows [lo, hi) of the master's (N, 1) uniform block
-    u = sliced_generator(task.rng_state, lo).random((rows_here, 1))
-    cdf = np.cumsum(task.alpha, axis=1)
-    components = (u > cdf).sum(axis=1).clip(0, task.num_components - 1)
-    # edge draw: rows [lo, hi) of the master's (N, N) uniform block,
-    # drawn incrementally per row block (rows are contiguous in the
-    # stream, so chunked draws match the monolithic bulk draw exactly)
-    edge_gen = sliced_generator(task.rng_state, n + lo * n)
-    srcs: List[np.ndarray] = []
-    dsts: List[np.ndarray] = []
-    for blo in range(lo, hi, task.block):
-        bhi = min(blo + task.block, hi)
-        edge_u = edge_gen.random((bhi - blo, n))
-        theta = _np_sigmoid(
-            _pairwise_head_block(task.head, task.proj, blo, bhi)
-        ).reshape(bhi - blo, n, task.num_components)
-        row_theta = np.take_along_axis(
-            theta, components[blo - lo:bhi - lo, None, None], axis=2
-        )[:, :, 0]
-        hit = edge_u < row_theta
-        diag = np.arange(blo, bhi)
-        hit[diag - blo, diag] = False
-        rows, cols = np.nonzero(hit)
-        srcs.append(rows.astype(np.int64) + blo)
-        dsts.append(cols.astype(np.int64))
-    return (
-        np.concatenate(srcs) if srcs else np.zeros(0, np.int64),
-        np.concatenate(dsts) if dsts else np.zeros(0, np.int64),
+    lo, hi, n = task.lo, task.hi, task.proj.shape[0]
+    return sample_rows(
+        task.head, task.proj, task.alpha, lo, hi, task.block,
+        sliced_generator(task.rng_state, lo),
+        sliced_generator(task.rng_state, n + lo * n),
     )
-
-
-def prepare_decode(
-    sampler: MixBernoulliSampler,
-    s,
-    block_size: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Coordinator-side prologue shared by every shard.
-
-    Computes the ``(N, K)`` normalized mixing weights α (closed-form
-    O(N log N) pooling when the head admits it) and the ``(N, h)``
-    θ-head first-layer projection — the only O(N·d·h) matmul of the
-    decode, done once rather than once per shard.  Returns
-    ``(alpha, proj, block)``.
-    """
-    s_np = np.asarray(
-        s.data if isinstance(s, Tensor) else s, dtype=np.float64
-    )
-    n = s_np.shape[0]
-    block = sampler._decode_block_rows(n, block_size)
-    alpha = sampler._mixture_weights_np(s_np, block)
-    alpha = alpha / alpha.sum(axis=1, keepdims=True)
-    proj = _first_layer_projection(sampler.f_theta, s_np)
-    return alpha, proj, block

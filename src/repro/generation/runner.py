@@ -114,8 +114,6 @@ class ShardedStructureDecoder:
             ShardTask(
                 lo=lo,
                 hi=hi,
-                num_nodes=n,
-                num_components=sampler.num_components,
                 head=head,
                 proj=proj,
                 alpha=alpha[lo:hi],

@@ -10,10 +10,11 @@ to the sampled distribution:
   canonical order by construction.
 * :func:`sliced_generator` — a :class:`numpy.random.Generator` whose
   stream is the master PCG64 stream *advanced to a row offset*.  The
-  monolithic decode draws ``u = rng.random((N, 1))`` followed by
-  ``edge_u = rng.random((N, N))``; uniform doubles consume exactly one
-  64-bit PCG64 step each, so the draws belonging to rows ``[lo, hi)``
-  occupy a known, contiguous window of the master stream.  A shard
+  monolithic decode draws ``N`` component uniforms followed by ``N²``
+  row-major edge uniforms (one row block at a time); uniform doubles
+  consume exactly one 64-bit PCG64 step each, so the draws belonging
+  to rows ``[lo, hi)`` occupy a known, contiguous window of the master
+  stream.  A shard
   reproduces its window bit-for-bit by advancing a copy of the master
   state — **every** shard count therefore yields the same graph as the
   unsharded :meth:`repro.core.model.VRDAG.generate`, not merely the

@@ -70,7 +70,7 @@ def snapshot_owned_bytes(store: TemporalEdgeStore) -> int:
     A live snapshot's ``(src, dst, t)`` columns are prefix views of
     the builder's frozen buffers, so this is 0 — the owned-bytes
     assertion behind the "snapshot is not a full-store copy" claim
-    (``workloads.live_serving`` in ``BENCH_perf.json``).  The O(T)
+    (``tests/graph/test_live_epochs.py``).  The O(T)
     ``offsets`` array and the by-reference attribute block are
     excluded: neither scales with M.
     """

@@ -4,7 +4,7 @@ The ROADMAP's "fast as the hardware allows" goal needs *measured* hot
 paths, not guessed ones.  This module provides a process-global
 :class:`Profiler` with near-zero overhead when disabled (one attribute
 check per call site), used by the trainer, the evaluation harness, and
-``scripts/bench_report.py``::
+the Fig. 9 / Table III/IV runs of ``scripts/bench_report.py``::
 
     from repro.profiling import profiler
 
@@ -14,13 +14,15 @@ check per call site), used by the trainer, the evaluation harness, and
     print(profiler.report())
 
 Timers nest freely; each named scope accumulates total seconds and call
-count.  ``snapshot()`` returns plain dicts ready for JSON serialization
-(the ``BENCH_perf.json`` schema documented in ``benchmarks/README.md``).
+count, exactly under threads (one lock guards every update).
+``snapshot()`` returns plain dicts ready for JSON serialization (the
+``BENCH_perf.json`` schema documented in ``benchmarks/README.md``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator
@@ -50,6 +52,9 @@ class Profiler:
     enabled: bool = False
     timers: Dict[str, ScopeStats] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     @contextlib.contextmanager
     def timer(self, name: str) -> Iterator[None]:
@@ -61,14 +66,17 @@ class Profiler:
         try:
             yield
         finally:
-            stats = self.timers.setdefault(name, ScopeStats())
-            stats.seconds += time.perf_counter() - start
-            stats.calls += 1
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                stats = self.timers.setdefault(name, ScopeStats())
+                stats.seconds += elapsed
+                stats.calls += 1
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the counter ``name`` (no-op while disabled)."""
         if self.enabled:
-            self.counters[name] = self.counters.get(name, 0) + int(n)
+            with self._lock:
+                self.counters[name] = self.counters.get(name, 0) + int(n)
 
     @contextlib.contextmanager
     def enable(self) -> Iterator["Profiler"]:
@@ -82,34 +90,37 @@ class Profiler:
 
     def reset(self) -> None:
         """Drop all accumulated timers and counters."""
-        self.timers.clear()
-        self.counters.clear()
+        with self._lock:
+            self.timers.clear()
+            self.counters.clear()
 
     def snapshot(self) -> Dict[str, Dict]:
         """JSON-ready view: ``{"timers": {...}, "counters": {...}}``."""
-        return {
-            "timers": {
-                name: {
-                    "seconds": stats.seconds,
-                    "calls": stats.calls,
-                    "mean_seconds": stats.mean_seconds,
-                }
-                for name, stats in sorted(self.timers.items())
-            },
-            "counters": dict(sorted(self.counters.items())),
-        }
+        with self._lock:
+            return {
+                "timers": {
+                    name: {
+                        "seconds": stats.seconds,
+                        "calls": stats.calls,
+                        "mean_seconds": stats.mean_seconds,
+                    }
+                    for name, stats in sorted(self.timers.items())
+                },
+                "counters": dict(sorted(self.counters.items())),
+            }
 
     def report(self) -> str:
         """Human-readable table of all scopes, slowest first."""
+        snap = self.snapshot()
         lines = ["scope                                    total_s     calls    mean_ms"]
         for name, stats in sorted(
-            self.timers.items(), key=lambda kv: -kv[1].seconds
+            snap["timers"].items(), key=lambda kv: -kv[1]["seconds"]
         ):
             lines.append(
-                f"{name:<40} {stats.seconds:>8.3f} {stats.calls:>9d} "
-                f"{1e3 * stats.mean_seconds:>9.3f}"
+                f"{name:<40} {stats['seconds']:>8.3f} {stats['calls']:>9d} "
+                f"{1e3 * stats['mean_seconds']:>9.3f}"
             )
-        for name, value in sorted(self.counters.items()):
+        for name, value in snap["counters"].items():
             lines.append(f"{name:<40} {value:>18d}")
         return "\n".join(lines)
 
@@ -117,8 +128,8 @@ class Profiler:
 def best_of(fn, repeats: int = 3) -> float:
     """Best wall-clock of ``repeats`` calls (min filters scheduler noise).
 
-    Shared by ``scripts/bench_report.py`` and the perf smoke tests so
-    the trajectory and the sanity bounds measure the same quantity.
+    Shared by ``scripts/bench_report.py`` and the ``-m perf`` tests so
+    the trajectory and the gates measure the same quantity.
     """
     best = float("inf")
     for _ in range(repeats):

@@ -63,3 +63,48 @@ class TestProfiler:
         p.count("edges", 4)
         report = p.report()
         assert "alpha" in report and "edges" in report
+
+
+class TestProfilerThreads:
+    """Enabled accumulation is exact when worker threads share it."""
+
+    THREADS, CALLS = 4, 50_000
+
+    def _hammer(self, work):
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force preemption mid-update
+        try:
+            threads = [
+                threading.Thread(target=work) for _ in range(self.THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_count_is_exact_under_threads(self):
+        p = Profiler(enabled=True)
+
+        def work():
+            for _ in range(self.CALLS):
+                p.count("c")
+
+        self._hammer(work)
+        assert p.counters["c"] == self.THREADS * self.CALLS
+
+    def test_timer_calls_are_exact_under_threads(self):
+        p = Profiler(enabled=True)
+
+        def work():
+            for _ in range(self.CALLS):
+                with p.timer("t"):
+                    pass
+
+        self._hammer(work)
+        assert p.timers["t"].calls == self.THREADS * self.CALLS
