@@ -367,8 +367,9 @@ def bench_ingest(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     ``reference_s`` is the one-shot canonicalization
     (``TemporalEdgeStore(src, dst, t)``: full-stream lexsort),
     ``vectorized_s`` the chunked :func:`ingest_stream` fold whose
-    transient working set is one chunk.  The target is bounded memory
-    at time parity, not a win, so the entry reports both sides' traced
+    unsorted working set is one chunk (its sorted runs still peak at up
+    to 4x the canonical columns).  The target is bounded memory at
+    time parity, not a win, so the entry reports both sides' traced
     peak bytes (``reference_peak_bytes`` / ``vectorized_peak_bytes``,
     measured in one untimed tracemalloc run each) next to their times;
     equality of the resulting stores is asserted before timing.

@@ -398,8 +398,10 @@ register_op("pooled_mlp2", _pooled_mlp2_forward, _pooled_mlp2_vjp)
 # pairwise_mixbern_loglik: θ head + MixBernoulli row log-likelihood,
 # rematerialized in row blocks
 # ----------------------------------------------------------------------
-#: pairs per row block: small enough that the block's (B·N, h) working
-#: set stays in cache (a whole-matrix block makes the backward slower)
+#: pairs per row block of this record and of the no-grad decode
+#: (``repro.core.generator``), both reading it at call time: the
+#: block's (B·N, h) temporaries stay L2-resident (~0.3 MB at h=36);
+#: 8192+ pair blocks spill and run ~3x slower
 _PAIR_BUDGET = 1024
 
 

@@ -382,12 +382,10 @@ register_op(
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable piecewise sigmoid (no overflow for large |x|)."""
-    return np.where(
-        x >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
-        np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))),
-    )
+    """Numerically stable piecewise sigmoid (no overflow for large |x|):
+    one ``exp`` pass, as ``exp(-|x|)`` is each branch's own ``exp``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _sigmoid_forward(a):

@@ -15,8 +15,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff import Tensor, apply, functional as F
+from repro.autodiff import Tensor, apply, fused, functional as F
 from repro.autodiff.fused import FUSED_ACTIVATIONS, PIECEWISE_LINEAR, pooled_mlp2
+from repro.autodiff.ops import stable_sigmoid
 from repro.autodiff.tensor import as_tensor
 from repro.nn import GATLayer, MLP, Module
 from repro.nn.linear import get_activation
@@ -34,22 +35,9 @@ _PROB_EPS = 1e-7
 # its autodiff twin in ``repro.autodiff.functional`` operation-for-
 # operation; the only numerical difference from the reference path is
 # the reassociated first linear layer (see _first_layer_projection),
-# which agrees to within a few ulp.
+# which agrees to within a few ulp.  The sigmoid is the op registry's
+# own ``stable_sigmoid``, shared with the training records.
 # ----------------------------------------------------------------------
-def _np_sigmoid(x: np.ndarray) -> np.ndarray:
-    # same stable piecewise form as F.sigmoid, but each branch is
-    # evaluated only on its own elements (a np.where computes both
-    # exp passes over the full array); per-element results are
-    # bit-identical to the reference
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    neg = ~pos
-    e = np.exp(x[neg])
-    out[neg] = e / (1.0 + e)
-    return out
-
-
 _NP_ACTIVATIONS = {
     # max(x, 0.2*x) == leaky_relu for any slope < 1, in two array passes
     # instead of the three a where-mask needs; values match
@@ -57,11 +45,18 @@ _NP_ACTIVATIONS = {
     "relu": lambda x: np.maximum(x, 0.0),
     "leaky_relu": lambda x: np.maximum(x, 0.2 * x),
     "tanh": np.tanh,
-    "sigmoid": _np_sigmoid,
+    "sigmoid": stable_sigmoid,
     "elu": lambda x: np.where(x > 0, x, np.exp(np.clip(x, None, 0)) - 1.0),
     "softplus": lambda x: np.logaddexp(0.0, x),
     "identity": lambda x: x,
 }
+
+
+def _decode_block_rows(n: int) -> int:
+    """Decode row-block height: the pair budget of the training
+    record, read at call time, so blocks stay cache-resident."""
+    return max(fused._PAIR_BUDGET // max(n, 1), 1)
+
 
 def _np_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -140,12 +135,14 @@ def sample_rows(
     for blo in range(lo, hi, block):
         bhi = min(blo + block, hi)
         edge_u = edge_rng.random((bhi - blo, n))
-        theta = _np_sigmoid(
-            _pairwise_head_block(head, proj, blo, bhi)
-        ).reshape(bhi - blo, n, k)
-        row_theta = np.take_along_axis(
-            theta, components[blo - lo:bhi - lo, None, None], axis=2
-        )[:, :, 0]
+        feats = _pairwise_head_block(head, proj, blo, bhi).reshape(
+            bhi - blo, n, k
+        )
+        # pick each row's component first: the sigmoid is elementwise,
+        # so it runs on (B, N) values instead of (B, N, K)
+        row_theta = stable_sigmoid(np.take_along_axis(
+            feats, components[blo - lo:bhi - lo, None, None], axis=2
+        )[:, :, 0])
         hit = edge_u < row_theta
         diag = np.arange(blo, bhi)
         hit[diag - blo, diag] = False
@@ -360,13 +357,6 @@ class MixBernoulliSampler(Module):
     # ------------------------------------------------------------------
     # fused no-grad decode (generation hot path)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _decode_block_rows(n: int, block_size: Optional[int]) -> int:
-        """Row-block height keeping the pairwise buffer ~32k rows."""
-        if block_size is not None:
-            return max(int(block_size), 1)
-        return max(32768 // max(n, 1), 1)
-
     def _pooled_alpha_features_np(
         self, proj: np.ndarray
     ) -> Optional[np.ndarray]:
@@ -408,9 +398,7 @@ class MixBernoulliSampler(Module):
                 ).sum(axis=1)  # pool over j
         return _np_softmax(alpha_feats, axis=-1)
 
-    def edge_probabilities(
-        self, s: Tensor, block_size: Optional[int] = None
-    ) -> np.ndarray:
+    def edge_probabilities(self, s: Tensor) -> np.ndarray:
         """Marginal edge probability matrix Ã under the mixture.
 
         Row-blocked no-grad kernel; never materializes the full
@@ -418,13 +406,13 @@ class MixBernoulliSampler(Module):
         """
         s_np = np.asarray(s.data if isinstance(s, Tensor) else s, dtype=np.float64)
         n = s_np.shape[0]
-        block = self._decode_block_rows(n, block_size)
+        block = _decode_block_rows(n)
         alpha = self._mixture_weights_np(s_np, block)
         proj = _first_layer_projection(self.f_theta, s_np)
         probs = np.zeros((n, n))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            theta = _np_sigmoid(
+            theta = stable_sigmoid(
                 _pairwise_head_block(self.f_theta, proj, lo, hi)
             ).reshape(hi - lo, n, self.num_components)
             probs[lo:hi] = (theta * alpha[lo:hi, None, :]).sum(axis=2)
@@ -432,10 +420,7 @@ class MixBernoulliSampler(Module):
         return probs
 
     def sample_edges(
-        self,
-        s: Tensor,
-        rng: np.random.Generator,
-        block_size: Optional[int] = None,
+        self, s: Tensor, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw one adjacency sample as ``(src, dst)`` edge columns.
 
@@ -454,17 +439,12 @@ class MixBernoulliSampler(Module):
         contiguous window of the stream — the invariant
         ``repro.generation`` slices to decode shards bit-identically.
         """
-        alpha, proj, block = prepare_decode(self, s, block_size)
+        alpha, proj, block = prepare_decode(self, s)
         return sample_rows(
             self.f_theta, proj, alpha, 0, proj.shape[0], block, rng, rng
         )
 
-    def sample(
-        self,
-        s: Tensor,
-        rng: np.random.Generator,
-        block_size: Optional[int] = None,
-    ) -> np.ndarray:
+    def sample(self, s: Tensor, rng: np.random.Generator) -> np.ndarray:
         """Draw one adjacency sample as a dense ``(N, N)`` 0/1 matrix.
 
         Convenience wrapper over :meth:`sample_edges` for tests and
@@ -473,7 +453,7 @@ class MixBernoulliSampler(Module):
         never materializes this matrix).
         """
         n = (s.data if isinstance(s, Tensor) else np.asarray(s)).shape[0]
-        src, dst = self.sample_edges(s, rng, block_size)
+        src, dst = self.sample_edges(s, rng)
         adj = np.zeros((n, n))
         if src.size:
             adj[src, dst] = 1.0
@@ -517,18 +497,19 @@ class MixBernoulliSampler(Module):
 
 
 def prepare_decode(
-    sampler: MixBernoulliSampler, s, block_size: Optional[int] = None
+    sampler: MixBernoulliSampler, s
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """The decode's row-independent prologue: ``(alpha, proj, block)``.
 
     ``alpha`` is the normalized ``(N, K)`` mixing weights (closed-form
     O(N log N) pooling when the head admits it); ``proj`` the ``(N, h)``
     θ-head first-layer projection — the only O(N·d·h) matmul of the
-    decode; ``block`` the row-block height.  Computed once per decode
-    (once for all shards) and shared by every :func:`sample_rows` call.
+    decode; ``block`` the row-block height (:func:`_decode_block_rows`).
+    Computed once per decode (once for all shards) and shared by every
+    :func:`sample_rows` call.
     """
     s_np = np.asarray(s.data if isinstance(s, Tensor) else s, dtype=np.float64)
-    block = sampler._decode_block_rows(s_np.shape[0], block_size)
+    block = _decode_block_rows(s_np.shape[0])
     alpha = sampler._mixture_weights_np(s_np, block)
     alpha = alpha / alpha.sum(axis=1, keepdims=True)  # float drift
     return alpha, _first_layer_projection(sampler.f_theta, s_np), block

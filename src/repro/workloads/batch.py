@@ -88,7 +88,9 @@ __all__ = [
 #: reordering is not (pinned by ``tests/serving/test_protocol.py``).
 KIND_CODES: Tuple[QueryKind, ...] = tuple(QueryKind)
 
-_CODE_OF: Dict[QueryKind, int] = {k: i for i, k in enumerate(KIND_CODES)}
+#: keyed by the member's value: a str hash is cached, while hashing an
+#: Enum member runs the pure-Python ``Enum.__hash__`` on every lookup
+_CODE_OF: Dict[str, int] = {k.value: i for i, k in enumerate(KIND_CODES)}
 
 #: The one per-kind table: the column holding each ``Query.args``
 #: position, in argument order (``ts`` always holds ``Query.t``; for
@@ -176,7 +178,7 @@ def encode_queries(queries: Sequence[Query]) -> ColumnarQueryRequest:
     if n == 0:
         raise ValueError("cannot encode an empty query sequence")
     kinds = np.fromiter(
-        map(_CODE_OF.__getitem__, map(attrgetter("kind"), queries)),
+        map(_CODE_OF.__getitem__, map(attrgetter("kind._value_"), queries)),
         np.int8, n,
     )
     cols = {name: np.zeros(n, dtype=dtype) for name, dtype in _COLUMNS}

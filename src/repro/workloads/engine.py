@@ -189,8 +189,9 @@ class GraphQueryEngine:
         The generated-then-scored pipeline entry point: events fold
         into the canonical columnar store through
         :func:`repro.graph.streams.ingest_stream` — bounded-memory
-        chunked canonicalization, so the pipeline never holds more
-        than one chunk plus the store — and the engine's plans derive
+        chunked canonicalization, so the unsorted stream is never
+        resident (the fold's peak is one chunk plus up to 4x the
+        store's columns) — and the engine's plans derive
         lazily from that store.  ``events`` accepts the same forms as
         :func:`ingest_stream` (an array triple, an iterable of scalar
         triples, or an iterable of array batches).

@@ -4,9 +4,10 @@ no-autodiff guarantee of the generation fast path."""
 import numpy as np
 import pytest
 
+from repro.autodiff import fused
 from repro.autodiff.tensor import Tensor
 from repro.core import VRDAG, VRDAGConfig
-from repro.core.generator import MixBernoulliSampler
+from repro.core.generator import MixBernoulliSampler, prepare_decode
 
 
 @pytest.fixture
@@ -21,40 +22,70 @@ def states(rng):
     return Tensor(rng.normal(size=(23, 12)))
 
 
-class TestFusedDecodeParity:
-    def test_sample_matches_reference(self, sampler, states):
-        fused = sampler.sample(states, np.random.default_rng(7), block_size=5)
-        ref = sampler._reference_sample(states, np.random.default_rng(7))
-        np.testing.assert_array_equal(fused, ref)
+@pytest.fixture
+def block_rows(monkeypatch):
+    """``block_rows(rows, n)`` sets the decode's row-block height to
+    ``rows`` at ``n`` nodes through the pair budget it shares with the
+    training records."""
 
-    def test_edge_probabilities_match_reference(self, sampler, states):
+    def set_rows(rows, n):
+        monkeypatch.setattr(fused, "_PAIR_BUDGET", rows * n)
+
+    return set_rows
+
+
+class TestFusedDecodeParity:
+    def test_sample_matches_reference(self, sampler, states, block_rows):
+        block_rows(5, 23)
+        blocked = sampler.sample(states, np.random.default_rng(7))
+        ref = sampler._reference_sample(states, np.random.default_rng(7))
+        np.testing.assert_array_equal(blocked, ref)
+
+    def test_edge_probabilities_match_reference(
+        self, sampler, states, block_rows
+    ):
+        block_rows(5, 23)
         np.testing.assert_allclose(
-            sampler.edge_probabilities(states, block_size=5),
+            sampler.edge_probabilities(states),
             sampler._reference_edge_probabilities(states),
             atol=1e-10,
         )
 
-    def test_blocking_is_invisible(self, sampler, states):
-        whole = sampler.sample(states, np.random.default_rng(9), block_size=None)
-        blocked = sampler.sample(states, np.random.default_rng(9), block_size=3)
+    def test_blocking_is_invisible(self, sampler, states, block_rows):
+        block_rows(23, 23)  # budget N²: one whole-matrix block
+        whole = sampler.sample(states, np.random.default_rng(9))
+        block_rows(3, 23)
+        blocked = sampler.sample(states, np.random.default_rng(9))
         np.testing.assert_array_equal(whole, blocked)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_component_counts(self, rng, k):
+    def test_component_counts(self, rng, k, block_rows):
         sampler = MixBernoulliSampler(
             8, num_components=k, rng=np.random.default_rng(k)
         )
         s = Tensor(rng.normal(size=(11, 8)))
-        fused = sampler.sample(s, np.random.default_rng(1), block_size=4)
+        block_rows(4, 11)
+        blocked = sampler.sample(s, np.random.default_rng(1))
         ref = sampler._reference_sample(s, np.random.default_rng(1))
-        np.testing.assert_array_equal(fused, ref)
+        np.testing.assert_array_equal(blocked, ref)
+
+    def test_decode_reads_shared_pair_budget(
+        self, sampler, states, monkeypatch
+    ):
+        """The decode's block height is the training record's pair
+        budget over N, read at call time."""
+        assert prepare_decode(sampler, states)[2] == fused._PAIR_BUDGET // 23
+        monkeypatch.setattr(fused, "_PAIR_BUDGET", 50)
+        assert prepare_decode(sampler, states)[2] == 2
+        monkeypatch.setattr(fused, "_PAIR_BUDGET", 10)
+        assert prepare_decode(sampler, states)[2] == 1
 
     def test_single_node(self, sampler):
         s = Tensor(np.zeros((1, 12)))
         adj = sampler.sample(s, np.random.default_rng(0))
         assert adj.shape == (1, 1) and adj[0, 0] == 0.0
 
-    def test_pooled_alpha_fallback_agrees(self, states):
+    def test_pooled_alpha_fallback_agrees(self, states, block_rows):
         """A non-decomposable α activation falls back to the blocked
         pairwise pass and still matches the reference."""
         from repro.nn import MLP
@@ -66,8 +97,9 @@ class TestFusedDecodeParity:
             [12, 12, 3], activation="tanh", rng=np.random.default_rng(4)
         )
         assert sampler._pooled_alpha_features_np(np.zeros((3, 12))) is None
+        block_rows(6, 23)
         np.testing.assert_allclose(
-            sampler.edge_probabilities(states, block_size=6),
+            sampler.edge_probabilities(states),
             sampler._reference_edge_probabilities(states),
             atol=1e-10,
         )

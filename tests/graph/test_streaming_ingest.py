@@ -171,6 +171,39 @@ class TestStreamingRoundTrip:
         assert store.num_edges == 0 and store.num_timesteps == 3
 
 
+class TestPeakMemory:
+    """The documented bound: one chunk's canonicalization working set
+    (``_BYTES_PER_EVENT`` an event) plus 4x the canonical columns (24
+    bytes an output event), since a tier merge holds its input runs,
+    their keys and positions, and the merged copy at once.  Few
+    duplicates is the heavy case: the runs are then the whole output
+    (measured 3.4-3.8x of it)."""
+
+    @pytest.mark.parametrize(
+        "n, t_len, chunk",
+        [(600, 10, 4096), (600, 10, 16384), (60, 4, 16384)],
+        ids=["few-dups-small-chunk", "few-dups", "many-dups"],
+    )
+    def test_traced_peak_within_bound(self, n, t_len, chunk):
+        import tracemalloc
+
+        from repro.graph.streams import _BYTES_PER_EVENT
+
+        rng = np.random.default_rng(13)
+        m = 120_000
+        cols = tuple(
+            rng.integers(0, hi, size=m) for hi in (n, n, t_len)
+        )
+        tracemalloc.start()
+        try:
+            store = ingest_stream(cols, n, t_len, chunk_events=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = _BYTES_PER_EVENT * chunk + 4 * 24 * store.num_edges
+        assert peak <= bound, f"peak {peak} > bound {bound}"
+
+
 class TestValidation:
     def test_out_of_range_endpoint(self):
         builder = StreamingStoreBuilder(4, 2)
