@@ -1,24 +1,35 @@
 """Versioned generator artifacts: one envelope for every generator.
 
-An *artifact* is a single compressed ``.npz`` that round-trips any
-registered generator — fitted or not — through five fields:
+An *artifact* is a single uncompressed ``.npz`` that round-trips any
+registered generator — fitted or not — through seven members:
 
 =================  ========================================================
 ``__artifact__``   magic marker (``"repro-generator-artifact"``)
-``version``        envelope format version (currently 3; version 2 lacked
-                   the checksum and is still read; version 1 is the legacy
-                   VRDAG-only layout read by
+``version``        envelope format version (currently 4; versions 2 and 3
+                   stored one ``arr::<i>`` member per array and are still
+                   read; version 1 is the legacy VRDAG-only layout read by
                    :func:`repro.core.persistence.load_model`)
 ``generator``      registry name (``repro.api.get_generator`` resolves it)
 ``config``         JSON of ``generator.to_config()`` — construction as data
-``state``          JSON tree of ``generator.get_state()`` with every numpy
-                   array swapped for a ``{"__ndarray__": i}`` reference to
-                   the ``arr::<i>`` entry stored alongside
-``checksum``       SHA-256 over the logical payload (name, config bytes,
-                   state bytes, each array's dtype/shape/C-order bytes) —
-                   verified at load, so silent corruption surfaces as a
-                   typed :class:`ArtifactError` instead of a garbage model
+``state``          JSON ``{"manifest": [...], "tree": ...}``: ``tree`` is
+                   ``generator.get_state()`` with every numpy array swapped
+                   for a ``{"__ndarray__": i}`` reference, and
+                   ``manifest[i]`` is that array's ``[dtype, shape,
+                   offset]`` in the blob
+``blob``           one ``uint8`` array: every array's C-order bytes, back
+                   to back at 64-byte-aligned offsets
+``checksum``       SHA-256 over the generator name, config bytes, state
+                   bytes (manifest included) and blob bytes — verified at
+                   load, before any array is sliced, so silent corruption
+                   surfaces as a typed :class:`ArtifactError` instead of a
+                   garbage model
 =================  ========================================================
+
+The member count is fixed whatever the parameter count, so a load is
+one blob read and one hash pass rather than one member read (and npy
+header parse) per array.  The envelope is stored, not deflated: the
+parameters are float64 and barely compress, while inflating them
+costs more than the file read.
 
 The state codec closes over: ``None``, ``bool``/``int``/``float``/
 ``str``, numpy arrays and scalars, and lists/tuples/dicts of those.
@@ -49,9 +60,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import zipfile
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,10 +79,11 @@ __all__ = [
     "save_artifact",
 ]
 
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 _MIN_READ_VERSION = 2
 _MAGIC = "repro-generator-artifact"
-_ARRAY_PREFIX = "arr::"
+_ARRAY_PREFIX = "arr::"  # v2/v3: one member per array; v4 has one blob
+_ALIGN = 64
 
 PathLike = Union[str, os.PathLike]
 
@@ -96,6 +109,11 @@ class ArtifactStateError(TypeError):
 def _encode(value: Any, arrays: List[np.ndarray], where: str) -> Any:
     """Encode one state value into a JSON-able node, hoisting arrays."""
     if isinstance(value, np.ndarray):
+        if value.dtype.hasobject or value.dtype.names is not None:
+            raise ArtifactStateError(
+                f"{where}: array of dtype {value.dtype} is not serializable "
+                "(object and structured dtypes have no flat byte layout)"
+            )
         arrays.append(value)
         return {"__ndarray__": len(arrays) - 1}
     if isinstance(value, np.generic):
@@ -145,6 +163,43 @@ def _json_bytes(payload: Any) -> np.ndarray:
     return np.frombuffer(json.dumps(payload).encode(), dtype=np.uint8)
 
 
+def _pack(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[list]]:
+    """Lay ``arrays`` out in one ``uint8`` blob; returns blob + manifest.
+
+    ``manifest[i]`` is ``[dtype.str, shape, offset]``; each offset is a
+    multiple of ``_ALIGN`` so the views :func:`_unpack` hands out are
+    aligned for every dtype.
+    """
+    manifest = []
+    end = 0
+    for a in arrays:
+        offset = -(-end // _ALIGN) * _ALIGN
+        manifest.append([a.dtype.str, list(a.shape), offset])
+        end = offset + a.nbytes
+    blob = np.zeros(end, dtype=np.uint8)
+    for a, (_, _, offset) in zip(arrays, manifest):
+        flat = np.ascontiguousarray(a).reshape(-1).view(np.uint8)
+        blob[offset:offset + a.nbytes] = flat
+    return blob, manifest
+
+
+def _unpack(
+    blob: np.ndarray, manifest: Sequence[list], path: PathLike
+) -> Dict[int, np.ndarray]:
+    """Inverse of :func:`_pack`: writable, aligned, C-contiguous views."""
+    arrays = {}
+    for i, (descr, shape, offset) in enumerate(manifest):
+        dtype = np.dtype(descr)
+        end = offset + dtype.itemsize * math.prod(shape)
+        if not 0 <= offset <= end <= blob.size:
+            raise ArtifactError(
+                f"{path}: manifest entry {i} ({descr} {shape} at offset "
+                f"{offset}) lies past the end of the {blob.size}-byte blob"
+            )
+        arrays[i] = blob[offset:end].view(dtype).reshape(shape)
+    return arrays
+
+
 def _payload_digest(
     name: str,
     config_bytes: bytes,
@@ -156,7 +211,9 @@ def _payload_digest(
     Hashing dtype + shape + C-order bytes per array makes the digest
     stable across save/load round trips (compression, Fortran layouts
     and views all normalize away) — the digest answers "is this the
-    state I wrote", not "are these the bytes zlib produced".
+    state I wrote", not "are these the bytes zlib produced".  Version 3
+    passes every state array; version 4 passes the blob alone, so its
+    digest is one pass over the file's payload.
     """
     h = hashlib.sha256()
     for part in (name.encode(), config_bytes, state_bytes):
@@ -194,10 +251,11 @@ def save_artifact(generator: GraphGenerator, path: PathLike) -> None:
     name = generator_name_of(generator)
     arrays: List[np.ndarray] = []
     state_tree = _encode(generator.get_state(), arrays, name)
+    blob, manifest = _pack(arrays)
     config_arr = _json_bytes(generator.to_config())
-    state_arr = _json_bytes(state_tree)
+    state_arr = _json_bytes({"manifest": manifest, "tree": state_tree})
     checksum = _payload_digest(
-        name, config_arr.tobytes(), state_arr.tobytes(), arrays
+        name, config_arr.tobytes(), state_arr.tobytes(), [blob]
     )
     final = os.fspath(path)
     if not final.endswith(".npz"):
@@ -205,7 +263,7 @@ def save_artifact(generator: GraphGenerator, path: PathLike) -> None:
     tmp = final + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(
+            np.savez(
                 fh,
                 __artifact__=np.array(_MAGIC),
                 version=np.array(ARTIFACT_VERSION),
@@ -213,7 +271,7 @@ def save_artifact(generator: GraphGenerator, path: PathLike) -> None:
                 config=config_arr,
                 state=state_arr,
                 checksum=np.array(checksum),
-                **{f"{_ARRAY_PREFIX}{i}": a for i, a in enumerate(arrays)},
+                blob=blob,
             )
             fh.flush()
             os.fsync(fh.fileno())
@@ -232,7 +290,9 @@ def load_artifact(path: PathLike) -> GraphGenerator:
     mismatch), missing entries — always naming ``path`` and the
     failure mode.  ``FileNotFoundError`` passes through untouched,
     and unregistered generator names surface from the registry as
-    usual.  Reads versions ``2..3`` (v2 files simply lack the
+    usual.  Reads versions ``2..4``: v4 arrays are views into the one
+    blob member, sliced only after the checksum holds; v2/v3 arrays
+    are their own ``arr::<i>`` members (v2 files simply lack the
     checksum, so they skip verification).
     """
     from repro.api.registry import generator_entry
@@ -260,11 +320,16 @@ def load_artifact(path: PathLike) -> GraphGenerator:
             name = str(data["generator"][()])
             config_bytes = bytes(data["config"])
             state_bytes = bytes(data["state"])
-            arrays = {
-                int(key[len(_ARRAY_PREFIX):]): data[key]
-                for key in data.files
-                if key.startswith(_ARRAY_PREFIX)
-            }
+            if version >= 4:
+                blob = data["blob"]
+                payload = [blob]
+            else:
+                arrays = {
+                    int(key[len(_ARRAY_PREFIX):]): data[key]
+                    for key in data.files
+                    if key.startswith(_ARRAY_PREFIX)
+                }
+                payload = [arrays[i] for i in sorted(arrays)]
             if version >= 3:
                 if "checksum" not in data.files:
                     raise ArtifactError(
@@ -276,10 +341,7 @@ def load_artifact(path: PathLike) -> GraphGenerator:
                     "artifact.state", state_bytes, key=os.fspath(path)
                 )
                 actual = _payload_digest(
-                    name,
-                    config_bytes,
-                    state_bytes,
-                    [arrays[i] for i in sorted(arrays)],
+                    name, config_bytes, state_bytes, payload
                 )
                 if actual != stored:
                     raise ArtifactError(
@@ -288,11 +350,15 @@ def load_artifact(path: PathLike) -> GraphGenerator:
                     )
         config = json.loads(config_bytes.decode())
         state_tree = json.loads(state_bytes.decode())
+        if version >= 4:
+            arrays = _unpack(blob, state_tree["manifest"], path)
+            state_tree = state_tree["tree"]
+        state = _decode(state_tree, arrays)
     except FileNotFoundError:
         raise
     except ArtifactError:
         raise
-    except (zipfile.BadZipFile, KeyError, json.JSONDecodeError,
+    except (zipfile.BadZipFile, KeyError, TypeError, json.JSONDecodeError,
             ValueError, OSError) as exc:
         raise ArtifactError(
             f"{path}: corrupt or truncated artifact "
@@ -300,7 +366,7 @@ def load_artifact(path: PathLike) -> GraphGenerator:
         ) from exc
     entry = generator_entry(name)
     generator = entry.cls.from_config(**config)
-    generator.set_state(_decode(state_tree, arrays))
+    generator.set_state(state)
     return generator
 
 

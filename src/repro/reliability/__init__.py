@@ -5,7 +5,7 @@ survivable: deterministic fault injection for chaos tests, per-request
 deadlines and seeded-backoff retries, bounded request queues with
 structured load shedding, and crash-safe artifacts and ingestion.  The
 design contract (fault model, injection-point registry, degradation
-matrix, artifact v3 checksums, checkpoint format) lives in
+matrix, artifact checksums, checkpoint format) lives in
 ``docs/reliability.md``; the invariant the chaos suite pins is that
 **every request that completes under injected faults is bit-identical
 to the fault-free run**, and overload/expiry always surface as typed

@@ -1,12 +1,17 @@
 """Artifact crash safety: checksums, typed errors, atomic writes."""
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import api
-from repro.api.artifacts import ARTIFACT_VERSION, ArtifactError
+from repro.api.artifacts import ARTIFACT_VERSION, ArtifactError, _payload_digest
+
+#: a v3 envelope (one ``arr::<i>`` member per array) saved at c61ebd7
+V3_FIXTURE = Path(__file__).parent / "data" / "vrdag_v3_c61ebd7.npz"
 
 
 @pytest.fixture(scope="module")
@@ -22,13 +27,34 @@ def artifact(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def vrdag_v4(tmp_path_factory):
+    """The committed v3 VRDAG re-saved as v4: a blob of ~70 arrays."""
+    path = str(tmp_path_factory.mktemp("integrity-v4") / "vrdag.npz")
+    api.save_artifact(api.load_artifact(V3_FIXTURE), path)
+    return path
+
+
+def _copy(source, path):
+    with open(source, "rb") as src, open(path, "wb") as dst:
+        dst.write(src.read())
+    return str(path)
+
+
 @pytest.fixture()
 def copy_of(artifact, tmp_path):
     """A scratch copy of the pristine artifact, safe to mutilate."""
-    path = str(tmp_path / "victim.npz")
-    with open(artifact, "rb") as src, open(path, "wb") as dst:
-        dst.write(src.read())
-    return path
+    return _copy(artifact, tmp_path / "victim.npz")
+
+
+@pytest.fixture()
+def v4_copy(vrdag_v4, tmp_path):
+    return _copy(vrdag_v4, tmp_path / "victim-v4.npz")
+
+
+@pytest.fixture()
+def v3_copy(tmp_path):
+    return _copy(V3_FIXTURE, tmp_path / "victim-v3.npz")
 
 
 def _rewrite_npz(path, *, drop=(), **overrides):
@@ -98,18 +124,73 @@ class TestChecksums:
         with pytest.raises(ArtifactError, match="checksum mismatch"):
             api.load_artifact(copy_of)
 
-    def test_v3_without_checksum_rejected(self, copy_of):
-        _rewrite_npz(copy_of, drop=("checksum",))
+    def test_v3_without_checksum_rejected(self, v3_copy):
+        _rewrite_npz(v3_copy, drop=("checksum",))
         with pytest.raises(ArtifactError, match="missing its checksum"):
+            api.load_artifact(v3_copy)
+
+    def test_v4_without_checksum_rejected(self, copy_of):
+        _rewrite_npz(copy_of, drop=("checksum",))
+        with pytest.raises(ArtifactError, match="version 4 artifact is "
+                           "missing its checksum"):
             api.load_artifact(copy_of)
 
-    def test_v2_envelope_still_reads(self, copy_of, artifact):
+    def test_v2_envelope_still_reads(self, v3_copy):
         """Version-2 files (no checksum) predate integrity checking and
         must keep loading bit-compatibly."""
-        _rewrite_npz(copy_of, drop=("checksum",), version=np.array(2))
-        v2 = api.load_artifact(copy_of)
-        v3 = api.load_artifact(artifact)
+        _rewrite_npz(v3_copy, drop=("checksum",), version=np.array(2))
+        v2 = api.load_artifact(v3_copy)
+        v3 = api.load_artifact(V3_FIXTURE)
         assert v2.generate(num_timesteps=3) == v3.generate(num_timesteps=3)
+
+    def test_v2_missing_array_member_is_typed(self, v3_copy):
+        _rewrite_npz(
+            v3_copy, drop=("checksum", "arr::0"), version=np.array(2)
+        )
+        with pytest.raises(ArtifactError, match="corrupt or truncated") as e:
+            api.load_artifact(v3_copy)
+        assert v3_copy in str(e.value)
+
+
+class TestBlob:
+    """The v4 envelope keeps every array in one ``blob`` member."""
+
+    def test_flipped_blob_byte_fails_checksum(self, v4_copy):
+        with np.load(v4_copy, allow_pickle=False) as data:
+            blob = data["blob"].copy()
+        blob[blob.size // 2] ^= 0xFF
+        _rewrite_npz(v4_copy, blob=blob)
+        with pytest.raises(ArtifactError, match="checksum mismatch"):
+            api.load_artifact(v4_copy)
+
+    def test_missing_blob_rejected(self, v4_copy):
+        _rewrite_npz(v4_copy, drop=("blob",))
+        with pytest.raises(ArtifactError, match="corrupt or truncated") as e:
+            api.load_artifact(v4_copy)
+        assert v4_copy in str(e.value)
+
+    def test_truncated_blob_rejected(self, v4_copy):
+        with np.load(v4_copy, allow_pickle=False) as data:
+            blob = data["blob"][:-100].copy()
+        _rewrite_npz(v4_copy, blob=blob)
+        with pytest.raises(ArtifactError, match="checksum mismatch"):
+            api.load_artifact(v4_copy)
+
+    def test_manifest_past_blob_end_is_typed(self, v4_copy):
+        """A manifest that passes the checksum but overruns the blob
+        (a writer bug, not bit rot) still ends in ``ArtifactError``."""
+        with np.load(v4_copy, allow_pickle=False) as data:
+            name = str(data["generator"][()])
+            config = bytes(data["config"])
+            state = json.loads(bytes(data["state"]))
+            blob = data["blob"].copy()
+        state["manifest"][-1][2] = int(blob.size)  # last array past the end
+        state_arr = np.frombuffer(json.dumps(state).encode(), dtype=np.uint8)
+        checksum = _payload_digest(name, config, state_arr.tobytes(), [blob])
+        _rewrite_npz(v4_copy, state=state_arr, checksum=np.array(checksum))
+        with pytest.raises(ArtifactError, match="past the end") as e:
+            api.load_artifact(v4_copy)
+        assert v4_copy in str(e.value)
 
 
 class TestAtomicSave:

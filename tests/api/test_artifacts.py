@@ -8,6 +8,9 @@ module-holding generators re-encode their networks, and fit-only
 helpers are excluded from state by design).
 """
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -110,3 +113,90 @@ class TestEnvelope:
         assert [list(v) for v in loaded._bigram.values()] == [
             list(v) for v in generator._bigram.values()
         ]
+
+
+def _state_arrays(node):
+    """Every ndarray in a decoded state tree, depth first."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _state_arrays(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _state_arrays(value)
+
+
+class TestV4Layout:
+    """Version 4 keeps every array in one ``blob`` member."""
+
+    MEMBERS = ["__artifact__", "blob", "checksum", "config", "generator",
+               "state", "version"]
+
+    def test_member_count_fixed_whatever_the_parameter_count(self, tmp_path):
+        layouts = []
+        for hidden, attrs in [(8, 0), (16, 3)]:
+            model = VRDAG(VRDAGConfig(num_nodes=10, num_attributes=attrs,
+                                      hidden_dim=hidden, latent_dim=4,
+                                      encode_dim=8))
+            path = tmp_path / f"vrdag-{hidden}-{attrs}.npz"
+            api.save_artifact(model, path)
+            with np.load(path) as data:
+                assert sorted(data.files) == self.MEMBERS
+                manifest = json.loads(bytes(data["state"]))["manifest"]
+                layouts.append((len(manifest), data["blob"].size))
+        assert layouts[0][0] < layouts[1][0]  # more arrays ...
+        assert layouts[0][1] < layouts[1][1]  # ... and more bytes
+
+    def test_envelope_is_stored_uncompressed(self, tmp_path):
+        path = tmp_path / "er.npz"
+        api.save_artifact(api.get_generator("ErdosRenyi"), path)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_odd_arrays_roundtrip_exactly(self, tmp_path, monkeypatch):
+        """Every dtype/shape/layout comes back equal, and what
+        ``set_state`` receives is writable, aligned and C-contiguous."""
+        generator = api.get_generator("ErdosRenyi")
+        fortran = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        generator.extra = {
+            "bool": np.array([True, False, True]),
+            "int32": np.arange(5, dtype=np.int32),
+            "big_endian": np.arange(3, dtype=">f8"),
+            "scalar": np.array(2.5),
+            "empty": np.zeros((0, 3)),
+            "fortran": fortran,
+            "strided": np.arange(20.0)[::3],
+            "unicode": np.array(["a", "bcd"]),
+            "complex": np.array([1 + 2j, 3 - 4j]),
+        }
+        received = []
+        cls = type(generator)
+        original = cls.set_state
+
+        def recording(self, state):
+            received.extend(_state_arrays(state))
+            original(self, state)
+
+        monkeypatch.setattr(cls, "set_state", recording)
+        path = tmp_path / "odd.npz"
+        api.save_artifact(generator, path)
+        loaded = api.load_artifact(path)
+        assert loaded.extra.keys() == generator.extra.keys()
+        for key, want in generator.extra.items():
+            got = loaded.extra[key]
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            np.testing.assert_array_equal(got, want)
+        assert len(received) == len(generator.extra)
+        for arr in received:
+            assert arr.flags.writeable
+            assert arr.flags.aligned
+            assert arr.flags.c_contiguous
+
+    def test_object_arrays_rejected_at_save(self, tmp_path):
+        generator = api.get_generator("ErdosRenyi")
+        generator.rogue = np.array([object()])
+        with pytest.raises(api.ArtifactStateError, match="rogue"):
+            api.save_artifact(generator, tmp_path / "bad.npz")

@@ -13,6 +13,7 @@ was saved with and the store digest of ``load_artifact(path)
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -31,4 +32,17 @@ def test_pre_retirement_artifact_loads_and_generates(name):
     assert generator.fitted
     assert "engine" not in generator.to_config()
     graph = generator.generate(3, seed=11)
+    assert store_digest(graph) == entry["generate_digest"]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_v3_artifact_resaved_as_v4_generates_the_same(name, tmp_path):
+    """load (v3) -> save (v4) -> load keeps the recorded output."""
+    entry = RECORDED[name]
+    path = tmp_path / entry["file"].replace("v3", "v4")
+    api.save_artifact(api.load_artifact(DATA / entry["file"]), path)
+    with np.load(path, allow_pickle=False) as data:
+        assert int(data["version"]) == api.ARTIFACT_VERSION == 4
+        assert not [k for k in data.files if k.startswith("arr::")]
+    graph = api.load_artifact(path).generate(3, seed=11)
     assert store_digest(graph) == entry["generate_digest"]

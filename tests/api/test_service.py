@@ -3,6 +3,7 @@
 import pytest
 
 from repro import api
+from repro.reliability import FaultPlan, fault_injector
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +152,41 @@ class TestGenerationService:
             api.GenerationRequest("x.npz", num_timesteps=0)
         with pytest.raises(ValueError, match="shards"):
             api.GenerationRequest("x.npz", num_timesteps=1, shards=0)
+
+
+class TestEveryRequestLoadsItsArtifact:
+    """Each request opens, verifies and rebuilds its own generator:
+    nothing is cached across requests or batches."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_one_load_per_request(self, artifacts, executor):
+        requests = [
+            api.GenerationRequest(artifacts["VRDAG"], num_timesteps=2, seed=s)
+            for s in range(4)
+        ]
+        counting = {"artifact.load": FaultPlan(kind="delay")}
+        with fault_injector.arm(counting):
+            with api.GenerationService(executor=executor,
+                                       max_workers=2) as svc:
+                assert all(r.ok for r in svc.run_batch(requests))
+            loads = fault_injector.stats()["artifact.load"]
+        assert loads == {"arrivals": len(requests), "triggers": len(requests)}
+
+    def test_overwritten_file_is_served_fresh(self, tmp_path):
+        from repro.datasets import load_dataset
+
+        path = str(tmp_path / "swapped.npz")
+        request = api.GenerationRequest(path, num_timesteps=3, seed=0)
+        served = []
+        with api.GenerationService(executor="serial") as svc:
+            for data_seed in (0, 1):
+                generator = api.get_generator(
+                    "ErdosRenyi", seed=0, **api.smoke_config("ErdosRenyi")
+                )
+                generator.fit(load_dataset("email", scale=0.012,
+                                           seed=data_seed))
+                api.save_artifact(generator, path)
+                (result,) = svc.run_batch([request])
+                assert result.graph == generator.generate(3, seed=0)
+                served.append(result.graph)
+        assert served[0] != served[1]
