@@ -117,15 +117,7 @@ def _linear_act_vjp(g, inputs, local, *, activation="identity", negative_slope=0
     return dx, dw, db
 
 
-def _linear_act_jvp(tans, inputs, local, *, activation="identity", negative_slope=0.2):
-    x, w = inputs[0], inputs[1]
-    dpre = tans[0] @ w + x @ tans[1]
-    if len(inputs) == 3:
-        dpre = dpre + tans[2]
-    return dpre if local is None else dpre * local
-
-
-register_op("linear_act", _linear_act_forward, _linear_act_vjp, jvp=_linear_act_jvp)
+register_op("linear_act", _linear_act_forward, _linear_act_vjp)
 
 
 # ----------------------------------------------------------------------

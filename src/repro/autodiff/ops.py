@@ -1,8 +1,8 @@
 """Op registry of the flat-tape autodiff engine.
 
 Every primitive the tape engine can record is an :class:`OpSpec`: a
-forward kernel producing ``(output, residuals)`` plus a VJP kernel (and
-optionally a JVP kernel), all plain vectorized NumPy functions.  The
+forward kernel producing ``(output, residuals)`` plus a VJP kernel,
+both plain vectorized NumPy functions.  The
 :class:`~repro.autodiff.tape.Tape` stores only ``(op, input_ids,
 impl_kwargs, residuals)`` records — no per-Tensor closures — so the
 backward sweep is a flat loop over records calling these kernels.
@@ -18,10 +18,6 @@ Kernel contracts
     non-differentiable slot.  Shapes must match the inputs exactly
     (kernels reduce broadcasts with :func:`unbroadcast`).
 
-``jvp(tangents, inputs, residuals, **impl_kwargs) -> out_tangent``
-    Optional forward-mode rule; ``tangents`` aligns with ``inputs``
-    (zeros filled in for constant slots).
-
 The registry is the only place numerics live: every ``Tensor`` /
 ``Variable`` operator, every :mod:`repro.autodiff.functional` function
 and every nn module reaches these kernels through the dispatcher
@@ -32,7 +28,7 @@ plain forward calls otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -60,12 +56,11 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OpSpec:
-    """One registered primitive: name + forward/VJP(/JVP) kernels."""
+    """One registered primitive: name + forward/VJP kernels."""
 
     name: str
     forward: Callable
     vjp: Callable
-    jvp: Optional[Callable] = None
 
 
 _REGISTRY: Dict[str, OpSpec] = {}
@@ -75,13 +70,12 @@ def register_op(
     name: str,
     forward: Callable,
     vjp: Callable,
-    jvp: Optional[Callable] = None,
     overwrite: bool = False,
 ) -> OpSpec:
     """Register a primitive under ``name`` and return its spec."""
     if name in _REGISTRY and not overwrite:
         raise ValueError(f"op {name!r} is already registered")
-    spec = OpSpec(name=name, forward=forward, vjp=vjp, jvp=jvp)
+    spec = OpSpec(name=name, forward=forward, vjp=vjp)
     _REGISTRY[name] = spec
     return spec
 
@@ -111,7 +105,6 @@ register_op(
         unbroadcast(g, inputs[0].shape),
         unbroadcast(g, inputs[1].shape),
     ),
-    jvp=lambda tans, inputs, res: tans[0] + tans[1],
 )
 
 register_op(
@@ -121,7 +114,6 @@ register_op(
         unbroadcast(g, inputs[0].shape),
         unbroadcast(-g, inputs[1].shape),
     ),
-    jvp=lambda tans, inputs, res: tans[0] - tans[1],
 )
 
 register_op(
@@ -131,7 +123,6 @@ register_op(
         unbroadcast(g * inputs[1], inputs[0].shape),
         unbroadcast(g * inputs[0], inputs[1].shape),
     ),
-    jvp=lambda tans, inputs, res: tans[0] * inputs[1] + inputs[0] * tans[1],
 )
 
 register_op(
@@ -141,16 +132,12 @@ register_op(
         unbroadcast(g / inputs[1], inputs[0].shape),
         unbroadcast(-g * inputs[0] / (inputs[1] ** 2), inputs[1].shape),
     ),
-    jvp=lambda tans, inputs, res: (
-        tans[0] / inputs[1] - inputs[0] * tans[1] / (inputs[1] ** 2)
-    ),
 )
 
 register_op(
     "neg",
     lambda a: (-a, None),
     lambda g, inputs, res: (-g,),
-    jvp=lambda tans, inputs, res: -tans[0],
 )
 
 
@@ -200,7 +187,6 @@ register_op(
     "matmul",
     _matmul_forward,
     _matmul_vjp,
-    jvp=lambda tans, inputs, res: tans[0] @ inputs[1] + inputs[0] @ tans[1],
 )
 
 
@@ -221,11 +207,7 @@ def _sum_vjp(g, inputs, res, *, axis=None, keepdims=False):
     return (np.broadcast_to(gg, a.shape).copy(),)
 
 
-def _sum_jvp(tans, inputs, res, *, axis=None, keepdims=False):
-    return np.asarray(tans[0].sum(axis=axis, keepdims=keepdims))
-
-
-register_op("sum", _sum_forward, _sum_vjp, jvp=_sum_jvp)
+register_op("sum", _sum_forward, _sum_vjp)
 
 
 def _max_forward(a, *, axis=None, keepdims=False):
@@ -254,14 +236,12 @@ register_op(
     "reshape",
     lambda a, *, shape: (a.reshape(shape), None),
     lambda g, inputs, res, *, shape: (g.reshape(inputs[0].shape),),
-    jvp=lambda tans, inputs, res, *, shape: tans[0].reshape(shape),
 )
 
 register_op(
     "transpose",
     lambda a, *, axes: (a.transpose(axes), None),
     lambda g, inputs, res, *, axes: (g.transpose(tuple(np.argsort(axes))),),
-    jvp=lambda tans, inputs, res, *, axes: tans[0].transpose(axes),
 )
 
 
@@ -281,14 +261,12 @@ register_op(
     "expand_dims",
     lambda a, *, axis: (np.expand_dims(a, axis), None),
     lambda g, inputs, res, *, axis: (np.squeeze(g, axis=axis),),
-    jvp=lambda tans, inputs, res, *, axis: np.expand_dims(tans[0], axis),
 )
 
 register_op(
     "squeeze",
     lambda a, *, axis: (np.squeeze(a, axis=axis), None),
     lambda g, inputs, res, *, axis: (np.expand_dims(g, axis=axis),),
-    jvp=lambda tans, inputs, res, *, axis: np.squeeze(tans[0], axis=axis),
 )
 
 
@@ -311,7 +289,6 @@ register_op(
     "concat",
     _concat_forward,
     _concat_vjp,
-    jvp=lambda tans, inputs, res, *, axis=-1: np.concatenate(tans, axis=axis),
 )
 
 register_op(
@@ -320,7 +297,6 @@ register_op(
     lambda g, inputs, res, *, axis=0: tuple(
         np.take(g, i, axis=axis) for i in range(len(inputs))
     ),
-    jvp=lambda tans, inputs, res, *, axis=0: np.stack(tans, axis=axis),
 )
 
 
@@ -350,7 +326,6 @@ register_op(
     "exp",
     _exp_forward,
     lambda g, inputs, out: (g * out,),
-    jvp=lambda tans, inputs, out: tans[0] * out,
 )
 
 
@@ -363,7 +338,6 @@ register_op(
     "log",
     _log_forward,
     lambda g, inputs, arg, *, eps=0.0: (g / arg,),
-    jvp=lambda tans, inputs, arg, *, eps=0.0: tans[0] / arg,
 )
 
 
@@ -397,7 +371,6 @@ register_op(
     "sigmoid",
     _sigmoid_forward,
     lambda g, inputs, out: (g * out * (1.0 - out),),
-    jvp=lambda tans, inputs, out: tans[0] * out * (1.0 - out),
 )
 
 
@@ -410,7 +383,6 @@ register_op(
     "tanh",
     _tanh_forward,
     lambda g, inputs, out: (g * (1.0 - out**2),),
-    jvp=lambda tans, inputs, out: tans[0] * (1.0 - out**2),
 )
 
 
@@ -464,7 +436,6 @@ register_op(
     "sin",
     _sin_forward,
     lambda g, inputs, res: (g * np.cos(inputs[0]),),
-    jvp=lambda tans, inputs, res: tans[0] * np.cos(inputs[0]),
 )
 
 

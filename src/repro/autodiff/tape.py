@@ -39,7 +39,7 @@ Leaf lifting rules (``Tape.lift``):
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -307,9 +307,6 @@ class Tape:
             return None
         return self._grads[self._value_id(var)]
 
-    # ------------------------------------------------------------------
-    # derived linear maps (abopt-style get_vjp / get_jvp)
-    # ------------------------------------------------------------------
     def _value_id(self, var: Union["Variable", Tensor]) -> int:
         if isinstance(var, Variable):
             if var.tape is not self:
@@ -319,77 +316,6 @@ class Tape:
         if vid is None:
             raise KeyError("Tensor was never lifted onto this tape")
         return vid
-
-    def get_vjp(
-        self,
-        output: "Variable",
-        wrt: Sequence[Union["Variable", Tensor]],
-    ) -> Callable[[Optional[np.ndarray]], List[np.ndarray]]:
-        """Vector-Jacobian product of ``output`` w.r.t. ``wrt`` leaves.
-
-        The returned callable maps an output cotangent (default: ones,
-        valid for scalar outputs) to one gradient array per ``wrt``
-        entry, zeros where no path exists.
-        """
-        out_id = output.vid
-        wrt_ids = [self._value_id(w) for w in wrt]
-
-        def vjp_fn(seed: Optional[np.ndarray] = None) -> List[np.ndarray]:
-            grads = self._pullback(out_id, self._seed_for(output, seed))
-            return [
-                grads[i] if grads[i] is not None else np.zeros_like(self._values[i])
-                for i in wrt_ids
-            ]
-
-        return vjp_fn
-
-    def get_jvp(
-        self,
-        output: "Variable",
-        wrt: Sequence[Union["Variable", Tensor]],
-    ) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
-        """Jacobian-vector product: push ``wrt`` tangents forward.
-
-        Only ops that declare a JVP kernel are supported; hitting one
-        without raises ``NotImplementedError`` naming the op.
-        """
-        out_id = output.vid
-        wrt_ids = [self._value_id(w) for w in wrt]
-
-        def jvp_fn(tangents: Sequence[np.ndarray]) -> np.ndarray:
-            if len(tangents) != len(wrt_ids):
-                raise ValueError(
-                    f"expected {len(wrt_ids)} tangents, got {len(tangents)}"
-                )
-            tan: List[Optional[np.ndarray]] = [None] * len(self._values)
-            for vid, t in zip(wrt_ids, tangents):
-                t = np.asarray(t, dtype=np.float64)
-                if t.shape != self._values[vid].shape:
-                    raise ValueError(
-                        f"tangent shape {t.shape} does not match value "
-                        f"shape {self._values[vid].shape}"
-                    )
-                tan[vid] = t
-            for rec in self._records:
-                in_tans = [tan[i] for i in rec.input_ids]
-                if all(t is None for t in in_tans):
-                    continue
-                if rec.spec.jvp is None:
-                    raise NotImplementedError(
-                        f"op {rec.spec.name!r} has no JVP kernel"
-                    )
-                inputs = tuple(self._values[i] for i in rec.input_ids)
-                filled = [
-                    np.zeros_like(inputs[k]) if t is None else t
-                    for k, t in enumerate(in_tans)
-                ]
-                tan[rec.out_id] = rec.spec.jvp(
-                    filled, inputs, rec.residuals, **rec.kwargs
-                )
-            t = tan[out_id]
-            return t if t is not None else np.zeros_like(self._values[out_id])
-
-        return jvp_fn
 
 
 class Variable(Operators):

@@ -5,18 +5,20 @@ extension — and the operation a DBMS tester actually wants for
 "what will next quarter's workload look like?" — is to *condition* the
 rollout on an observed prefix: encode the prefix with the posterior
 machinery (teacher-forced, exactly as in training) to obtain H_T, then
-switch to prior sampling and free-run for the requested horizon.
+switch to prior sampling and free-run for the requested horizon.  The
+free-running part is ``VRDAG._rollout``, the single step loop
+:meth:`VRDAG.generate` runs too, started at step ``T``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.autodiff import Tensor, functional as F, no_grad
-from repro.core.model import VRDAG, _Ar1State
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.autodiff import Tensor, no_grad
+from repro.core.model import VRDAG
+from repro.graph import DynamicAttributedGraph
 
 
 def encode_prefix(model: VRDAG, prefix: DynamicAttributedGraph) -> Tensor:
@@ -38,16 +40,8 @@ def encode_prefix(model: VRDAG, prefix: DynamicAttributedGraph) -> Tensor:
         )
     with no_grad():
         h = model.recurrence.initial_state(cfg.num_nodes)
-        for t, snapshot in enumerate(prefix):
-            if cfg.num_attributes > 0:
-                normalized = GraphSnapshot(
-                    snapshot.adjacency,
-                    (snapshot.attributes - model._attr_mean) / model._attr_std,
-                    validate=False,
-                )
-            else:
-                normalized = snapshot
-            encoding = model.encoder(normalized)
+        for t, snapshot in enumerate(model.normalize(prefix)):
+            encoding = model.encoder(snapshot)
             z = model.posterior(encoding, h).mean()
             h = model.recurrence(encoding, z, float(t), h)
     return h
@@ -61,55 +55,14 @@ def continue_sequence(
 ) -> DynamicAttributedGraph:
     """Generate ``horizon`` future snapshots conditioned on ``prefix``.
 
-    Returns only the generated continuation (length ``horizon``); the
-    caller can concatenate with the prefix if desired.
+    Returns only the generated continuation (length ``horizon``,
+    store-backed); the caller can concatenate with the prefix if
+    desired.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    cfg = model.config
-    rng = np.random.default_rng(seed if seed is not None else cfg.seed + 777)
+    rng = np.random.default_rng(
+        seed if seed is not None else model.config.seed + 777
+    )
     h = encode_prefix(model, prefix)
-    t0 = prefix.num_timesteps
-    snapshots: List[GraphSnapshot] = []
-    # whitened AR(1) noise states, matching generate()'s smoothness
-    obs_state = _Ar1State(model._attr_noise_rho)
-    extra_state = _Ar1State(model._attr_noise_rho)
-    z_state = _Ar1State(model._attr_noise_rho)
-    model.eval()
-    with no_grad():
-        for k in range(horizon):
-            p = model.prior(h)
-            z_eps = z_state.step(p.mu.shape, rng)
-            z = Tensor(p.mu.data + p.sigma.data * z_eps)
-            s = F.concat([z, h], axis=1)
-            adj = model.structure_sampler.sample(s, rng)
-            if model.attribute_decoder is not None:
-                attrs = model.attribute_decoder(s, adj).data.copy()
-                if model._attr_noise_chol.any():
-                    row = min(t0 + k, model._attr_noise_chol.shape[0] - 1)
-                    attrs = attrs + (
-                        obs_state.step(attrs.shape, rng)
-                        @ model._attr_noise_chol[row].T
-                    )
-            else:
-                attrs = np.zeros((cfg.num_nodes, 0))
-            raw_attrs = model._denormalize_attrs(attrs)
-            if cfg.num_attributes > 0 and model._attr_target_mean is not None:
-                # continuation beyond the fitted horizon keeps the last
-                # calibrated mean (the trend's endpoint), same clamping
-                # rule as generate()
-                b_row = min(t0 + k, model._attr_target_mean.shape[0] - 1)
-                s_row = min(t0 + k, model._attr_extra_chol.shape[0] - 1)
-                raw_attrs = (
-                    raw_attrs
-                    - raw_attrs.mean(axis=0)
-                    + model._attr_target_mean[b_row]
-                    + extra_state.step(raw_attrs.shape, rng)
-                    @ model._attr_extra_chol[s_row].T
-                )
-            inner = GraphSnapshot(adj, attrs, validate=False)
-            encoding = model.encoder(inner)
-            h = model.recurrence(encoding, z, float(t0 + k + 1), h)
-            snapshots.append(GraphSnapshot(adj, raw_attrs, validate=False))
-    model.train()
-    return DynamicAttributedGraph(snapshots)
+    return model._rollout(h, prefix.num_timesteps, horizon, rng)

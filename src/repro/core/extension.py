@@ -82,7 +82,7 @@ class NodeDynamicsWrapper(Module):
         the same pass.
         """
         cfg = self.model.config
-        normalized = self._normalized_view(graph)
+        normalized = self.model.normalize(graph)
         contexts: List[np.ndarray] = []
         targets: List[np.ndarray] = []
         seen = graph[0].degrees() > 0
@@ -107,23 +107,6 @@ class NodeDynamicsWrapper(Module):
         if contexts:
             self._fit_init_sampler(np.stack(contexts), np.stack(targets))
         return self
-
-    def _normalized_view(
-        self, graph: DynamicAttributedGraph
-    ) -> DynamicAttributedGraph:
-        """Attributes rescaled to the space the trained model consumes."""
-        if self.model.config.num_attributes == 0:
-            return graph
-        mean = self.model._attr_mean
-        std = self.model._attr_std
-        return DynamicAttributedGraph(
-            [
-                GraphSnapshot(
-                    s.adjacency, (s.attributes - mean) / std, validate=False
-                )
-                for s in graph
-            ]
-        )
 
     def _fit_init_sampler(
         self, contexts: np.ndarray, targets: np.ndarray, ridge: float = 1e-2

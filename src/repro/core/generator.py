@@ -447,10 +447,12 @@ class MixBernoulliSampler(Module):
     def sample(self, s: Tensor, rng: np.random.Generator) -> np.ndarray:
         """Draw one adjacency sample as a dense ``(N, N)`` 0/1 matrix.
 
-        Convenience wrapper over :meth:`sample_edges` for tests and
-        benches; generation paths consume the edge columns directly
-        (``VRDAG.generate`` streams them into a store builder and
-        never materializes this matrix).
+        Dense wrapper over :meth:`sample_edges`.  Its one caller in
+        ``src/`` is ``NodeDynamicsWrapper.generate``, which zeroes the
+        rows/columns of inactive nodes; ``VRDAG._rollout`` (behind
+        ``generate`` and ``continue_sequence``) streams the edge
+        columns into a store builder and never materializes this
+        matrix.
         """
         n = (s.data if isinstance(s, Tensor) else np.asarray(s)).shape[0]
         src, dst = self.sample_edges(s, rng)

@@ -167,15 +167,26 @@ class VRDAG(Module):
         stacked = graph.attribute_tensor().reshape(-1, self.config.num_attributes)
         self._attr_mean = stacked.mean(axis=0)
         self._attr_std = np.maximum(stacked.std(axis=0), 1e-6)
-        normalized = [
-            GraphSnapshot(
-                s.adjacency,
-                (s.attributes - self._attr_mean) / self._attr_std,
-                validate=False,
-            )
-            for s in graph
-        ]
-        return DynamicAttributedGraph(normalized)
+        return self.normalize(graph)
+
+    def normalize(self, graph: DynamicAttributedGraph) -> DynamicAttributedGraph:
+        """``graph`` with attributes in the model's space (fitted mean/std).
+
+        Returns ``graph`` itself when the model has no attributes;
+        otherwise a dense-snapshot copy with rescaled attributes.
+        """
+        if self.config.num_attributes == 0:
+            return graph
+        return DynamicAttributedGraph(
+            [
+                GraphSnapshot(
+                    s.adjacency,
+                    (s.attributes - self._attr_mean) / self._attr_std,
+                    validate=False,
+                )
+                for s in graph
+            ]
+        )
 
     def _denormalize_attrs(self, attrs: np.ndarray) -> np.ndarray:
         if self.config.num_attributes == 0:
@@ -390,15 +401,10 @@ class VRDAG(Module):
     ) -> DynamicAttributedGraph:
         """Generate a fresh dynamic attributed graph from scratch.
 
-        Implements Algorithm 1: recurrently sample latents from the
-        learned prior, decode structure then attributes, and update the
-        hidden state from the *generated* snapshot.
-
-        Structure is decoded straight into a columnar store builder:
-        the only dense ``(N, N)`` buffer is the single per-step scratch
-        matrix the encoder/GAT consume (reused across steps), so peak
-        structural memory is O(M + N²) transient — never an O(N²·T)
-        snapshot stack — and the returned graph is store-backed.
+        Implements Algorithm 1 from ``H_0 = 0``.  The step loop is
+        :meth:`_rollout`, the single free-running loop of the model:
+        :func:`repro.core.continue_sequence` runs it too, from an
+        encoded prefix instead.
 
         ``structure_decoder`` swaps the per-step structure decode: a
         callable ``(sampler, s, rng) -> (src, dst)`` returning
@@ -412,10 +418,36 @@ class VRDAG(Module):
         if num_timesteps < 1:
             raise ValueError("num_timesteps must be >= 1")
         cfg = self.config
+        rng = np.random.default_rng(seed if seed is not None else cfg.seed + 12345)
+        h = self.recurrence.initial_state(cfg.num_nodes)               # line 1
+        return self._rollout(h, 0, num_timesteps, rng, structure_decoder)
+
+    def _rollout(
+        self,
+        h: Tensor,
+        t0: int,
+        num_timesteps: int,
+        rng: np.random.Generator,
+        structure_decoder: Optional[Callable] = None,
+    ) -> DynamicAttributedGraph:
+        """Algorithm 1's free-running loop for steps ``t0 .. t0+T-1``.
+
+        Recurrently samples latents from the learned prior, decodes
+        structure then attributes, and updates the hidden state ``h``
+        from the *generated* snapshot.  ``t`` indexes the noise and
+        calibration schedules and feeds ``float(t + 1)`` to the
+        recurrence.
+
+        Structure is decoded straight into a columnar store builder:
+        the only dense ``(N, N)`` buffer is the single per-step scratch
+        matrix the encoder/GAT consume (reused across steps), so peak
+        structural memory is O(M + N²) transient — never an O(N²·T)
+        snapshot stack — and the returned graph is store-backed.
+        """
+        cfg = self.config
         decode_structure = structure_decoder or (
             lambda sampler, s, step_rng: sampler.sample_edges(s, step_rng)
         )
-        rng = np.random.default_rng(seed if seed is not None else cfg.seed + 12345)
         builder = TemporalEdgeStoreBuilder(cfg.num_nodes, cfg.num_attributes)
         adj_scratch = np.zeros((cfg.num_nodes, cfg.num_nodes))
         # AR(1)-correlated noise states are kept *whitened* (unit
@@ -427,8 +459,7 @@ class VRDAG(Module):
         z_state = _Ar1State(self._attr_noise_rho)
         self.eval()
         with no_grad():
-            h = self.recurrence.initial_state(cfg.num_nodes)           # line 1
-            for t in range(num_timesteps):
+            for t in range(t0, t0 + num_timesteps):
                 p = self.prior(h)                                       # line 3
                 # latent sampling with AR(1)-correlated reparameterization
                 # noise: marginally still N(mu, sigma), but consecutive
@@ -458,6 +489,8 @@ class VRDAG(Module):
                 if self.config.num_attributes > 0 and (
                     self._attr_target_mean is not None
                 ):
+                    # past the fitted horizon the last calibrated row
+                    # (the trend's endpoint) is kept
                     b_row = min(t, self._attr_target_mean.shape[0] - 1)
                     s_row = min(t, self._attr_extra_chol.shape[0] - 1)
                     out_attrs = (
