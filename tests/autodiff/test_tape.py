@@ -296,3 +296,34 @@ class TestBackwardValidation:
         np.testing.assert_allclose(p.grad, np.ones(2))
         assert tape.grad(q) is None
         assert q.grad is None
+
+    def test_grad_is_none_before_backward(self):
+        p = Parameter(np.ones(2))
+        with Tape() as tape:
+            v = tape.lift(p)
+            loss = (v * v).sum()
+            assert tape.grad(p) is None
+            assert v.grad is None
+            loss.backward()
+        np.testing.assert_allclose(tape.grad(p), 2.0 * np.ones(2))
+
+    def test_grad_addresses_tensor_and_variable_alike(self):
+        p = Parameter(np.arange(1.0, 4.0))
+        with Tape() as tape:
+            v = tape.lift(p)
+            (v * v).sum().backward()
+        np.testing.assert_allclose(tape.grad(p), 2.0 * np.arange(1.0, 4.0))
+        np.testing.assert_array_equal(tape.grad(v), tape.grad(p))
+        np.testing.assert_array_equal(v.grad, tape.grad(p))
+
+    def test_grad_rejects_foreign_variable_and_unlifted_tensor(self):
+        p = Parameter(np.ones(2))
+        with Tape() as other:
+            foreign = other.leaf(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            v = tape.lift(p)
+            v.sum().backward()
+        with pytest.raises(RuntimeError, match="different tape"):
+            tape.grad(foreign)
+        with pytest.raises(KeyError, match="never lifted"):
+            tape.grad(Parameter(np.ones(2)))

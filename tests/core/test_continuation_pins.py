@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core import TrainConfig, VRDAG, VRDAGConfig, VRDAGTrainer
 from repro.core.continuation import continue_sequence
@@ -48,7 +49,8 @@ def continuation_digests(graph) -> dict:
     }
 
 
-def _fitted():
+@pytest.fixture(scope="module")
+def fitted():
     graph = load_dataset("email", scale=0.05, seed=0)
     cfg = VRDAGConfig(
         num_nodes=graph.num_nodes, num_attributes=graph.num_attributes,
@@ -59,14 +61,22 @@ def _fitted():
     return model, graph
 
 
-def test_continuation_matches_recorded_digests():
-    model, graph = _fitted()
-    assert len(PINS["continuations"]) == len(CASES)
-    for (prefix_len, horizon, seed), pin in zip(CASES, PINS["continuations"]):
-        assert pin["case"] == [prefix_len, horizon, seed]
-        future = continue_sequence(
-            model, graph.truncated(prefix_len), horizon, seed=seed
-        )
-        assert future.is_store_backed
-        assert future.num_timesteps == horizon
-        assert continuation_digests(future) == pin["digests"]
+def test_pins_cover_every_case():
+    assert [pin["case"] for pin in PINS["continuations"]] == [
+        list(case) for case in CASES
+    ]
+
+
+@pytest.mark.parametrize("prefix_len,horizon,seed", CASES)
+def test_continuation_matches_recorded_digests(fitted, prefix_len, horizon, seed):
+    model, graph = fitted
+    (pin,) = [
+        p for p in PINS["continuations"]
+        if p["case"] == [prefix_len, horizon, seed]
+    ]
+    future = continue_sequence(
+        model, graph.truncated(prefix_len), horizon, seed=seed
+    )
+    assert future.is_store_backed
+    assert future.num_timesteps == horizon
+    assert continuation_digests(future) == pin["digests"]

@@ -136,6 +136,32 @@ class TestVRDAGModel:
         np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(x.std(axis=0), 1.0, atol=1e-6)
 
+    def test_normalize_without_attributes_returns_graph(
+        self, structure_only_graph
+    ):
+        cfg = VRDAGConfig(
+            num_nodes=structure_only_graph.num_nodes,
+            num_attributes=0,
+            hidden_dim=8, latent_dim=4, encode_dim=8,
+        )
+        model = VRDAG(cfg)
+        assert model.normalize(structure_only_graph) is structure_only_graph
+
+    def test_normalize_applies_fitted_stats(self, config, tiny_graph):
+        model = VRDAG(config)
+        model.calibrate(tiny_graph)
+        before = tiny_graph.attribute_tensor().copy()
+        normalized = model.normalize(tiny_graph.truncated(3))
+        assert normalized.num_timesteps == 3
+        for snap, orig in zip(normalized, tiny_graph):
+            np.testing.assert_array_equal(snap.adjacency, orig.adjacency)
+            np.testing.assert_allclose(
+                model._denormalize_attrs(snap.attributes), orig.attributes,
+                atol=1e-12,
+            )
+        # a copy: the input graph's attributes are left as they were
+        np.testing.assert_array_equal(tiny_graph.attribute_tensor(), before)
+
     def test_calibrate_sets_density_bias(self, config, tiny_graph):
         model = VRDAG(config)
         model.calibrate(tiny_graph)
