@@ -95,6 +95,43 @@ def _act_with_local(
     )
 
 
+def _activate(
+    name: str, pre: np.ndarray, out: np.ndarray, slope: float
+) -> np.ndarray:
+    """The value of :func:`_act_with_local` on float64 ``pre``, written
+    into ``out``.
+
+    ``out`` has ``pre``'s shape and is not ``pre`` itself; identity
+    returns ``pre``.  Leaky heads with ``slope <= 1`` take
+    ``max(x, slope·x)``, which selects the masked form's products for
+    every finite ``x``.  The row-blocked pairwise loops (the θ record
+    below and the no-grad decode in ``repro.core.generator``) run every
+    head activation through here, into their per-call scratch.
+    """
+    if name == "identity":
+        return pre
+    if name == "relu":
+        return np.maximum(pre, 0.0, out=out)
+    if name == "leaky_relu":
+        if slope <= 1.0:
+            return np.maximum(pre, np.multiply(pre, slope, out=out), out=out)
+        return np.multiply(pre, np.where(pre > 0, 1.0, slope), out=out)
+    if name == "tanh":
+        return np.tanh(pre, out=out)
+    if name == "sigmoid":
+        return stable_sigmoid(pre, out=out)
+    if name == "elu":
+        np.exp(np.clip(pre, None, 0, out=out), out=out)
+        np.subtract(out, 1.0, out=out)
+        np.copyto(out, pre, where=pre > 0)
+        return out
+    if name == "softplus":
+        return np.logaddexp(0.0, pre, out=out)
+    raise KeyError(
+        f"unsupported fused activation {name!r}; known: {FUSED_ACTIVATIONS}"
+    )
+
+
 # ----------------------------------------------------------------------
 # linear_act: act(x @ W [+ b])
 # ----------------------------------------------------------------------
@@ -402,25 +439,40 @@ def _theta_blocks(proj, v, w2, b2, activation, slope):
 
     Arrays are flat over the block's pairs — row ``(i - lo)·N + j``
     holds pair ``(i, j)`` — with ``pre = v_i - P_j``, ``hid`` its
-    activation and ``theta = σ(hid @ W₂ + b₂)``.  Repeating ``v`` and
-    tiling ``P`` first keeps the subtraction on contiguous operands.
+    activation and ``theta = σ(hid @ W₂ + b₂)``.  Broadcasting ``v``
+    over its rows and subtracting ``P`` tiled once per call keeps the
+    subtraction on contiguous operands.
+
+    The three arrays are views of one block-sized scratch set that
+    this call allocates and every block overwrites: a caller uses (and
+    may overwrite) them before it advances the loop.  The set is local
+    to the call, so concurrent calls never share it.
     """
-    n = proj.shape[0]
+    n, h = proj.shape
     step = max(_PAIR_BUDGET // n, 1)
+    pairs = _block_pairs(n)
     tiled = np.tile(proj, (min(step, n), 1))
+    pre_buf, hid_buf = np.empty((pairs, h)), np.empty((pairs, h))
+    theta_buf, exp_buf = np.empty((2, pairs, w2.shape[1]))
+    neg_buf = np.empty(theta_buf.shape, bool)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        pre = np.repeat(v[lo:hi], n, axis=0) - tiled[: (hi - lo) * n]
-        if activation == "leaky_relu" and slope <= 1.0:
-            hid = np.maximum(pre, slope * pre)
-        elif activation == "relu":
-            hid = np.maximum(pre, 0.0)
-        else:
-            hid = _act_with_local(activation, pre, slope)[0]
-        feats = hid @ w2
+        m = (hi - lo) * n
+        pre = pre_buf[:m]
+        np.copyto(pre.reshape(hi - lo, n, h), v[lo:hi, None, :])
+        np.subtract(pre, tiled[:m], out=pre)
+        hid = _activate(activation, pre, hid_buf[:m], slope)
+        theta = np.matmul(hid, w2, out=theta_buf[:m])
         if b2 is not None:
-            feats = feats + b2
-        yield lo, hi, pre, hid, stable_sigmoid(feats)
+            np.add(theta, b2, out=theta)
+        stable_sigmoid(theta, out=theta, scratch=(exp_buf[:m], neg_buf[:m]))
+        yield lo, hi, pre, hid, theta
+
+
+def _block_pairs(n: int) -> int:
+    """Pairs in the largest row block of an ``n``-node record: the
+    rows of each block-sized scratch buffer."""
+    return min(max(_PAIR_BUDGET // n, 1), n) * n
 
 
 def _diagonal(n: int, lo: int, hi: int) -> np.ndarray:
@@ -438,11 +490,20 @@ def _pairwise_mixbern_loglik_forward(
     v = proj + b1 if b1 is not None else proj
     n, k = proj.shape[0], w2.shape[1]
     out = np.empty((n, k))
+    pairs = _block_pairs(n)
+    log_bern_buf = np.empty((pairs, k))
+    absent_buf = np.empty((pairs, 1))
     blocks = _theta_blocks(proj, v, w2, b2, activation, negative_slope)
     for lo, hi, _, _, theta in blocks:
-        theta = np.clip(theta, eps, 1.0 - eps)
+        m = theta.shape[0]
+        np.clip(theta, eps, 1.0 - eps, out=theta)
         a = adjacency[lo:hi].reshape(-1, 1)
-        log_bern = a * np.log(theta) + (1.0 - a) * np.log(1.0 - theta)
+        # a·log θ + (1-a)·log(1-θ), the second term written over θ
+        log_bern = np.log(theta, out=log_bern_buf[:m])
+        np.multiply(a, log_bern, out=log_bern)
+        np.log(np.subtract(1.0, theta, out=theta), out=theta)
+        np.multiply(np.subtract(1.0, a, out=absent_buf[:m]), theta, out=theta)
+        np.add(log_bern, theta, out=log_bern)
         log_bern[_diagonal(n, lo, hi)] = 0.0        # no self-loops
         out[lo:hi] = log_bern.reshape(hi - lo, n, k).sum(axis=1)
     return out, (proj, v)
@@ -468,27 +529,36 @@ def _pairwise_mixbern_loglik_vjp(
     dv = np.zeros_like(v)                           # Σ_j of the rest of dpre
     dcol_h = np.zeros_like(proj)                    # Σ_i of the rest of dpre
     dw2 = np.zeros_like(w2)
+    pairs = _block_pairs(n)
+    dfeats_buf, dhid_buf = np.empty((pairs, k)), np.empty((pairs, h))
+    clamped_buf, upper_buf = np.empty((2, pairs, k), bool)
+    positive_buf = np.empty((pairs, h), bool)
     blocks = _theta_blocks(proj, v, w2, b2, activation, negative_slope)
     for lo, hi, pre, hid, theta in blocks:
+        m = theta.shape[0]
         # d/df of a·log θ + (1-a)·log(1-θ) is a - θ wherever the clip
         # is inactive, and 0 where it clamps
-        inside = (theta >= eps) & (theta <= 1.0 - eps)
-        gb = np.repeat(g[lo:hi], n, axis=0)
-        dfeats = np.where(
-            inside, gb * (adjacency[lo:hi].reshape(-1, 1) - theta), 0.0
+        clamped = np.greater_equal(theta, eps, out=clamped_buf[:m])
+        clamped &= np.less_equal(theta, 1.0 - eps, out=upper_buf[:m])
+        np.logical_not(clamped, out=clamped)
+        dfeats = np.subtract(
+            adjacency[lo:hi].reshape(-1, 1), theta, out=dfeats_buf[:m]
         )
+        blk = dfeats.reshape(hi - lo, n, k)
+        np.multiply(g[lo:hi, None, :], blk, out=blk)
+        np.copyto(dfeats, 0.0, where=clamped)
         dfeats[_diagonal(n, lo, hi)] = 0.0
         dw2 += hid.T @ dfeats
-        blk = dfeats.reshape(hi - lo, n, k)
         drow[lo:hi] = blk.sum(axis=1)
         dcol += blk.sum(axis=0)
         if slope == 1.0:
             continue
-        dhid = dfeats @ w2.T
+        dpre = np.matmul(dfeats, w2.T, out=dhid_buf[:m])
         if slope is None:
-            dpre = dhid * _act_with_local(activation, pre, negative_slope)[1]
+            dpre *= _act_with_local(activation, pre, negative_slope)[1]
         else:
-            dpre = (1.0 - slope) * (dhid * (pre > 0))
+            dpre *= np.greater(pre, 0, out=positive_buf[:m])
+            dpre *= 1.0 - slope
         dpre = dpre.reshape(hi - lo, n, h)
         dv[lo:hi] = dpre.sum(axis=1)                # pre_ij = v_i - P_j
         dcol_h += dpre.sum(axis=0)

@@ -28,7 +28,7 @@ plain forward calls otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -355,11 +355,33 @@ register_op(
 )
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(
+    x: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
     """Numerically stable piecewise sigmoid (no overflow for large |x|):
-    one ``exp`` pass, as ``exp(-|x|)`` is each branch's own ``exp``."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    one ``exp`` pass, as ``exp(-|x|)`` is each branch's own ``exp``.
+
+    Every step writes into ``out`` (which may be ``x`` itself) or into
+    ``scratch``, a ``(float, bool)`` pair of ``x``-shaped buffers; a
+    caller that passes both allocates nothing, and either way the
+    values are ``where(x >= 0, 1 / (1 + e), e / (1 + e))``.
+    """
+    x = np.asarray(x)
+    dtype = np.result_type(x, 1.0)
+    if scratch is None:
+        scratch = np.empty(x.shape, dtype), np.empty(x.shape, bool)
+    e, neg = scratch
+    if out is None:
+        out = np.empty(x.shape, dtype)
+    np.less(x, 0, out=neg)
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    np.add(e, 1.0, out=out)
+    np.divide(e, out, out=e)                        # e / (1 + e)
+    np.divide(1.0, out, out=out)                    # 1 / (1 + e)
+    np.copyto(out, e, where=neg)
+    return out
 
 
 def _sigmoid_forward(a):

@@ -31,25 +31,16 @@ _PROB_EPS = 1e-7
 # Generation never needs gradients, so the decode hot path runs the MLP
 # heads directly on ndarrays: no Tensor allocation, no tape bookkeeping,
 # and the (N, N) pairwise features are processed in row blocks so the
-# full (K, N, N) tensor is never materialized.  Each activation mirrors
-# its autodiff twin in ``repro.autodiff.functional`` operation-for-
-# operation; the only numerical difference from the reference path is
-# the reassociated first linear layer (see _first_layer_projection),
-# which agrees to within a few ulp.  The sigmoid is the op registry's
-# own ``stable_sigmoid``, shared with the training records.
+# full (K, N, N) tensor is never materialized.  Each block writes into
+# one block-sized scratch set per call (:func:`_head_scratch`), and
+# every activation is the training records' own
+# (``fused._activate``), value for value as its autodiff twin.  The
+# only numerical difference from the reference path is the
+# reassociated first linear layer (see _first_layer_projection), which
+# agrees to within a few ulp.
 # ----------------------------------------------------------------------
-_NP_ACTIVATIONS = {
-    # max(x, 0.2*x) == leaky_relu for any slope < 1, in two array passes
-    # instead of the three a where-mask needs; values match
-    # F.leaky_relu bit-for-bit (same products, exact max selection)
-    "relu": lambda x: np.maximum(x, 0.0),
-    "leaky_relu": lambda x: np.maximum(x, 0.2 * x),
-    "tanh": np.tanh,
-    "sigmoid": stable_sigmoid,
-    "elu": lambda x: np.where(x > 0, x, np.exp(np.clip(x, None, 0)) - 1.0),
-    "softplus": lambda x: np.logaddexp(0.0, x),
-    "identity": lambda x: x,
-}
+#: the decode's leaky-ReLU slope (``F.leaky_relu``'s default)
+_LEAKY_SLOPE = 0.2
 
 
 def _decode_block_rows(n: int) -> int:
@@ -75,35 +66,48 @@ def _first_layer_projection(mlp: MLP, s: np.ndarray) -> np.ndarray:
     return s @ mlp.layers[0].weight.data
 
 
+def _head_scratch(mlp: MLP, proj: np.ndarray, rows: int):
+    """One decode call's buffers for :func:`_pairwise_head_block`.
+
+    ``proj`` tiled over ``rows`` source rows, then per layer a
+    ``(rows·N, width)`` pre-activation buffer and one for its
+    activation.  Every block of the call overwrites them, and the set
+    is local to the call, so concurrent shards never share it.
+    """
+    n = proj.shape[0]
+    widths = [layer.weight.data.shape[1] for layer in mlp.layers]
+    return np.tile(proj, (rows, 1)), [
+        (np.empty((rows * n, w)), np.empty((rows * n, w))) for w in widths
+    ]
+
+
 def _pairwise_head_block(
-    mlp: MLP, proj: np.ndarray, lo: int, hi: int
+    mlp: MLP, proj: np.ndarray, lo: int, hi: int, scratch
 ) -> np.ndarray:
     """Head outputs for source rows ``[lo, hi)`` against all columns.
 
-    ``proj`` is the :func:`_first_layer_projection` of the states.
-    Returns a ``((hi - lo) * N, out)`` array; no autodiff nodes are
-    created anywhere on this path.
+    ``proj`` is the :func:`_first_layer_projection` of the states and
+    ``scratch`` a :func:`_head_scratch` of at least ``hi - lo`` rows.
+    Returns a ``((hi - lo) * N, out)`` view into ``scratch``, valid
+    until the next block; no autodiff nodes are created anywhere on
+    this path.  The first layer is ``(P_i - P_j) + b₁``.
     """
-    h = proj[lo:hi, None, :] - proj[None, :, :]
-    first = mlp.layers[0]
-    if first.bias is not None:
-        h = h + first.bias.data
-    x = h.reshape(-1, h.shape[-1])
-    act = _NP_ACTIVATIONS[mlp.activation]
-    out_act = _NP_ACTIVATIONS[mlp.out_activation]
-    if len(mlp.layers) == 1:
-        return out_act(x)
-    x = act(x)
-    for layer in mlp.layers[1:-1]:
-        x = x @ layer.weight.data
+    n = proj.shape[0]
+    m = (hi - lo) * n
+    tiled, buffers = scratch
+    last = len(mlp.layers) - 1
+    for i, (layer, (pre, out)) in enumerate(zip(mlp.layers, buffers)):
+        pre = pre[:m]
+        if i == 0:
+            np.copyto(pre.reshape(hi - lo, n, -1), proj[lo:hi, None, :])
+            np.subtract(pre, tiled[:m], out=pre)
+        else:
+            np.matmul(x, layer.weight.data, out=pre)
         if layer.bias is not None:
-            x = x + layer.bias.data
-        x = act(x)
-    last = mlp.layers[-1]
-    x = x @ last.weight.data
-    if last.bias is not None:
-        x = x + last.bias.data
-    return out_act(x)
+            np.add(pre, layer.bias.data, out=pre)
+        act = mlp.out_activation if i == last else mlp.activation
+        x = fused._activate(act, pre, out[:m], _LEAKY_SLOPE)
+    return x
 
 
 def sample_rows(
@@ -124,30 +128,39 @@ def sample_rows(
     inverse-CDF draws on ``component_rng``, and each ``(block, N)`` row
     block draws its edge uniforms from ``edge_rng`` when reached —
     exactly the stream one ``(hi - lo, N)`` draw consumes, so a shard
-    on a stream slice matches the monolithic decode bit for bit.
+    on a stream slice matches the monolithic decode bit for bit.  The
+    blocks share one scratch set allocated here.
     """
     n = proj.shape[0]
     k = alpha.shape[1]
     u = component_rng.random((hi - lo, 1))
     components = (u > np.cumsum(alpha, axis=1)).sum(axis=1).clip(0, k - 1)
+    rows = min(block, hi - lo)
+    scratch = _head_scratch(head, proj, rows)
+    edge_u = np.empty((rows, n))
+    hit = np.empty((rows, n), bool)
+    sigmoid_scratch = (np.empty((rows, n)), np.empty((rows, n), bool))
     srcs = []
     dsts = []
     for blo in range(lo, hi, block):
         bhi = min(blo + block, hi)
-        edge_u = edge_rng.random((bhi - blo, n))
-        feats = _pairwise_head_block(head, proj, blo, bhi).reshape(
-            bhi - blo, n, k
+        b = bhi - blo
+        edge_rng.random(out=edge_u[:b])
+        feats = _pairwise_head_block(head, proj, blo, bhi, scratch).reshape(
+            b, n, k
         )
         # pick each row's component first: the sigmoid is elementwise,
         # so it runs on (B, N) values instead of (B, N, K)
-        row_theta = stable_sigmoid(np.take_along_axis(
-            feats, components[blo - lo:bhi - lo, None, None], axis=2
-        )[:, :, 0])
-        hit = edge_u < row_theta
+        row_theta = feats[np.arange(b), :, components[blo - lo:bhi - lo]]
+        stable_sigmoid(
+            row_theta, out=row_theta,
+            scratch=(sigmoid_scratch[0][:b], sigmoid_scratch[1][:b]),
+        )
+        np.less(edge_u[:b], row_theta, out=hit[:b])
         diag = np.arange(blo, bhi)
         hit[diag - blo, diag] = False
-        rows, cols = np.nonzero(hit)
-        srcs.append(rows.astype(np.int64) + blo)
+        rows_hit, cols = np.nonzero(hit[:b])
+        srcs.append(rows_hit.astype(np.int64) + blo)
         dsts.append(cols.astype(np.int64))
     return (
         np.concatenate(srcs) if srcs else np.zeros(0, np.int64),
@@ -390,9 +403,12 @@ class MixBernoulliSampler(Module):
         alpha_feats = self._pooled_alpha_features_np(proj)
         if alpha_feats is None:
             alpha_feats = np.zeros((n, self.num_components))
+            scratch = _head_scratch(self.f_alpha, proj, min(block, n))
             for lo in range(0, n, block):
                 hi = min(lo + block, n)
-                feats = _pairwise_head_block(self.f_alpha, proj, lo, hi)
+                feats = _pairwise_head_block(
+                    self.f_alpha, proj, lo, hi, scratch
+                )
                 alpha_feats[lo:hi] = feats.reshape(
                     hi - lo, n, self.num_components
                 ).sum(axis=1)  # pool over j
@@ -410,10 +426,11 @@ class MixBernoulliSampler(Module):
         alpha = self._mixture_weights_np(s_np, block)
         proj = _first_layer_projection(self.f_theta, s_np)
         probs = np.zeros((n, n))
+        scratch = _head_scratch(self.f_theta, proj, min(block, n))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             theta = stable_sigmoid(
-                _pairwise_head_block(self.f_theta, proj, lo, hi)
+                _pairwise_head_block(self.f_theta, proj, lo, hi, scratch)
             ).reshape(hi - lo, n, self.num_components)
             probs[lo:hi] = (theta * alpha[lo:hi, None, :]).sum(axis=2)
         np.fill_diagonal(probs, 0.0)

@@ -4,6 +4,12 @@ After one tape ``MixBernoulliSampler.log_likelihood`` the bytes the
 tape holds for its records — residuals plus output values — must stay
 below ``c·N·h·8``: a single surviving ``(N, N, ·)`` array (the pairwise
 hidden layer is ``N²·h·8`` bytes) overshoots the bound N/c-fold.
+
+The total bound has room for a leaked block-sized scratch buffer (at
+N=256, h=16 a 1024-pair ``(pairs, h)`` buffer is 131 KB under a 327 KB
+bound), so each residual array of the ``pairwise_mixbern_loglik``
+record is also held to ``N·h·8`` bytes: its residuals are the
+``(N, h)`` projections, never a row block's scratch.
 """
 
 import numpy as np
@@ -17,12 +23,17 @@ from repro.core.generator import MixBernoulliSampler
 STATE_FACTOR = 10
 
 
-def _nbytes(obj) -> int:
+def _arrays(obj):
+    """Every ndarray in a record's (possibly nested) residuals."""
     if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (tuple, list)):
-        return sum(_nbytes(x) for x in obj)
-    return 0
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _arrays(x)
+
+
+def _nbytes(obj) -> int:
+    return sum(arr.nbytes for arr in _arrays(obj))
 
 
 @pytest.mark.perf
@@ -41,3 +52,10 @@ def test_log_likelihood_tape_state_is_linear_in_n():
     assert held < STATE_FACTOR * n * h * 8, (
         f"{len(tape.records)} records hold {held} bytes"
     )
+    theta = [
+        rec for rec in tape.records
+        if rec.spec.name == "pairwise_mixbern_loglik"
+    ]
+    assert len(theta) == 1
+    residual_bytes = [arr.nbytes for arr in _arrays(theta[0].residuals)]
+    assert residual_bytes and max(residual_bytes) <= n * h * 8, residual_bytes
