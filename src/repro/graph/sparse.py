@@ -47,6 +47,35 @@ def _ragged_gather_indices(
     return np.cumsum(steps)
 
 
+def dedup_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted-unique of packed int64 keys, sorting ``keys`` in place.
+
+    The one dedup helper for packed ``row * N + col`` keys (edge
+    canonicalization, the symmetrized CSR, the SCC condensation DAG
+    and the BFS frontiers).  Sort plus an adjacent diff: on numpy 2.x
+    a 1-D ``np.unique`` takes a hash path that costs an order of
+    magnitude more on the few-thousand-key arrays these callers
+    produce, and ``np.unique(axis=0)`` on ``(E, 2)`` rows more still.
+    """
+    if keys.size <= 1:
+        return keys
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def csr_from_keys(
+    keys: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of sorted-unique packed ``row * n + col`` keys."""
+    rows, cols = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols
+
+
 class SparseDirectedGraph:
     """CSR-like directed graph: out-edges grouped per source node."""
 
@@ -59,10 +88,11 @@ class SparseDirectedGraph:
         if edges.size and (edges.min() < 0 or edges.max() >= self.num_nodes):
             raise ValueError("edge endpoints out of range")
         # One code path for empty and non-empty inputs: drop self-loops,
-        # then ``np.unique(axis=0)`` both deduplicates and sorts rows
-        # lexicographically by (src, dst) — exactly CSR order.
+        # then dedup packed ``src * N + dst`` keys, whose sorted order
+        # is lexicographic (src, dst) order — exactly CSR order.
         edges = edges[edges[:, 0] != edges[:, 1]]
-        self._edges = np.unique(edges, axis=0)
+        keys = dedup_keys(edges[:, 0] * self.num_nodes + edges[:, 1])
+        self._edges = np.stack(np.divmod(keys, self.num_nodes), axis=1)
         counts = np.bincount(self._edges[:, 0], minlength=self.num_nodes)
         self._offsets = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
@@ -90,7 +120,7 @@ class SparseDirectedGraph:
         The caller guarantees rows are sorted by ``(src, dst)``,
         deduplicated and loop-free (e.g. a
         :class:`~repro.graph.store.TemporalEdgeStore` timestep slice);
-        skips the O(E log E) ``np.unique`` canonicalization.
+        skips the O(E log E) dedup canonicalization.
         """
         graph = cls.__new__(cls)
         graph.num_nodes = int(num_nodes)
@@ -162,13 +192,10 @@ class SparseDirectedGraph:
         cached (all undirected metrics share it).
         """
         if self._sym_csr is None:
-            both = np.concatenate([self._edges, self._edges[:, ::-1]], axis=0)
-            both = np.unique(both, axis=0)
-            counts = np.bincount(both[:, 0], minlength=self.num_nodes)
-            indptr = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
-            )
-            self._sym_csr = (indptr, np.ascontiguousarray(both[:, 1]))
+            src, dst = self._edges[:, 0], self._edges[:, 1]
+            n = self.num_nodes
+            keys = np.concatenate([src * n + dst, dst * n + src])
+            self._sym_csr = csr_from_keys(dedup_keys(keys), n)
         return self._sym_csr
 
     def undirected_neighbor_sets(self) -> List[set]:

@@ -5,12 +5,12 @@ query kernel runs against: the forward CSR of one snapshot, its
 reverse CSC, a sorted attribute order for range scans, the global
 sorted edge-key columns the temporal kernels binary-search, or a
 per-snapshot analytics memo (the triangle count of one snapshot, its
-degree-ranked node order) answered once per timestep instead of once
-per query.  The :class:`~repro.graph.store.TemporalEdgeStore` caches
-CSR/CSC per timestep *unboundedly* — fine for analytics sweeps that
-touch every timestep once, wrong for a long-lived serving process
-where T is large and traffic concentrates on a hot subset of
-timesteps.
+degree-ranked node order, its SCC condensation) answered once per
+timestep instead of once per query.  The
+:class:`~repro.graph.store.TemporalEdgeStore` caches CSR/CSC per
+timestep *unboundedly* — fine for analytics sweeps that touch every
+timestep once, wrong for a long-lived serving process where T is
+large and traffic concentrates on a hot subset of timesteps.
 
 :class:`SnapshotPlanCache` is the bounded counterpart: an LRU over
 plan materializations with ``memory_budget_bytes``-style sizing that
@@ -43,7 +43,10 @@ from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
+from repro.graph.sparse import csr_from_keys, dedup_keys
 from repro.reliability import InjectedFault, fault_injector
 
 __all__ = ["PlanCacheStats", "SnapshotPlanCache"]
@@ -52,7 +55,9 @@ __all__ = ["PlanCacheStats", "SnapshotPlanCache"]
 #: Extension keys (the live tier's ``("csr", t, "open")`` variants)
 #: share these heads, so :meth:`SnapshotPlanCache.invalidate_step`
 #: covers them too.
-_STEP_PLAN_HEADS = ("csr", "csc", "attr", "triangles", "degree_order")
+_STEP_PLAN_HEADS = (
+    "csr", "csc", "attr", "triangles", "degree_order", "reach",
+)
 
 #: Key heads of whole-store plans (epoch-qualified in the live tier).
 _STORE_PLAN_HEADS = ("temporal_keys", "pair_keys")
@@ -230,8 +235,9 @@ class SnapshotPlanCache:
 
         Covers the built-in ``("csr", t)`` / ``("csc", t)`` /
         ``("attr", t, dim)`` / ``("triangles", t)`` /
-        ``("degree_order", t, direction)`` keys and any extension key
-        sharing those heads (the live tier's open-step variants).
+        ``("degree_order", t, direction)`` / ``("reach", t)`` keys and
+        any extension key sharing those heads (the live tier's
+        open-step variants).
         Returns the number of plans dropped.  Like eviction, invalidation never
         changes results — the next lookup rebuilds from the store
         columns — and the owned-bytes account shrinks with each drop,
@@ -330,6 +336,24 @@ class SnapshotPlanCache:
             partial(_degree_order_plan, self.store, t, direction),
         )
 
+    def reach(
+        self, t: int
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """SCC condensation of timestep ``t``: ``(labels, dag)``.
+
+        ``labels`` maps each node to its strongly connected component
+        (``N`` int64, from scipy's ``connected_components(...,
+        connection="strong")``); ``dag`` is the deduplicated
+        ``(indptr, indices)`` CSR of the condensation, one edge
+        ``a -> b`` between distinct components wherever a step edge
+        crosses from ``a`` to ``b``.  The temporal-reach kernel
+        saturates a step over the DAG instead of the node graph.
+        Every array is fresh and charged against the budget.
+        """
+        return self._get_or_build(
+            ("reach", t), partial(_reach_plan, self.store, t)
+        )
+
     def temporal_keys(self) -> np.ndarray:
         """Sorted composite ``(t, src, dst)`` edge keys (whole graph).
 
@@ -418,6 +442,23 @@ def _degree_order_plan(store, t: int, direction: str):
         raise ValueError(f"unknown direction {direction!r}")
     order = np.lexsort((np.arange(deg.size), -deg))
     return order, SnapshotPlanCache._owned_nbytes(order)
+
+
+def _reach_plan(store, t: int):
+    n = store.num_nodes
+    indptr, indices = store.compute_csr_at(t)
+    graph = csr_array(
+        (np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n)
+    )
+    count, labels = connected_components(
+        graph, directed=True, connection="strong"
+    )
+    labels = labels.astype(np.int64)
+    tails = np.repeat(labels, np.diff(indptr))
+    heads = labels[indices]
+    cross = tails != heads
+    dag = csr_from_keys(dedup_keys(tails[cross] * count + heads[cross]), count)
+    return (labels, dag), SnapshotPlanCache._owned_nbytes(labels, *dag)
 
 
 def _temporal_keys_plan(store):

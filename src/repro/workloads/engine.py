@@ -35,11 +35,12 @@ Every index the engine consults is a *plan* in a
 zero-copy view of the store's ``(t, src, dst)``-sorted columns,
 reverse CSC as one O(M_t log M_t) re-sort, sorted attribute orders
 for range scans, the global sorted edge-key columns behind the
-edge-existence and temporal-range kernels, and the per-snapshot
+edge-existence and temporal-range kernels, the per-snapshot
 analytics memos (triangle count, degree-ranked node order) that the
-scalar and batched analytics both read.  The cache is bounded
-(``cache_memory_budget_bytes``) and shared across concurrent
-requests; no dense ``(N, N)`` matrix is ever touched
+scalar and batched analytics both read, and each snapshot's SCC
+condensation, over which temporal reachability saturates a step.  The
+cache is bounded (``cache_memory_budget_bytes``) and shared across
+concurrent requests; no dense ``(N, N)`` matrix is ever touched
 (``track_dense_materializations`` stays 0 on this path).  The prose
 contract lives in ``docs/workloads.md``.
 """
@@ -53,6 +54,7 @@ import numpy as np
 
 from repro.graph import properties as props
 from repro.graph.dynamic import DynamicAttributedGraph
+from repro.graph.sparse import dedup_keys
 from repro.workloads.cache import SnapshotPlanCache
 
 
@@ -97,23 +99,6 @@ def _expand_frontier(
     ]
 
 
-def _dedup_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted-unique of packed keys, in place.
-
-    ``np.unique``'s hash path costs far more than an in-place sort on
-    the small per-level frontiers the BFS kernels produce; this is the
-    classic sort-then-diff form (and the BFS level order never depends
-    on frontier order, so sorting in place is free).
-    """
-    if keys.size <= 1:
-        return keys
-    keys.sort()
-    keep = np.empty(keys.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
 class GraphQueryEngine:
     """Query engine over a :class:`DynamicAttributedGraph`.
 
@@ -127,8 +112,8 @@ class GraphQueryEngine:
         cache across several engines over the same store), or any
         object speaking the same plan protocol (``store`` attribute
         plus ``csr`` / ``csc`` / ``attribute_order`` / ``triangles`` /
-        ``degree_order`` / ``temporal_keys`` / ``pair_keys`` /
-        ``stats`` — the live tier's
+        ``degree_order`` / ``reach`` / ``temporal_keys`` / ``pair_keys``
+        / ``stats`` — the live tier's
         :class:`~repro.workloads.live.EpochPlanView` pins one epoch
         this way).  Must wrap ``graph.store``.
     cache_memory_budget_bytes / cache_max_plans:
@@ -651,7 +636,7 @@ class GraphQueryEngine:
                 if not fresh.size:
                     break
                 visited[fresh] = True
-                frontier = _dedup_keys(fresh)
+                frontier = dedup_keys(fresh)
             counts = visited.reshape(-1, n).sum(axis=1, dtype=np.int64)
             out[sel] = counts - 1  # visited includes the source
         return out
@@ -660,13 +645,16 @@ class GraphQueryEngine:
         """Time-respecting reachability of ``src[i] -> dst[i]`` over
         ``[t0[i], t1[i]]``, one bool per query.
 
-        The batched twin of :meth:`temporal_reachable`: the same
-        packed-key frontier advances across timesteps — level ``t``
-        expands every in-window unresolved query's reached set to
-        saturation against timestep ``t``'s CSR plan before moving to
+        The batched twin of :meth:`temporal_reachable`: one packed
+        ``(query, node)`` bitmap advances across timesteps — step ``t``
+        saturates every in-window unresolved query's reached set
+        against timestep ``t``'s ``reach`` plan before moving to
         ``t + 1`` — so queries with overlapping windows share plan
-        lookups and kernel passes.  Resolved queries (target reached,
-        or ``src == dst``) drop out of the frontier immediately.
+        lookups and kernel passes.  Saturation walks the step's SCC
+        condensation, not its nodes: a node reaches its whole strongly
+        connected component at once, so a giant component costs one
+        frontier pass instead of one per BFS level.  Resolved queries
+        (target reached, or ``src == dst``) drop out immediately.
         """
         src = _as_query_column(src, "src")
         dst = _as_query_column(dst, "dst")
@@ -688,27 +676,35 @@ class GraphQueryEngine:
         n = self.graph.num_nodes
         qid_base = np.arange(src.size, dtype=np.int64) * n
         # flat visited bitmap over the packed (query, node) key space:
-        # O(1) membership for dedup and the final target probe
+        # O(1) membership for seeding and the final target probe
         visited = np.zeros(src.size * n, dtype=bool)
         visited[qid_base + src] = True
         targets = qid_base + dst
+        rows_of = visited.reshape(-1, n)
         for t in range(int(t0.min()), int(t1.max()) + 1):
             active = np.flatnonzero(~out & (t0 <= t) & (t <= t1))
             if not active.size:
                 continue
-            indptr, indices = self.plans.csr(t)
-            # each snapshot's edges are concurrent: restart the
-            # frontier from everything the active queries have
-            # reached, then expand to fixpoint within the step
-            rows, cols = np.nonzero(visited.reshape(-1, n)[active])
-            frontier = active[rows] * n + cols
+            labels, (dag_indptr, dag_indices) = self.plans.reach(t)
+            c = dag_indptr.size - 1
+            # each snapshot's edges are concurrent: a reached node
+            # reaches its whole SCC, so seed packed (active query, SCC)
+            # keys from everything reached so far and saturate the
+            # step over the condensation DAG
+            rows, cols = np.nonzero(rows_of[active])
+            reached = np.zeros(active.size * c, dtype=bool)
+            reached[rows * c + labels[cols]] = True
+            frontier = np.flatnonzero(reached)
             while frontier.size:
-                nxt = _expand_frontier(frontier, indptr, indices, n)
-                fresh = nxt[~visited[nxt]] if nxt.size else nxt
+                nxt = _expand_frontier(frontier, dag_indptr, dag_indices, c)
+                fresh = nxt[~reached[nxt]] if nxt.size else nxt
                 if not fresh.size:
                     break
-                visited[fresh] = True
-                frontier = _dedup_keys(fresh)
+                reached[fresh] = True
+                frontier = dedup_keys(fresh)
+            # every member of a reached SCC is reached; the seeds hold
+            # the SCC of each node reached before, so this only adds
+            rows_of[active] = reached.reshape(-1, c)[:, labels]
             out[active] = visited[targets[active]]
         return out
 

@@ -22,13 +22,13 @@ lookups by how the underlying data can change:
 * **Sealed timesteps** (``t < epoch``) use the ordinary per-timestep
   keys (``("csr", t)``, ``("triangles", t)``, ...) — content-stable
   across epochs, shared by every view, never invalidated.  A sealed
-  step's triangle count and degree order are therefore computed once
-  and answer every later epoch's queries.
+  step's triangle count, degree order and SCC condensation are
+  therefore computed once and answer every later epoch's queries.
 * **Open timesteps** (``t >= epoch``, empty at this epoch) use
   ``("csr", t, "open")``-style keys (``("triangles", t, "open")``,
-  ``("degree_order", t, direction, "open")`` for the analytics
-  plans), built from the view's own snapshot.  When timestep ``t``
-  seals, the service calls
+  ``("degree_order", t, direction, "open")``, ``("reach", t,
+  "open")`` for the analytics plans), built from the view's own
+  snapshot.  When timestep ``t`` seals, the service calls
   :meth:`~repro.workloads.cache.SnapshotPlanCache.invalidate_step`
   for it — the open plans are stale for the new epoch.  An in-flight
   older batch that still needs them simply rebuilds from its pinned
@@ -67,6 +67,7 @@ from repro.workloads.cache import (
     _csr_plan,
     _degree_order_plan,
     _pair_keys_plan,
+    _reach_plan,
     _temporal_keys_plan,
     _triangles_plan,
 )
@@ -80,7 +81,7 @@ class EpochPlanView:
     """Plan-protocol adapter pinning one epoch over a shared cache.
 
     Quacks like a :class:`SnapshotPlanCache` to a
-    :class:`GraphQueryEngine` (``store`` + the seven plan methods +
+    :class:`GraphQueryEngine` (``store`` + the eight plan methods +
     ``stats``), but routes each lookup through the *shared* cache with
     epoch-aware keys — see the module docstring for the key scheme.
     Correctness does not depend on what is resident: every build
@@ -127,6 +128,9 @@ class EpochPlanView:
             self.shared.degree_order, _degree_order_plan, "degree_order",
             t, direction,
         )
+
+    def reach(self, t: int):
+        return self._step_plan(self.shared.reach, _reach_plan, "reach", t)
 
     def attribute_order(self, t: int, dim: int):
         # the attribute block is fixed at builder construction, so the

@@ -129,3 +129,78 @@ class TestDegreesAndHasEdge:
             g.has_edge(0, 4)
         with pytest.raises(ValueError):
             g.has_edge(-1, 0)
+
+
+def _unique_rows_edges(n, edges):
+    """The ``np.unique(axis=0)`` canonicalization the key dedup replaced."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
+
+
+def _unique_rows_symmetric_csr(g):
+    """The ``np.unique(axis=0)`` symmetrized CSR the key dedup replaced."""
+    edges = g.edge_array()
+    both = np.unique(np.concatenate([edges, edges[:, ::-1]], axis=0), axis=0)
+    counts = np.bincount(both[:, 0], minlength=g.num_nodes)
+    indptr = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
+    )
+    return indptr, np.ascontiguousarray(both[:, 1])
+
+
+def _with_antiparallel(seed, n, e):
+    """Random edges, then every third one repeated and reversed."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, max(n, 1), size=(e, 2))
+    return np.concatenate([edges, edges[::3], edges[::3, ::-1]], axis=0)
+
+
+class TestKeyDedupPins:
+    """Sort-and-diff key dedup gives the arrays ``np.unique(axis=0)``
+    gave: the same values and the same int64 dtypes."""
+
+    CASES = RANDOM_CASES + [(10, 5, 0), (11, 1, 4), (12, 200, 3000)]
+
+    @pytest.mark.parametrize("seed,n,e", CASES)
+    def test_constructor_edges(self, seed, n, e):
+        edges = _with_antiparallel(seed, n, e)
+        got = SparseDirectedGraph(n, edges).edge_array()
+        want = _unique_rows_edges(n, edges)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed,n,e", CASES)
+    def test_symmetric_csr(self, seed, n, e):
+        g = SparseDirectedGraph(n, _with_antiparallel(seed, n, e))
+        indptr, indices = g.symmetric_csr()
+        want_indptr, want_indices = _unique_rows_symmetric_csr(g)
+        assert indptr.dtype == want_indptr.dtype == np.int64
+        assert indices.dtype == want_indices.dtype == np.int64
+        np.testing.assert_array_equal(indptr, want_indptr)
+        np.testing.assert_array_equal(indices, want_indices)
+
+    def test_single_node_and_no_edges(self):
+        for g in (
+            SparseDirectedGraph(1, np.array([[0, 0]])),
+            SparseDirectedGraph(4, np.zeros((0, 2))),
+            SparseDirectedGraph(0, np.zeros((0, 2))),
+        ):
+            indptr, indices = g.symmetric_csr()
+            np.testing.assert_array_equal(
+                indptr, np.zeros(g.num_nodes + 1, dtype=np.int64)
+            )
+            assert indptr.dtype == indices.dtype == np.int64
+            assert indices.shape == (0,)
+            assert g.edge_array().shape == (0, 2)
+            assert g.edge_array().dtype == np.int64
+
+    def test_store_view_matches_constructor(self):
+        """A store's pre-sorted view and a constructor dedup agree."""
+        edges = _with_antiparallel(13, 30, 90)
+        built = SparseDirectedGraph(30, edges)
+        adopted = SparseDirectedGraph.from_sorted_edges(
+            30, _unique_rows_edges(30, edges)
+        )
+        for a, b in zip(built.symmetric_csr(), adopted.symmetric_csr()):
+            np.testing.assert_array_equal(a, b)

@@ -5,8 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.graph.dynamic import DynamicAttributedGraph
 from repro.graph.store import TemporalEdgeStore
-from repro.workloads import SnapshotPlanCache
+from repro.reliability import FaultPlan, fault_injector
+from repro.workloads import GraphQueryEngine, SnapshotPlanCache
+from repro.workloads.cache import _reach_plan
 
 
 @pytest.fixture
@@ -94,6 +97,71 @@ class TestPlans:
     def test_degree_order_unknown_direction_rejected(self, store):
         with pytest.raises(ValueError, match="direction"):
             SnapshotPlanCache(store).degree_order(0, "sideways")
+
+
+class TestReachPlan:
+    """``reach(t)``: SCC labels plus the deduplicated condensation DAG."""
+
+    def test_labels_and_dag_describe_the_condensation(self, store):
+        cache = SnapshotPlanCache(store)
+        for t in range(store.num_timesteps):
+            labels, (indptr, indices) = cache.reach(t)
+            src, dst = store.edges_at(t)
+            assert labels.dtype == indptr.dtype == indices.dtype == np.int64
+            # u, v share a label iff each reaches the other at step t
+            reach = np.eye(store.num_nodes, dtype=bool)
+            reach[src, dst] = True
+            for _ in range(store.num_nodes.bit_length()):
+                reach = reach | (
+                    reach.astype(np.int64) @ reach.astype(np.int64) > 0
+                )
+            np.testing.assert_array_equal(
+                labels[:, None] == labels[None, :], reach & reach.T
+            )
+            # one DAG edge per distinct crossing component pair
+            cross = labels[src] != labels[dst]
+            want = sorted(set(zip(labels[src][cross], labels[dst][cross])))
+            got = [
+                (a, int(b))
+                for a in range(indptr.size - 1)
+                for b in indices[indptr[a]:indptr[a + 1]]
+            ]
+            assert got == want
+            assert indptr.size - 1 == labels.max() + 1
+        stats = cache.stats()
+        assert stats.resident_bytes == sum(
+            _reach_plan(store, t)[1] for t in range(store.num_timesteps)
+        )
+
+    def test_invalidate_step_covers_reach_and_open_variant(self, store):
+        cache = SnapshotPlanCache(store)
+        cache.reach(1)
+        cache.get_or_build(
+            ("reach", 1, "open"), lambda: _reach_plan(store, 1)
+        )
+        cache.reach(2)
+        assert cache.invalidate_step(1) == 2
+        stats = cache.stats()
+        assert stats.resident_plans == 1
+        assert stats.resident_bytes == _reach_plan(store, 2)[1]
+
+    def test_cache_fault_bypass_answers_reach(self, store):
+        graph = DynamicAttributedGraph.from_store(store)
+        rng = np.random.default_rng(3)
+        n, t_len = store.num_nodes, store.num_timesteps
+        src, dst = rng.integers(0, n, size=(2, 80))
+        t0 = rng.integers(0, t_len, size=80)
+        t1 = np.minimum(t0 + rng.integers(0, t_len, size=80), t_len - 1)
+        want = GraphQueryEngine(graph)._reference_batch_temporal_reach(
+            src, dst, t0, t1
+        )
+        engine = GraphQueryEngine(graph)
+        with fault_injector.arm({"cache.plan": FaultPlan()}):
+            got = engine.batch_temporal_reach(src, dst, t0, t1)
+        np.testing.assert_array_equal(got, want)
+        stats = engine.plans.stats()
+        assert stats.bypasses > 0
+        assert stats.hits == stats.misses == stats.resident_plans == 0
 
 
 class TestLRU:

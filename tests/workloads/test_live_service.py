@@ -233,6 +233,40 @@ class TestAnalyticsPlanLifecycle:
         assert second.resident_plans == 4
 
 
+    def test_seal_drops_open_reach_plan_and_sealed_reach_plans_hit(self):
+        from repro.workloads import Query, QueryKind
+
+        src, dst, t, attrs = make_stream(CHAOS_SEED + 10)
+        builder = LiveStoreBuilder(N, T, attributes=attrs)
+        feed_all(builder, src, dst, t)
+        builder.seal_step()  # epoch 1: t=0 sealed, t=1 open
+        reach = QueryKind.TEMPORAL_REACH
+        request = QueryRequest([
+            Query(reach, 0, (0, 1, 0, 0)),
+            Query(reach, 0, (2, 3, 0, 0)),
+            Query(reach, 1, (4, 5, 1, 1)),
+        ])
+        oracle = Oracle(src, dst, t, attrs)
+        with LiveQueryService(builder, executor="serial") as service:
+            epoch, results = service.run_batch([request])
+            assert epoch == 1
+            oracle.check(epoch, request, results[0])
+            first = service.plan_cache_stats()
+            # one shared sealed reach plan (t=0) + one "open" (t=1)
+            assert first.misses == 2 and first.hits == 0
+
+            builder.seal_step()  # t=1 seals: its open plan is stale
+            epoch, results = service.run_batch([request])
+            assert epoch == 2
+            oracle.check(epoch, request, results[0])
+            second = service.plan_cache_stats()
+        assert second.invalidations - first.invalidations == 1
+        # the sealed t=0 plan answers the new epoch without a rebuild
+        assert second.hits - first.hits == 1
+        assert second.misses - first.misses == 1
+        assert second.resident_plans == 2
+
+
 class TestRefreshDegradation:
     def test_snapshot_fault_serves_stale_epoch(self):
         src, dst, t, attrs = make_stream(CHAOS_SEED + 5)

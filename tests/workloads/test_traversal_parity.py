@@ -406,6 +406,119 @@ class TestTraversalEdgeCases:
             engine.batch_temporal_reach([0], [1, 2], [0], [0])
 
 
+def planted_reach_engine(seed, n=48, t_len=5):
+    """Steps with planted strongly connected structure plus noise.
+
+    Step 0: a directed 10-cycle fed by the chain ``20 -> 21 -> 22 -> 0``.
+    Step 1: empty.  Step 2: a second 10-cycle, entered from the first
+    through ``5 -> 10`` and left through ``19 -> 30``.  Step 3: the
+    two-node cycle ``40 <-> 41``.  Step 4: random edges only.  Steps 0,
+    2 and 3 also carry a few random edges, so components merge and
+    chain into one another differently per seed.
+    """
+    rng = np.random.default_rng(seed)
+    ring = np.arange(10)
+    planted = {
+        0: ([*ring, 20, 21, 22], [*np.roll(ring, -1), 21, 22, 0]),
+        1: ([], []),
+        2: ([*(ring + 10), 5, 19], [*np.roll(ring + 10, -1), 10, 30]),
+        3: ([40, 41], [41, 40]),
+        4: ([], []),
+    }
+    src, dst, t = [], [], []
+    for step in range(t_len):
+        s, d = planted.get(step, ([], []))
+        noise = 0 if step == 1 else int(rng.integers(3, 25))
+        s = [*s, *rng.integers(0, n, size=noise)]
+        d = [*d, *rng.integers(0, n, size=noise)]
+        src += s
+        dst += d
+        t += [step] * len(s)
+    store = TemporalEdgeStore(
+        n, t_len, np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64), np.array(t, dtype=np.int64), None,
+    )
+    return GraphQueryEngine(DynamicAttributedGraph.from_store(store))
+
+
+class TestTemporalReachCondensation:
+    """The SCC-condensed kernel against the per-query BFS twin on
+    graphs whose steps hold planted cycles, a chain feeding a cycle, an
+    empty step, and ``src == dst`` queries, over windows of one step
+    and of every step."""
+
+    #: sources on the chain, both cycles, their exits and off-structure
+    NODES = np.array([0, 3, 9, 10, 15, 19, 20, 21, 22, 30, 40, 41, 47])
+
+    @pytest.mark.parametrize("seed", ROUNDS)
+    @pytest.mark.parametrize("window", ["one_step", "all_steps"])
+    def test_all_pairs_match_reference(self, seed, window):
+        engine = planted_reach_engine(seed)
+        t_len = engine.graph.num_timesteps
+        u, v = np.meshgrid(self.NODES, self.NODES, indexing="ij")
+        u, v = u.ravel(), v.ravel()
+        if window == "one_step":
+            t0 = np.repeat(np.arange(t_len), u.size)
+            t1 = t0
+            u, v = np.tile(u, t_len), np.tile(v, t_len)
+        else:
+            t0 = np.zeros(u.size, dtype=np.int64)
+            t1 = np.full(u.size, t_len - 1)
+        got = engine.batch_temporal_reach(u, v, t0, t1)
+        np.testing.assert_array_equal(
+            got, engine._reference_batch_temporal_reach(u, v, t0, t1)
+        )
+        assert got[u == v].all()
+
+    @pytest.mark.parametrize("seed", ROUNDS)
+    def test_random_windows_match_reference(self, seed):
+        engine = planted_reach_engine(seed)
+        _, _, _, src, dst, t0, t1 = traversal_columns(engine, seed + 5)
+        np.testing.assert_array_equal(
+            engine.batch_temporal_reach(src, dst, t0, t1),
+            engine._reference_batch_temporal_reach(src, dst, t0, t1),
+        )
+
+    def test_planted_structure_answers(self):
+        engine = planted_reach_engine(CHAOS_SEED)
+        src = np.array([20, 3, 0, 20, 0, 40])
+        dst = np.array([9, 2, 20, 30, 30, 41])
+        t0 = np.array([0, 0, 0, 0, 1, 3])
+        t1 = np.array([0, 0, 0, 2, 1, 3])
+        got = engine.batch_temporal_reach(src, dst, t0, t1)
+        # chain into the cycle, around the cycle, through both cycles
+        # across the empty step; an empty step alone reaches nothing
+        assert got[[0, 1, 3, 5]].all()
+        assert not got[4]
+        np.testing.assert_array_equal(
+            got, engine._reference_batch_temporal_reach(src, dst, t0, t1)
+        )
+
+    def test_giant_component_is_one_frontier_pass(self, monkeypatch):
+        """Crossing a 300-cycle takes O(1) frontier passes, not one per
+        node: the whole cycle is one SCC of the step's condensation."""
+        import repro.workloads.engine as engine_module
+
+        n = 300
+        ring = np.arange(n)
+        store = TemporalEdgeStore(
+            n, 1, ring, np.roll(ring, -1), np.zeros(n, dtype=np.int64), None
+        )
+        engine = GraphQueryEngine(DynamicAttributedGraph.from_store(store))
+        calls = []
+        real = engine_module._expand_frontier
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(engine_module, "_expand_frontier", counted)
+        assert engine.batch_temporal_reach([0], [299], [0], [0]).tolist() == [
+            True
+        ]
+        assert len(calls) <= 2
+
+
 def _requests(queries, size=40):
     return [
         QueryRequest(queries[i:i + size])
