@@ -17,7 +17,7 @@ Quickstart
 
 __version__ = "1.0.0"
 
-from repro import autodiff, nn, graph, datasets, metrics, workloads
+from repro import autodiff, nn, graph, datasets, workloads
 
 __all__ = [
     "api",
@@ -31,9 +31,10 @@ __all__ = [
     "__version__",
 ]
 
-#: submodules that import repro.core (the model); keeping them lazy
-#: avoids paying the core import for graph/metrics-only users
-_LAZY_SUBMODULES = ("api", "generation")
+#: submodules that import repro.core (the model) or scipy.stats (the
+#: metrics); keeping them lazy avoids paying those imports for
+#: graph-only and serving-only users
+_LAZY_SUBMODULES = ("api", "generation", "metrics")
 
 
 def __getattr__(name):

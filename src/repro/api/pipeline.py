@@ -9,8 +9,9 @@ the uniform lifecycle the CLI, the docs and the benches all speak::
     print(result.metrics["structure"]["in_deg_dist"])
 
 It is deliberately thin: resolving names, timing the stages, and
-threading the PR-3 ``shards``/``executor`` knobs through to
-:func:`repro.generation.generate_sharded` for VRDAG-backed generators.
+threading non-default ``shards``/``executor`` knobs through to
+:func:`repro.generation.generate_sharded` for VRDAG-backed generators
+(the defaults call the generator's own ``generate``).
 The facade adds no per-edge work — ``scripts/bench_report.py`` tracks
 its overhead against the direct calls (<5%).
 """
@@ -98,42 +99,40 @@ def generate_with_decode(
     """Generate from a fitted generator, honoring the decode knobs.
 
     The single dispatch point shared by :class:`Pipeline`, the CLI and
-    :class:`~repro.api.service.GenerationService`: VRDAG-backed
-    generators route through :func:`repro.generation.generate_sharded`
-    (bit-identical for every ``shards``/``executor``); everything else
-    requires the serial defaults and raises ``ValueError`` otherwise.
+    :class:`~repro.api.service.GenerationService`.  The serial defaults
+    (``shards=1``, ``executor='serial'``) call ``generator.generate``
+    directly for every generator.  Other values route VRDAG-backed
+    generators through :func:`repro.generation.generate_sharded`
+    (bit-identical for every ``shards``/``executor``); any other
+    generator raises ``ValueError``.
 
     This is also a degradation point (``docs/reliability.md``): the
-    sharded decode is bit-identical to the serial decode, so a fault in
+    sharded decode is bit-identical to the direct decode, so a fault in
     the sharded path (provoked via the ``pipeline.sharded_decode``
-    injection point) falls back to ``shards=1 / executor='serial'``
-    with identical output — degraded throughput, not a failed request.
+    injection point) falls back to ``generator.generate`` with
+    identical output — degraded throughput, not a failed request.
     """
-    model = _vrdag_model(generator)
-    if model is not None:
+    if shards != 1 or executor != "serial":
+        model = _vrdag_model(generator)
+        if model is None:
+            raise ValueError(
+                f"{type(generator).__name__} does not support the sharded "
+                "decode; use shards=1 / executor='serial'"
+            )
         from repro.generation import generate_sharded
 
-        if shards != 1 or executor != "serial":
-            try:
-                fault_injector.fire(
-                    "pipeline.sharded_decode", key=(shards, executor)
-                )
-                return generate_sharded(
-                    model, num_timesteps, seed=seed,
-                    n_shards=shards, executor=executor,
-                )
-            except InjectedFault:
-                # sharded decode faulted: the serial decode is its
-                # bit-identical reference twin, so degrade to it
-                pass
-        return generate_sharded(
-            model, num_timesteps, seed=seed, n_shards=1, executor="serial",
-        )
-    if shards != 1 or executor != "serial":
-        raise ValueError(
-            f"{type(generator).__name__} does not support the sharded "
-            "decode; use shards=1 / executor='serial'"
-        )
+        try:
+            fault_injector.fire(
+                "pipeline.sharded_decode", key=(shards, executor)
+            )
+            return generate_sharded(
+                model, num_timesteps, seed=seed,
+                n_shards=shards, executor=executor,
+            )
+        except InjectedFault:
+            # sharded decode faulted: the direct decode is its
+            # bit-identical reference twin, so degrade to it
+            pass
     return generator.generate(num_timesteps, seed=seed)
 
 

@@ -7,10 +7,11 @@ single concatenation (:func:`merge_step_columns`), verified cheaply at
 the run boundaries.
 
 The general case — k canonically-sorted ``(src, dst, t)`` runs whose
-key ranges interleave (streaming ingestion chunks, shard outputs from
-a custom non-contiguous plan) — is handled by the vectorized k-way
-merge :func:`repro.graph.store.merge_canonical_runs`, re-exported here
-for generation consumers.
+key ranges interleave (shard outputs from a custom non-contiguous
+plan) — is handled by :func:`repro.graph.store.merge_canonical_runs`,
+re-exported here for generation consumers: it packs every run into
+``(t·N + src)·N + dst`` keys and canonicalizes them with one sort plus
+adjacent diff, the same way every store builder does.
 """
 
 from __future__ import annotations

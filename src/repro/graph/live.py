@@ -12,10 +12,11 @@ Epoch model
 Timesteps seal in order.  The builder's **epoch** is the number of
 sealed timesteps: events for unsealed timesteps buffer per step;
 :meth:`LiveStoreBuilder.seal_step` canonicalizes the lowest unsealed
-step (loop-drop, ``(src, dst)`` sort, dedup — the exact per-step
-restriction of the store's bulk canonicalization, shared via
-``repro.graph.store._canonicalize_step``) and appends it to the frozen
-columns, advancing the epoch by one.  Sealed data is immutable
+step with the store's one canonicalization
+(``repro.graph.store._canonicalize_columns`` with ``t`` fixed to the
+step: loop-drop, sort and dedup of packed ``(t·N + src)·N + dst``
+keys) and appends it to the frozen columns, advancing the epoch by
+one.  Sealed data is immutable
 forever; events targeting a sealed timestep are *late* and either
 raise or are dropped-and-counted (``late_policy``).
 
@@ -53,8 +54,9 @@ import numpy as np
 from repro.graph.store import (
     TemporalEdgeStore,
     _as_int_column,
-    _canonicalize_step,
+    _canonicalize_columns,
     _check_endpoint_range,
+    _check_key_range,
 )
 from repro.reliability import fault_injector
 
@@ -88,6 +90,7 @@ class LiveStoreBuilder:
         The fixed universe ``N`` and sequence length ``T``.  Snapshots
         always span all ``T`` timesteps; unsealed timesteps are empty
         (queries against them are valid and return empty results).
+        ``T·N²`` must fit in int64 (``ValueError`` otherwise).
     attributes:
         Optional ``(T, N, F)`` attribute block, fixed up front and
         attached to every snapshot by reference (live ingestion is
@@ -119,6 +122,7 @@ class LiveStoreBuilder:
             raise ValueError("num_nodes must be >= 0")
         if self.num_timesteps < 1:
             raise ValueError("num_timesteps must be >= 1")
+        _check_key_range(self.num_nodes, self.num_timesteps)
         if late_policy not in ("error", "drop"):
             raise ValueError(
                 f"unknown late_policy {late_policy!r}; "
@@ -277,7 +281,9 @@ class LiveStoreBuilder:
                 src = np.concatenate(batches)
                 dst = np.concatenate(self._pending_dst[step])
                 raw = src.size
-                src, dst = _canonicalize_step(src, dst, self.num_nodes)
+                src, dst, _ = _canonicalize_columns(
+                    src, dst, step, self.num_nodes
+                )
             else:
                 raw = 0
                 src = dst = np.zeros(0, dtype=np.int64)

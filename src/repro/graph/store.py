@@ -12,7 +12,10 @@ layer:
   deduplicated, per-timestep ``offsets`` into the columns, and one
   ``(T, N, F)`` attribute block.  Structural memory is O(M + T),
   attribute memory O(N·F·T); per-timestep CSR/CSC row indexes are
-  derived lazily and cached.
+  derived on demand (the query tier's plan cache keeps them).
+  Canonical order is the order of the packed int64 key
+  ``(t·N + src)·N + dst`` (:func:`_canonical_keys`), so ``T·N²`` must
+  fit in int64.
 * :class:`TemporalEdgeStoreBuilder` — append-only construction for
   generators that emit one timestep at a time (the MixBernoulli decode
   streams edges straight in; no dense matrix is ever built).
@@ -21,9 +24,8 @@ layer:
   store-backed snapshot, or :meth:`TemporalEdgeStore.dense_adjacency`)
   increments a process-global counter, so tests and the eval harness
   can assert that migrated paths never fall back to dense views.
-* :func:`merge_canonical_runs` — vectorized k-way merge of
-  canonically-sorted column runs from independent producers
-  (generation shards, streaming-ingestion chunks).
+* :func:`merge_canonical_runs` — merge of canonically-sorted column
+  runs from independent producers (one sort of their packed keys).
 
 The prose version of this contract — memory model, adapter tiers,
 and how sharded generation and streaming ingestion build on the
@@ -36,9 +38,10 @@ the graph three ways, cheapest first:
 
 1. **Columns** — ``snapshot.edge_array()`` / ``store.edges_at(t)``:
    zero-copy slices of the shared columns, already in CSR order.
-2. **CSR** — ``store.csr_at(t)`` / ``store.csc_at(t)`` or the cached
-   ``snapshot.sparse()`` :class:`~repro.graph.sparse.SparseDirectedGraph`
-   for neighbourhood queries and the vectorized metric kernels.
+2. **CSR** — ``store.csr_at(t)`` / ``store.csc_at(t)`` (uncached) or
+   the cached ``snapshot.sparse()``
+   :class:`~repro.graph.sparse.SparseDirectedGraph` for neighbourhood
+   queries and the vectorized metric kernels.
 3. **Dense** — ``snapshot.adjacency``: a lazily-materialized, cached,
    *read-only* ``(N, N)`` view for legacy consumers.  It is counted
    (see above); new code should never need it.
@@ -55,6 +58,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
+from repro.graph.sparse import csr_from_keys, dedup_keys
 
 __all__ = [
     "TemporalEdgeStore",
@@ -125,133 +129,91 @@ def _check_endpoint_range(
         raise ValueError("edge endpoints out of range")
 
 
-def _composite_keys(
-    src: np.ndarray, dst: np.ndarray, t: np.ndarray, num_nodes: int
-) -> np.ndarray:
-    """Strictly-increasing ``((t·N) + src)·N + dst`` keys of canonical runs."""
+#: Largest packed key; ``T·N²`` beyond it would wrap int64 silently.
+_MAX_KEY = int(np.iinfo(np.int64).max)
+
+
+def _check_key_range(num_nodes: int, num_timesteps: int) -> None:
+    """Reject universes whose packed ``(t, src, dst)`` keys overflow int64.
+
+    Python-int arithmetic, so the check itself cannot wrap; callers run
+    it before allocating anything sized by ``N`` or ``T``.
+    """
+    if num_timesteps * num_nodes * num_nodes > _MAX_KEY:
+        raise ValueError(
+            f"N={num_nodes}, T={num_timesteps}: T·N² exceeds 2**63 - 1, "
+            "so packed (t, src, dst) edge keys would overflow int64"
+        )
+
+
+def _pack_keys(src, dst, t, num_nodes: int) -> np.ndarray:
+    """Packed ``((t·N) + src)·N + dst`` keys; ``t`` may be a scalar.
+
+    With ``0 <= src, dst < N`` key order is exactly ``(t, src, dst)``
+    order — the store's canonical order.
+    """
     return (t * num_nodes + src) * num_nodes + dst
 
 
-def _canonicalize_step(
-    src: np.ndarray, dst: np.ndarray, num_nodes: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Canonical form of one timestep's raw ``(src, dst)`` columns.
-
-    The per-step restriction of :func:`_canonicalize_columns`
-    (loop-drop, ``(src, dst)`` sort, dedup), shared by
-    :class:`TemporalEdgeStoreBuilder` and the live builder
-    (:mod:`repro.graph.live`) — sealing timesteps one at a time and
-    canonicalizing the whole column set at once must be the same
-    function, or epoch snapshots could disagree with bulk builds.
-    """
-    keep = src != dst
-    if not keep.all():
-        src, dst = src[keep], dst[keep]
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    if src.size:
-        key = src * num_nodes + dst
-        fresh = np.ones(src.size, dtype=bool)
-        fresh[1:] = key[1:] != key[:-1]
-        if not fresh.all():
-            src, dst = src[fresh], dst[fresh]
-    return src, dst
-
-
-def _canonicalize_columns(
-    src: np.ndarray, dst: np.ndarray, t: np.ndarray, num_nodes: int
+def _unpack_keys(
+    keys: np.ndarray, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The store's canonical form of raw ``(src, dst, t)`` columns.
-
-    Drops self-loops, sorts by ``(t, src, dst)`` and removes duplicate
-    temporal edges — the single definition every producer
-    (``TemporalEdgeStore``, streaming ingestion chunks) shares, so
-    independently-built stores can never disagree on canonical order.
-    """
-    keep = src != dst
-    if not keep.all():
-        src, dst, t = src[keep], dst[keep], t[keep]
-    order = np.lexsort((dst, src, t))
-    src, dst, t = src[order], dst[order], t[order]
-    if src.size:
-        # composite (t, src, dst) keys are now sorted, so duplicates
-        # are adjacent: one diff pass removes them
-        key = _composite_keys(src, dst, t, num_nodes)
-        fresh = np.ones(src.size, dtype=bool)
-        fresh[1:] = key[1:] != key[:-1]
-        if not fresh.all():
-            src, dst, t = src[fresh], dst[fresh], t[fresh]
+    """``(src, dst, t)`` int64 columns of packed keys (two ``divmod``)."""
+    rest, dst = np.divmod(keys, num_nodes)
+    t, src = np.divmod(rest, num_nodes, out=(np.empty_like(rest), rest))
     return src, dst, t
 
 
-def _merge_two_runs(
-    a: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    b: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    num_nodes: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized stable merge of two canonically-sorted column runs.
+def _canonical_keys(src, dst, t, num_nodes: int) -> np.ndarray:
+    """Sorted-unique packed keys of raw ``(src, dst, t)`` events.
 
-    O(|a| + |b| + searchsorted): every element's merged position is
-    computed in two ``np.searchsorted`` calls — run ``a``'s elements
-    land before equal-keyed elements of ``b`` — then both runs scatter
-    into the output in one fancy-indexed assignment each.  No sort.
+    The store's one canonicalization: drop self-loops, pack, sort and
+    drop adjacent duplicates (:func:`~repro.graph.sparse.dedup_keys`).
+    ``t`` may be a scalar (one timestep's columns).  Every producer —
+    :class:`TemporalEdgeStore`, :class:`TemporalEdgeStoreBuilder`, the
+    streaming and live builders — runs it, so independently-built
+    stores can never disagree on canonical order.
     """
-    ka = _composite_keys(*a, num_nodes)
-    kb = _composite_keys(*b, num_nodes)
-    pos_a = np.arange(ka.size, dtype=np.int64) + np.searchsorted(
-        kb, ka, side="left"
-    )
-    pos_b = np.arange(kb.size, dtype=np.int64) + np.searchsorted(
-        ka, kb, side="right"
-    )
-    total = ka.size + kb.size
-    out = tuple(np.empty(total, dtype=np.int64) for _ in range(3))
-    for col_out, col_a, col_b in zip(out, a, b):
-        col_out[pos_a] = col_a
-        col_out[pos_b] = col_b
-    return out
+    keys = _pack_keys(src, dst, t, num_nodes)
+    keep = src != dst
+    if not keep.all():
+        keys = keys[keep]
+    return dedup_keys(keys)
+
+
+def _canonicalize_columns(
+    src, dst, t, num_nodes: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_canonical_keys`, unpacked once to ``(src, dst, t)``."""
+    return _unpack_keys(_canonical_keys(src, dst, t, num_nodes), num_nodes)
 
 
 def merge_canonical_runs(
     runs: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     num_nodes: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized k-way merge of canonically-sorted ``(src, dst, t)`` runs.
+    """Merge loop-free ``(src, dst, t)`` runs into canonical columns.
 
-    Each run must already satisfy the store invariants *internally*
-    (sorted by ``(t, src, dst)``, loop-free, deduplicated within the
-    run); runs may overlap arbitrarily in key range.  Runs are merged
-    pairwise smallest-first (a tournament, O(M log k) total), then one
-    diff pass collapses duplicates *across* runs.  Returns int64
+    Runs may overlap arbitrarily in key range and repeat each other's
+    edges.  Every run is packed into keys, the keys are concatenated
+    and one sort plus adjacent diff
+    (:func:`~repro.graph.sparse.dedup_keys`) orders them and collapses
+    duplicates within and across runs.  Returns int64
     ``(src, dst, t)`` columns ready for
     ``TemporalEdgeStore(..., canonical=True)``.
 
-    This is the merge kernel behind both sharded generation (merging
-    per-shard edge columns) and streaming ingestion (merging
-    canonicalized chunks under a memory budget).
+    Sharded generation re-exports it for per-shard edge columns whose
+    key ranges interleave.
     """
-    pending = [
-        tuple(np.asarray(c, dtype=np.int64).reshape(-1) for c in run)
+    keys = [
+        _pack_keys(
+            *(np.asarray(c, dtype=np.int64).reshape(-1) for c in run),
+            num_nodes,
+        )
         for run in runs
-        if np.asarray(run[0]).size
     ]
-    if not pending:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    pending.sort(key=lambda run: run[0].size, reverse=True)
-    while len(pending) > 1:
-        a = pending.pop()
-        b = pending.pop()
-        pending.append(_merge_two_runs(a, b, num_nodes))
-        pending.sort(key=lambda run: run[0].size, reverse=True)
-    src, dst, t = pending[0]
-    if src.size:
-        key = _composite_keys(src, dst, t, num_nodes)
-        fresh = np.ones(src.size, dtype=bool)
-        fresh[1:] = key[1:] != key[:-1]
-        if not fresh.all():
-            src, dst, t = src[fresh], dst[fresh], t[fresh]
-    return src, dst, t
+    merged = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+    return _unpack_keys(dedup_keys(merged), num_nodes)
 
 
 class TemporalEdgeStore:
@@ -271,7 +233,9 @@ class TemporalEdgeStore:
     Parameters
     ----------
     num_nodes, num_timesteps:
-        The fixed universe ``N`` and sequence length ``T``.
+        The fixed universe ``N`` and sequence length ``T``.  ``T·N²``
+        must fit in int64 — the packed edge keys — or ``ValueError``
+        is raised before anything is allocated.
     src, dst, t:
         Parallel int arrays of directed temporal edges ``(u, v, t)``.
         Self-loops are dropped and duplicates collapse (snapshots are
@@ -296,8 +260,6 @@ class TemporalEdgeStore:
         "t",
         "offsets",
         "attributes",
-        "_csr_cache",
-        "_csc_cache",
     )
 
     def __init__(
@@ -318,6 +280,7 @@ class TemporalEdgeStore:
             raise ValueError("num_nodes must be >= 0")
         if self.num_timesteps < 1:
             raise ValueError("num_timesteps must be >= 1")
+        _check_key_range(self.num_nodes, self.num_timesteps)
         src = _as_int_column(src, "src")
         dst = _as_int_column(dst, "dst")
         t = _as_int_column(t, "t")
@@ -348,8 +311,6 @@ class TemporalEdgeStore:
         if validate and attributes.size and not np.all(np.isfinite(attributes)):
             raise ValueError("attributes contain non-finite values")
         self.attributes = attributes
-        self._csr_cache: dict = {}
-        self._csc_cache: dict = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -458,14 +419,12 @@ class TemporalEdgeStore:
         lo, hi = self.offsets[t], self.offsets[t + 1]
         return self.src[lo:hi], self.dst[lo:hi]
 
-    def compute_csr_at(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Build the out-edge CSR of timestep ``t`` — uncached.
+    def csr_at(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Out-edge CSR of timestep ``t``: ``(indptr, indices)``, uncached.
 
-        The single CSR construction shared by :meth:`csr_at` (which
-        caches here, unboundedly) and external bounded plan caches
-        (:class:`repro.workloads.cache.SnapshotPlanCache`), so the two
-        cache layers can never disagree on index layout.  ``indices``
-        is the zero-copy ``dst`` slice; ``indptr`` has shape
+        The one CSR construction; the bounded
+        :class:`repro.workloads.cache.SnapshotPlanCache` caches it.
+        ``indices`` is the zero-copy ``dst`` slice; ``indptr`` has shape
         ``(N + 1,)`` relative to that slice.
         """
         src, dst = self.edges_at(t)
@@ -474,35 +433,15 @@ class TemporalEdgeStore:
         np.cumsum(counts, out=indptr[1:])
         return indptr, dst
 
-    def compute_csc_at(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Build the in-edge CSR of timestep ``t`` — uncached.
+    def csc_at(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
+        """In-edge CSR (reverse index) of timestep ``t``, uncached.
 
-        One O(M_t log M_t) re-sort; see :meth:`compute_csr_at` for why
-        this is split from the caching accessor.
+        One O(M_t log M_t) sort of packed ``dst·N + src`` keys.
         """
         src, dst = self.edges_at(t)
-        order = np.lexsort((src, dst))
-        rev_src = src[order]
-        counts = np.bincount(dst, minlength=self.num_nodes)
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, rev_src
-
-    def csr_at(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Out-edge CSR of timestep ``t``: ``(indptr, indices)``, cached."""
-        cached = self._csr_cache.get(t)
-        if cached is None:
-            cached = self.compute_csr_at(t)
-            self._csr_cache[t] = cached
-        return cached
-
-    def csc_at(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        """In-edge CSR (reverse index) of timestep ``t``, cached."""
-        cached = self._csc_cache.get(t)
-        if cached is None:
-            cached = self.compute_csc_at(t)
-            self._csc_cache[t] = cached
-        return cached
+        keys = dst * self.num_nodes + src
+        keys.sort()
+        return csr_from_keys(keys, self.num_nodes)
 
     def out_degrees_at(self, t: int) -> np.ndarray:
         """Out-degree per node at timestep ``t`` (int64, O(M_t + N))."""
@@ -558,7 +497,7 @@ class TemporalEdgeStore:
         stores intersect in O(M) with ``np.intersect1d`` — the privacy
         overlap kernel.
         """
-        return (self.t * self.num_nodes + self.src) * self.num_nodes + self.dst
+        return _pack_keys(self.src, self.dst, self.t, self.num_nodes)
 
     # ------------------------------------------------------------------
     # whole-graph views
@@ -630,8 +569,9 @@ class TemporalEdgeStoreBuilder:
 
     Generators decode timestep ``t`` before ``t + 1``, so edges arrive
     already in temporal order; the builder canonicalizes each step
-    (loop-drop, sort, dedup) as it lands and the final :meth:`build` is
-    a pair of concatenations — no global re-sort, no dense matrices.
+    (the store's packed-key canonicalization with ``t`` fixed to the
+    step index) as it lands and the final :meth:`build` is a pair of
+    concatenations — no global re-sort, no dense matrices.
     """
 
     def __init__(self, num_nodes: int, num_attributes: int = 0):
@@ -666,8 +606,12 @@ class TemporalEdgeStoreBuilder:
         if src.size != dst.size:
             raise ValueError(f"column lengths differ: {src.size}/{dst.size}")
         _check_endpoint_range(src, dst, self.num_nodes)
+        step = len(self._srcs)
+        _check_key_range(self.num_nodes, step + 1)
         if not canonical:
-            src, dst = _canonicalize_step(src, dst, self.num_nodes)
+            src, dst, _ = _canonicalize_columns(
+                src, dst, step, self.num_nodes
+            )
         if attributes is None:
             attributes = np.zeros((self.num_nodes, self.num_attributes))
         attributes = np.asarray(attributes, dtype=np.float64)
@@ -679,7 +623,7 @@ class TemporalEdgeStoreBuilder:
         self._srcs.append(src)
         self._dsts.append(dst)
         self._attrs.append(attributes)
-        return len(self._srcs) - 1
+        return step
 
     def build(self) -> TemporalEdgeStore:
         """Assemble the store (columns concatenated, already canonical)."""

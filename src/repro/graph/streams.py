@@ -31,10 +31,9 @@ For event volumes that should never be resident at once, the
 ``(src, dst, t)`` event streams into a canonical
 :class:`~repro.graph.store.TemporalEdgeStore` under a configurable
 memory budget: events accumulate in fixed-size column chunks, each
-full chunk is canonicalized (self-loop drop, sort, dedup) and merged
-into tiered sorted runs with the vectorized merge kernel — the
-unsorted working set is one chunk, never the whole stream (the peak
-bound is in :func:`ingest_stream`).
+full chunk is canonicalized into packed int64 edge keys and merged
+into tiered key runs — the unsorted working set is one chunk, never
+the whole stream (the peak bound is in :func:`ingest_stream`).
 
 Both of the above are *offline*: ingestion completes before the store
 is read.  The online counterpart — accepting events while readers
@@ -56,11 +55,14 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.dynamic import DynamicAttributedGraph
+from repro.graph.sparse import dedup_keys
 from repro.graph.store import (
     TemporalEdgeStore,
     TemporalEdgeStoreBuilder,
-    _canonicalize_columns,
-    merge_canonical_runs,
+    _canonical_keys,
+    _check_key_range,
+    _pack_keys,
+    _unpack_keys,
 )
 from repro.graph.temporal import TemporalEdgeList
 from repro.reliability import CheckpointError, fault_injector
@@ -413,9 +415,9 @@ def to_stream(
 # Bounded-memory streaming ingestion
 # ----------------------------------------------------------------------
 
-#: Approximate transient bytes per buffered event while a chunk is
-#: canonicalized: three int64 columns (24) + composite sort key (8) +
-#: lexsort order array (8) + sorted column copies (24).
+#: Upper bound on transient bytes per buffered event while a chunk is
+#: canonicalized: three int64 columns (24) + packed keys (8) + their
+#: filtered or deduplicated copy (8) + a mask (1); ~42 traced.
 _BYTES_PER_EVENT = 64
 
 #: Floor on the derived chunk size — below this the per-chunk numpy
@@ -454,12 +456,13 @@ class StreamingStoreBuilder:
     that deliver events in arbitrary order and volume (ingestion
     pipelines, logs, generators running elsewhere).  Events accumulate
     in a fixed-size column chunk; each full chunk is canonicalized
-    (self-loop drop, ``(t, src, dst)`` sort, dedup) in O(C log C) and
-    merged into *tiered sorted runs*: a new run is merged with its
-    neighbour whenever the neighbour is less than twice its size, so
-    at most O(log(M / C)) runs exist at any time and total merge work
-    is O(M log(M / C)) — never a full-stream sort, never more than one
-    chunk of unsorted data resident.
+    into sorted-unique packed keys in O(C log C) and merged into
+    *tiered key runs* (8 bytes an edge): a new run is merged with its
+    neighbour (concatenate, sort, dedup) whenever the neighbour is
+    less than twice its size, so at most O(log(M / C)) runs exist at
+    any time and total merge work is O(M log(M / C)) — never a
+    full-stream sort, never more than one chunk of unsorted data
+    resident.
 
     Parameters
     ----------
@@ -470,13 +473,12 @@ class StreamingStoreBuilder:
         Events per chunk (the bounded working set).  Default 65536.
     memory_budget_bytes:
         Alternative sizing: the chunk is sized so its transient
-        canonicalization working set (~64 bytes/event — columns, sort
-        key, order array, sorted copies) stays under the budget.
-        Overrides ``chunk_events``.
+        canonicalization working set (``_BYTES_PER_EVENT``) stays
+        under the budget.  Overrides ``chunk_events``.
 
     ``build()`` may be called at any point — it compacts the runs into
-    one and returns a store sharing those columns; ingestion can
-    continue afterwards and ``build()`` again later.
+    one key run and returns a store of its unpacked columns; ingestion
+    can continue afterwards and ``build()`` again later.
     """
 
     def __init__(
@@ -493,6 +495,7 @@ class StreamingStoreBuilder:
             raise ValueError("num_nodes must be positive")
         if self.num_timesteps < 1:
             raise ValueError("num_timesteps must be >= 1")
+        _check_key_range(self.num_nodes, self.num_timesteps)
         if memory_budget_bytes is not None:
             if memory_budget_bytes <= 0:
                 raise ValueError("memory_budget_bytes must be positive")
@@ -501,8 +504,8 @@ class StreamingStoreBuilder:
         self._buf: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._buffered = 0
         self._scalar_buf: List[Tuple[int, int, int]] = []
-        # canonical sorted runs, largest first (LSM-style tiers)
-        self._runs: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # sorted-unique key runs, largest first (LSM-style tiers)
+        self._runs: List[np.ndarray] = []
         self.events_ingested = 0
 
     # ------------------------------------------------------------------
@@ -590,19 +593,17 @@ class StreamingStoreBuilder:
         t = np.concatenate([b[2] for b in self._buf])
         self._buf.clear()
         self._buffered = 0
-        src, dst, t = _canonicalize_columns(src, dst, t, self.num_nodes)
-        if not src.size:
+        keys = _canonical_keys(src, dst, t, self.num_nodes)
+        if not keys.size:
             return
-        self._runs.append((src, dst, t))
+        self._runs.append(keys)
         # tiered compaction: merge neighbours while the run above is
         # not at least twice this run's size (amortized O(M log(M/C)))
         while (
             len(self._runs) >= 2
-            and self._runs[-2][0].size < 2 * self._runs[-1][0].size
+            and self._runs[-2].size < 2 * self._runs[-1].size
         ):
-            b = self._runs.pop()
-            a = self._runs.pop()
-            self._runs.append(merge_canonical_runs([a, b], self.num_nodes))
+            self._runs[-2:] = [dedup_keys(np.concatenate(self._runs[-2:]))]
 
     # ------------------------------------------------------------------
     def build(
@@ -618,11 +619,9 @@ class StreamingStoreBuilder:
         self._flush_scalars()
         self._seal_chunk()
         if len(self._runs) > 1:
-            self._runs = [merge_canonical_runs(self._runs, self.num_nodes)]
-        if self._runs:
-            src, dst, t = self._runs[0]
-        else:
-            src = dst = t = np.zeros(0, dtype=np.int64)
+            self._runs = [dedup_keys(np.concatenate(self._runs))]
+        keys = self._runs[0] if self._runs else np.zeros(0, dtype=np.int64)
+        src, dst, t = _unpack_keys(keys, self.num_nodes)
         return TemporalEdgeStore(
             self.num_nodes,
             self.num_timesteps,
@@ -642,12 +641,12 @@ class StreamingStoreBuilder:
 
         The buffered chunk is sealed first (canonicalize + merge are
         deterministic and partition-invariant, so sealing early never
-        changes the final store), then the sorted runs, the universe
-        and the ``events_ingested`` counter are written to a single
-        ``.npz`` through a temp file + ``os.replace`` — a crash during
-        ``checkpoint`` leaves the previous checkpoint intact.  A
-        SHA-256 over the payload is stored alongside and verified by
-        :meth:`from_checkpoint`.
+        changes the final store), then the runs (unpacked to columns),
+        the universe and the ``events_ingested`` counter are written to
+        a single ``.npz`` through a temp file + ``os.replace`` — a
+        crash during ``checkpoint`` leaves the previous checkpoint
+        intact.  A SHA-256 over the payload is stored alongside and
+        verified by :meth:`from_checkpoint`.
 
         ``events_ingested`` is the resume cursor: a restarted ingestion
         replays the same event stream and skips that many events, so
@@ -657,6 +656,7 @@ class StreamingStoreBuilder:
         """
         self._flush_scalars()
         self._seal_chunk()
+        runs = [_unpack_keys(keys, self.num_nodes) for keys in self._runs]
         payload = {
             "__checkpoint__": np.array(_CHECKPOINT_MAGIC),
             "version": np.array(_CHECKPOINT_VERSION),
@@ -671,11 +671,11 @@ class StreamingStoreBuilder:
                     self.num_timesteps,
                     self.chunk_events,
                     self.events_ingested,
-                    self._runs,
+                    runs,
                 )
             ),
         }
-        for i, (src, dst, t) in enumerate(self._runs):
+        for i, (src, dst, t) in enumerate(runs):
             payload[f"run{i}_src"] = src
             payload[f"run{i}_dst"] = dst
             payload[f"run{i}_t"] = t
@@ -752,7 +752,7 @@ class StreamingStoreBuilder:
                 f"{path}: checksum mismatch (stored {stored[:12]}…, "
                 f"computed {actual[:12]}…) — the checkpoint is corrupt"
             )
-        builder._runs = runs
+        builder._runs = [_pack_keys(*run, builder.num_nodes) for run in runs]
         return builder
 
 
@@ -779,13 +779,12 @@ def ingest_stream(
       yielding one batch per producer flush).
 
     Peak transient memory is one chunk's canonicalization working set
-    (~64 bytes an event, sized directly or via ``memory_budget_bytes``)
-    plus up to 4x the canonical columns (24 bytes an output event): a
-    tier merge holds its input runs, their sort keys and merge
-    positions, and the merged copy at once.  The unsorted stream is
-    never resident; on a stream with few duplicates the peak exceeds
-    a bulk ``TemporalEdgeStore`` build's (18.9 vs 15.6 MB traced at
-    240k events, 16k-event chunks).
+    (``_BYTES_PER_EVENT`` = 64 bytes an event, sized directly or via
+    ``memory_budget_bytes``) plus up to 2x the canonical columns (24
+    bytes an output event): the final unpack holds the 8-byte key run
+    beside the three output columns, as a bulk ``TemporalEdgeStore``
+    build does (7.08 MB each traced at 240k events, 16k-event chunks).
+    The unsorted stream is never resident.
 
     **Checkpoint/resume** (``docs/reliability.md``): with
     ``checkpoint_path`` set, the builder's state is persisted

@@ -107,13 +107,13 @@ class SnapshotPlanCache:
     ----------
     store:
         The :class:`~repro.graph.store.TemporalEdgeStore` plans are
-        derived from.  The cache never populates the store's own
-        (unbounded) ``csr_at`` / ``csc_at`` caches — it builds plans
-        straight from the zero-copy column slices, so *this* object's
-        budget is the serving path's whole index footprint.
+        derived from.  The store caches no index of its own
+        (``csr_at`` / ``csc_at`` build from the zero-copy column
+        slices), so *this* object's budget is the serving path's whole
+        index footprint.
     memory_budget_bytes:
         Bound on the bytes owned by resident plans.  ``None`` (the
-        default) means unbounded — parity with the store's own caches.
+        default) means unbounded.
         The most recently used plan is always kept resident even if it
         alone exceeds the budget (a query in flight needs its plan);
         everything else is evicted LRU-first.
@@ -418,12 +418,12 @@ class SnapshotPlanCache:
 # plan the same way.
 # ----------------------------------------------------------------------
 def _csr_plan(store, t: int):
-    indptr, indices = store.compute_csr_at(t)
+    indptr, indices = store.csr_at(t)
     return (indptr, indices), SnapshotPlanCache._owned_nbytes(indptr, indices)
 
 
 def _csc_plan(store, t: int):
-    indptr, indices = store.compute_csc_at(t)
+    indptr, indices = store.csc_at(t)
     return (indptr, indices), SnapshotPlanCache._owned_nbytes(indptr, indices)
 
 
@@ -446,7 +446,7 @@ def _degree_order_plan(store, t: int, direction: str):
 
 def _reach_plan(store, t: int):
     n = store.num_nodes
-    indptr, indices = store.compute_csr_at(t)
+    indptr, indices = store.csr_at(t)
     graph = csr_array(
         (np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n)
     )

@@ -175,7 +175,7 @@ class GraphQueryEngine:
         into the canonical columnar store through
         :func:`repro.graph.streams.ingest_stream` — bounded-memory
         chunked canonicalization, so the unsorted stream is never
-        resident (the fold's peak is one chunk plus up to 4x the
+        resident (the fold's peak is one chunk plus up to 2x the
         store's columns) — and the engine's plans derive
         lazily from that store.  ``events`` accepts the same forms as
         :func:`ingest_stream` (an array triple, an iterable of scalar

@@ -54,7 +54,9 @@ class TestPlans:
         cache = SnapshotPlanCache(store)
         cache.csr(0)
         cache.csc(0)
-        assert not store._csr_cache and not store._csc_cache
+        # the plan cache holds both indexes; the store builds afresh
+        assert cache.stats().resident_plans == 2
+        assert store.csr_at(0)[0] is not store.csr_at(0)[0]
 
     def test_temporal_keys_sorted_strictly_increasing(self, store):
         keys = SnapshotPlanCache(store).temporal_keys()
@@ -276,7 +278,7 @@ class TestInvalidation:
         cache = SnapshotPlanCache(store)
 
         def build():
-            indptr, indices = store.compute_csr_at(2)
+            indptr, indices = store.csr_at(2)
             return (indptr, indices), indptr.nbytes
 
         cache.get_or_build(("csr", 2, "open"), build)
