@@ -2,7 +2,9 @@
 
 Any registered generator can be trained, saved, loaded and served by
 name; ``run`` executes a whole dataset × generator × metrics pipeline
-from one JSON config.
+from one JSON config.  ``verify-queries`` replays a workload mix through
+a serving tier and checks every served batch against per-query
+dispatch on a bulk-built store of its epoch (exit 2 on any mismatch).
 
 Examples
 --------
@@ -21,8 +23,8 @@ Examples
         --out /tmp/graph.npz --memory-budget-mb 64
     python -m repro.cli experiment --name table1 --dataset email
     python -m repro.cli compare --original a.npz --synthetic b.npz --json
-    python -m repro.cli bench-queries --graph /tmp/graph.npz \
-        --num-queries 2000 --batch-size 256 --executor thread --json
+    python -m repro.cli verify-queries --graph /tmp/graph.npz \
+        --num-queries 2000 --batch-size 256 --executor process --json
 """
 
 from __future__ import annotations
@@ -157,16 +159,17 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--scale", type=float, default=0.03)
     exp.add_argument("--epochs", type=int, default=12)
 
-    bq = sub.add_parser(
-        "bench-queries",
-        help="replay a workload query mix through the batched "
-        "QueryService and report throughput (see docs/workloads.md)",
+    vq = sub.add_parser(
+        "verify-queries",
+        help="replay a workload query mix through a serving tier and "
+        "check every served batch against per-query dispatch on a "
+        "bulk-built store (see docs/workloads.md)",
     )
-    bq.add_argument("--graph", required=True,
+    vq.add_argument("--graph", required=True,
                     help="graph archive written by graph.io.save")
-    bq.add_argument("--num-queries", type=int, default=1000)
-    bq.add_argument("--batch-size", type=int, default=256)
-    bq.add_argument(
+    vq.add_argument("--num-queries", type=int, default=1000)
+    vq.add_argument("--batch-size", type=int, default=256)
+    vq.add_argument(
         "--executor", choices=("serial", "thread", "process"),
         default="thread",
         help="'serial'/'thread' run the single-process QueryService; "
@@ -174,70 +177,37 @@ def _build_parser() -> argparse.ArgumentParser:
         "(ProcessQueryService: shared-memory store segments + "
         "request router, see docs/workloads.md)",
     )
-    bq.add_argument("--workers", type=int, default=None,
-                    help="thread-pool width, or worker-process count "
-                    "for --executor process (default: cpu count / 2 "
-                    "processes)")
-    bq.add_argument(
-        "--worker-sweep", default=None,
-        help="comma-separated worker counts (process executor only): "
-        "replay the workload once per count and emit the scaling "
-        "curve under 'scaling'",
-    )
-    bq.add_argument(
-        "--verify-single-process", action="store_true",
-        help="also run the workload through a single-process serial "
-        "QueryService and fail (nonzero exit) unless results are "
-        "bit-identical",
-    )
-    bq.add_argument(
+    vq.add_argument("--workers", type=int, default=None,
+                    help="thread-pool width (default: cpu count), or "
+                    "worker-process count for --executor process "
+                    "(default: 2)")
+    vq.add_argument(
         "--cache-budget-mb", type=float, default=None,
         help="bound on the snapshot-plan cache (default: unbounded)",
     )
-    bq.add_argument("--seed", type=int, default=0)
-    bq.add_argument(
+    vq.add_argument("--seed", type=int, default=0)
+    vq.add_argument(
         "--mix", default=None,
         help="JSON object of query-kind weights (default: the "
         "point-lookup-heavy serving mix)",
     )
-    bq.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="per-request deadline; expired requests come back as "
-        "structured failures (see docs/reliability.md)",
-    )
-    bq.add_argument(
-        "--max-pending", type=int, default=None,
-        help="bound on requests in flight; overflow is shed with a "
-        "structured overload error instead of queueing",
-    )
-    bq.add_argument(
-        "--compare-per-query", action="store_true",
-        help="also run the per-query dispatch baseline and report "
-        "the batched speedup",
-    )
-    bq.add_argument(
+    vq.add_argument(
         "--live", action="store_true",
         help="replay the archive's events through a LiveStoreBuilder "
         "on a writer thread and serve the workload with "
-        "LiveQueryService while ingestion runs; every served batch "
-        "reports its pinned epoch (serial/thread executors only, "
+        "LiveQueryService while ingestion runs; each batch is checked "
+        "at the epoch it was pinned to (serial/thread executors only, "
         "see docs/workloads.md)",
     )
-    bq.add_argument(
+    vq.add_argument(
         "--live-rate", type=float, default=None,
         help="target sustained ingest rate in events/s for --live "
         "(default: unthrottled)",
     )
-    bq.add_argument(
-        "--verify-bulk-equivalence", action="store_true",
-        help="with --live: re-answer every served batch against a "
-        "bulk-built store of its pinned epoch's event prefix and "
-        "fail (nonzero exit) on any mismatch",
-    )
-    bq.add_argument(
+    vq.add_argument(
         "--json", action="store_true",
         help="machine-readable output: single-line JSON with a status "
-        "field; load failures exit nonzero instead of raising",
+        "field (load failures and mismatches exit 2 either way)",
     )
 
     cmp_ = sub.add_parser(
@@ -327,73 +297,60 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _bench_queries_live(args, graph, mix, budget, deadline_seconds, fail):
-    """``bench-queries --live``: query while ingesting, epochs pinned.
+def _serve(args, graph, requests, budget):
+    """One ``run_batch`` over the whole graph: ``(epoch, request,
+    result)`` triples, all at the final epoch, and the cache counters."""
+    if args.executor == "process":
+        from repro.serving import ProcessQueryService
 
-    Replays the archive's own event columns timestep-by-timestep
-    through a :class:`LiveStoreBuilder` on a writer thread (sealing
-    each step, optionally paced by ``--live-rate``) while the main
-    thread serves the deterministic workload through a
-    :class:`LiveQueryService` — once mid-ingest, then once more at the
-    final epoch after the writer joins.  With
-    ``--verify-bulk-equivalence`` every served batch is re-answered
-    against a bulk-built store of its pinned epoch's event prefix and
-    any divergence is a nonzero exit (the ``live-smoke`` CI contract).
+        service = ProcessQueryService(
+            graph,
+            num_workers=args.workers or 2,
+            cache_memory_budget_bytes=budget,
+        )
+    else:
+        from repro.workloads import QueryService
+
+        service = QueryService(
+            graph,
+            executor=args.executor,
+            max_workers=args.workers,
+            cache_memory_budget_bytes=budget,
+        )
+    with service:
+        results = service.run_batch(requests)
+        epoch = graph.num_timesteps
+        served = [(epoch, r, res) for r, res in zip(requests, results)]
+        return served, service.plan_cache_stats()
+
+
+def _serve_live(args, graph, requests, budget):
+    """Serve the requests while the archive's events are ingested.
+
+    A writer thread replays the archive's event columns step by step
+    through a :class:`LiveStoreBuilder` (sealing each step, paced by
+    ``--live-rate``) while a :class:`LiveQueryService` serves every
+    request once mid-ingest, then once more at the final epoch.  Returns
+    ``(epoch, request, result)`` triples, each at its pinned epoch, and
+    the plan-cache counters.
     """
     import threading
     import time
 
-    import numpy as np
-
-    from repro.graph.dynamic import DynamicAttributedGraph
-    from repro.graph.live import LiveStoreBuilder, snapshot_owned_bytes
-    from repro.graph.store import TemporalEdgeStore
-    from repro.reliability import ServiceOverloadedError
-    from repro.workloads import (
-        LiveQueryService,
-        QueryRequest,
-        WorkloadConfig,
-        WorkloadGenerator,
-        run_queries_batched,
-    )
-    from repro.workloads.engine import GraphQueryEngine
+    from repro.graph.live import LiveStoreBuilder
+    from repro.workloads import LiveQueryService
 
     store = graph.store
-    n_steps = store.num_timesteps
-    offsets = store.offsets
-    try:
-        config = WorkloadConfig(
-            num_queries=args.num_queries, mix=mix, seed=args.seed
-        )
-        queries = WorkloadGenerator(graph, config).generate()
-        if not queries:
-            raise ValueError("workload generated no queries")
-        requests = [
-            QueryRequest(queries[i:i + args.batch_size])
-            for i in range(0, len(queries), args.batch_size)
-        ]
-        builder = LiveStoreBuilder(
-            store.num_nodes, n_steps, attributes=store.attributes
-        )
-        service = LiveQueryService(
-            builder,
-            executor=args.executor,
-            max_workers=args.workers,
-            cache_memory_budget_bytes=budget,
-            deadline_seconds=deadline_seconds,
-            max_pending=args.max_pending,
-        )
-    except ValueError as exc:
-        return fail(str(exc))
-
+    builder = LiveStoreBuilder(
+        store.num_nodes, store.num_timesteps, attributes=store.attributes
+    )
     writer_error = []
-    writer_stats = {}
 
     def write():
         start = time.perf_counter()
         try:
-            for step in range(n_steps):
-                lo, hi = int(offsets[step]), int(offsets[step + 1])
+            for step in range(store.num_timesteps):
+                lo, hi = store.offsets[step], store.offsets[step + 1]
                 builder.extend(
                     store.src[lo:hi], store.dst[lo:hi], store.t[lo:hi]
                 )
@@ -407,154 +364,53 @@ def _bench_queries_live(args, graph, mix, budget, deadline_seconds, fail):
                 builder.seal_step()
         except Exception as exc:
             writer_error.append(exc)
-        finally:
-            writer_stats["seconds"] = time.perf_counter() - start
 
-    samples = []  # (epoch, request, result) for every served batch
-    live_latencies = []
-    final_latencies = []
-    shed_batches = 0
-    with service:
-        writer = threading.Thread(
-            target=write, name="live-ingest", daemon=True
-        )
+    served = []
+    with LiveQueryService(
+        builder,
+        executor=args.executor,
+        max_workers=args.workers,
+        cache_memory_budget_bytes=budget,
+    ) as service:
+        writer = threading.Thread(target=write, name="live-ingest")
         writer.start()
         try:
             for request in requests:
-                t0 = time.perf_counter()
-                try:
-                    epoch, results = service.run_batch([request])
-                except ServiceOverloadedError:
-                    shed_batches += 1
-                    continue
-                live_latencies.append(time.perf_counter() - t0)
-                samples.append((epoch, request, results[0]))
+                epoch, results = service.run_batch([request])
+                served.append((epoch, request, results[0]))
         finally:
             writer.join()
         if writer_error:
-            return fail(f"ingest writer failed: {writer_error[0]}")
-        final_epoch = service.refresh()
-        _, final_store = builder.snapshot()
+            raise RuntimeError(f"ingest writer failed: {writer_error[0]}")
+        service.refresh()
         for request in requests:
-            t0 = time.perf_counter()
-            try:
-                epoch, results = service.run_batch([request], refresh=False)
-            except ServiceOverloadedError:
-                shed_batches += 1
-                continue
-            final_latencies.append(time.perf_counter() - t0)
-            samples.append((epoch, request, results[0]))
-        stats = service.plan_cache_stats()
-        live = service.live_stats()
-
-    ingest_seconds = writer_stats.get("seconds", 0.0)
-    payload = {
-        "status": "ok",
-        "graph": str(graph.statistics()),
-        "mode": "live",
-        "queries": len(queries),
-        "batch_size": args.batch_size,
-        "executor": args.executor,
-        "batches_served": len(samples),
-        "shed_batches": shed_batches,
-        "failed_requests": sum(1 for _, _, r in samples if not r.ok),
-        "final_epoch": final_epoch,
-        "epochs_served": sorted({e for e, _, _ in samples}),
-        "ingest": {
-            "events": builder.events_ingested,
-            "sealed_events": builder.sealed_events,
-            "seconds": ingest_seconds,
-            "events_per_s": (
-                builder.events_ingested / ingest_seconds
-                if ingest_seconds
-                else float("inf")
-            ),
-            "target_rate": args.live_rate,
-        },
-        "latency": {
-            "p50_live_batch_s": (
-                float(np.median(live_latencies)) if live_latencies else None
-            ),
-            "p50_final_epoch_batch_s": (
-                float(np.median(final_latencies)) if final_latencies else None
-            ),
-        },
-        "snapshot_owned_bytes": snapshot_owned_bytes(final_store),
-        "live": {
-            "refreshes": live.refreshes,
-            "epoch_advances": live.epoch_advances,
-            "stale_refreshes": live.stale_refreshes,
-        },
-        "plan_cache": {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "evictions": stats.evictions,
-            "invalidations": stats.invalidations,
-            "resident_bytes": stats.resident_bytes,
-            "bypasses": stats.bypasses,
-            "hit_rate": stats.hit_rate,
-        },
-    }
-    if args.verify_bulk_equivalence:
-        # re-answer every served batch against a bulk-built store of
-        # its pinned epoch's event prefix — the consistency contract
-        oracles = {}
-
-        def oracle(epoch):
-            engine = oracles.get(epoch)
-            if engine is None:
-                end = int(offsets[epoch])
-                prefix = TemporalEdgeStore(
-                    store.num_nodes,
-                    n_steps,
-                    store.src[:end].copy(),
-                    store.dst[:end].copy(),
-                    store.t[:end].copy(),
-                    store.attributes,
-                )
-                engine = GraphQueryEngine(
-                    DynamicAttributedGraph.from_store(prefix)
-                )
-                oracles[epoch] = engine
-            return engine
-
-        checked = 0
-        for epoch, request, result in samples:
-            if not result.ok:
-                continue
-            reference, _ = run_queries_batched(
-                oracle(epoch), request.queries
-            )
-            checked += 1
-            if not np.array_equal(result.cardinalities, reference):
-                return fail(
-                    "bulk-equivalence verification failed: a batch "
-                    f"pinned at epoch {epoch} diverged from the "
-                    "bulk-built store of that epoch's event prefix"
-                )
-        payload["verified_bulk_equivalence"] = True
-        payload["verified_batches"] = checked
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(json.dumps(payload, indent=2))
-    return 0
+            epoch, results = service.run_batch([request], refresh=False)
+            served.append((epoch, request, results[0]))
+        return served, service.plan_cache_stats()
 
 
-def _cmd_bench_queries(args) -> int:
+def _cmd_verify_queries(args) -> int:
+    import dataclasses
+
+    import numpy as np
+
+    from repro.graph.dynamic import DynamicAttributedGraph
+    from repro.graph.store import TemporalEdgeStore
     from repro.workloads import (
+        GraphQueryEngine,
         QueryKind,
-        QueryService,
+        QueryRequest,
         WorkloadConfig,
-        execute_workload,
+        WorkloadGenerator,
         serving_mix,
     )
+    from repro.workloads.generator import run_queries_per_query
 
     def fail(message: str) -> int:
         if args.json:
             print(json.dumps({"status": "error", "error": message}))
         else:
-            print(f"bench-queries: {message}", file=sys.stderr)
+            print(f"verify-queries: {message}", file=sys.stderr)
         return 2
 
     try:
@@ -586,182 +442,81 @@ def _cmd_bench_queries(args) -> int:
         if args.cache_budget_mb is not None
         else None
     )
-    deadline_seconds = (
-        args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-    )
-    if args.worker_sweep is not None and args.executor != "process":
-        return fail("--worker-sweep requires --executor process")
-    if args.verify_bulk_equivalence and not args.live:
-        return fail("--verify-bulk-equivalence requires --live")
-    if args.live_rate is not None and not args.live:
-        return fail("--live-rate requires --live")
-    if args.live:
-        if args.live_rate is not None and args.live_rate <= 0:
-            return fail("--live-rate must be positive")
-        if args.executor == "process":
-            return fail("--live supports --executor serial or thread")
-        if args.worker_sweep is not None:
-            return fail("--worker-sweep is not supported with --live")
-        if args.verify_single_process:
-            return fail(
-                "--verify-single-process is not supported with --live "
-                "(use --verify-bulk-equivalence)"
-            )
-        if args.compare_per_query:
-            return fail("--compare-per-query is not supported with --live")
-        return _bench_queries_live(
-            args, graph, mix, budget, deadline_seconds, fail
-        )
-
-    def make_service(num_workers=None):
-        if args.executor == "process":
-            from repro.serving import ProcessQueryService
-
-            return ProcessQueryService(
-                graph,
-                num_workers=num_workers or args.workers or 2,
-                cache_memory_budget_bytes=budget,
-                deadline_seconds=deadline_seconds,
-                max_pending=args.max_pending,
-            )
-        return QueryService(
-            graph,
-            executor=args.executor,
-            max_workers=args.workers,
-            cache_memory_budget_bytes=budget,
-            deadline_seconds=deadline_seconds,
-            max_pending=args.max_pending,
-        )
-
+    if args.live_rate is not None and not (args.live and args.live_rate > 0):
+        return fail("--live-rate must be a positive rate with --live")
+    if args.live and args.executor == "process":
+        return fail("--live supports --executor serial or thread")
+    serve = _serve_live if args.live else _serve
     try:
-        config = WorkloadConfig(
+        if args.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        # workload/config validation (weights, NaN probabilities, cache
+        # budget) surfaces here as ValueError
+        queries = WorkloadGenerator(graph, WorkloadConfig(
             num_queries=args.num_queries, mix=mix, seed=args.seed
-        )
-        service = make_service()
-    except ValueError as exc:
+        )).generate()
+        requests = [
+            QueryRequest(queries[i:i + args.batch_size])
+            for i in range(0, len(queries), args.batch_size)
+        ]
+        served, stats = serve(args, graph, requests, budget)
+    except (RuntimeError, ValueError) as exc:
         return fail(str(exc))
-    with service:
-        try:
-            # workload/config validation (weights, NaN probabilities,
-            # batch size, cache budget) surfaces here as ValueError
-            report, results = service.run_workload(
-                config, batch_size=args.batch_size
-            )
-        except ValueError as exc:
-            return fail(str(exc))
-        stats = service.plan_cache_stats()
-        payload = {
-            "status": "ok",
-            "graph": str(graph.statistics()),
-            "queries": report.total_queries,
-            "seconds": report.total_seconds,
-            "qps": report.throughput(),
-            "batch_size": args.batch_size,
-            "executor": args.executor,
-            "per_kind": {
-                kind: {
-                    "count": report.count_by_kind[kind],
-                    "mean_latency_s": report.latency_by_kind[kind],
-                    "mean_result_size": report.mean_result_size[kind],
-                }
-                for kind in sorted(report.count_by_kind)
-            },
-            "plan_cache": {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "resident_bytes": stats.resident_bytes,
-                "bypasses": stats.bypasses,
-                "hit_rate": stats.hit_rate,
-            },
-            "failed_requests": sum(1 for r in results if not r.ok),
-        }
-        if args.executor == "process":
-            payload["workers"] = service.num_workers
-            payload["worker_stats"] = service.worker_stats()
-            payload["shared_memory"] = service.shared_memory_stats()
-        if args.compare_per_query:
-            # rerun the identical deterministic query sequence through
-            # per-query dispatch (a local engine for the process tier)
-            from repro.workloads import WorkloadGenerator
 
-            if args.executor == "process":
-                from repro.workloads.engine import GraphQueryEngine
-
-                engine = GraphQueryEngine(graph)
-            else:
-                engine = service.engine
-            queries = WorkloadGenerator(graph, config).generate()
-            baseline = execute_workload(engine, queries)
-            payload["per_query_qps"] = baseline.throughput()
-            payload["batched_speedup"] = (
-                baseline.total_seconds / report.total_seconds
-                if report.total_seconds
-                else float("inf")
-            )
-        if args.verify_single_process:
-            import numpy as np
-
-            with QueryService(graph, executor="serial") as reference:
-                ref_report, ref_results = reference.run_workload(
-                    config, batch_size=args.batch_size
-                )
-            if len(results) != len(ref_results):
-                return fail(
-                    "verification failed: request counts differ "
-                    f"({len(results)} vs {len(ref_results)})"
-                )
-            for i, (got, want) in enumerate(zip(results, ref_results)):
-                if not (got.ok and want.ok):
-                    return fail(
-                        f"verification failed: request {i} did not "
-                        "complete on both tiers "
-                        f"({got.error or 'ok'} vs {want.error or 'ok'})"
-                    )
-                if not np.array_equal(
-                    got.cardinalities, want.cardinalities
-                ):
-                    return fail(
-                        f"verification failed: request {i} results "
-                        "differ from single-process serving"
-                    )
-            payload["verified_single_process"] = True
-            payload["single_process_qps"] = ref_report.throughput()
-    if args.worker_sweep is not None:
-        try:
-            counts = sorted(
-                {int(w) for w in args.worker_sweep.split(",") if w.strip()}
-            )
-            if not counts or any(c < 1 for c in counts):
-                raise ValueError
-        except ValueError:
+    # the one reference: per-query dispatch on a bulk-built store of
+    # each batch's epoch prefix (the whole graph outside --live)
+    store = graph.store
+    references = {}
+    counts, sizes = {}, {}
+    for epoch, request, result in served:
+        if not result.ok:
             return fail(
-                "--worker-sweep must be comma-separated positive ints"
+                f"a request pinned at epoch {epoch} failed: {result.error}"
             )
-        scaling = []
-        for count in counts:
-            try:
-                with make_service(num_workers=count) as swept:
-                    sweep_report, sweep_results = swept.run_workload(
-                        config, batch_size=args.batch_size
-                    )
-            except ValueError as exc:
-                return fail(str(exc))
-            scaling.append(
-                {
-                    "workers": count,
-                    "qps": sweep_report.throughput(),
-                    "seconds": sweep_report.total_seconds,
-                    "failed_requests": sum(
-                        1 for r in sweep_results if not r.ok
-                    ),
-                }
+        engine = references.get(epoch)
+        if engine is None:
+            end = int(store.offsets[epoch])
+            engine = references[epoch] = GraphQueryEngine(
+                DynamicAttributedGraph.from_store(TemporalEdgeStore(
+                    store.num_nodes,
+                    store.num_timesteps,
+                    store.src[:end].copy(),
+                    store.dst[:end].copy(),
+                    store.t[:end].copy(),
+                    store.attributes,
+                ))
             )
-        payload["scaling"] = scaling
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(json.dumps(payload, indent=2))
+        expected, _ = run_queries_per_query(engine, request.queries)
+        if not np.array_equal(result.cardinalities, expected):
+            return fail(
+                f"verification failed: a batch pinned at epoch {epoch} "
+                "diverged from per-query dispatch on the bulk-built "
+                "store of that epoch's event prefix"
+            )
+        for q, size in zip(request.queries, expected):
+            counts[q.kind.value] = counts.get(q.kind.value, 0) + 1
+            sizes[q.kind.value] = sizes.get(q.kind.value, 0) + size
+
+    payload = {
+        "status": "ok",
+        "graph": str(graph.statistics()),
+        "mode": "live" if args.live else args.executor,
+        "queries": len(queries),
+        "batch_size": args.batch_size,
+        "verified_batches": len(served),
+        "epochs_served": sorted(references),
+        "per_kind": {
+            kind: {
+                "count": counts[kind],
+                "mean_result_size": sizes[kind] / counts[kind],
+            }
+            for kind in sorted(counts)
+        },
+        "plan_cache": {
+            **dataclasses.asdict(stats), "hit_rate": stats.hit_rate
+        },
+    }
+    print(json.dumps(payload) if args.json else json.dumps(payload, indent=2))
     return 0
 
 
@@ -837,8 +592,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(_jsonable(result), indent=2))
         return 0
 
-    if args.command == "bench-queries":
-        return _cmd_bench_queries(args)
+    if args.command == "verify-queries":
+        return _cmd_verify_queries(args)
 
     if args.command == "compare":
         return _cmd_compare(args)

@@ -532,7 +532,7 @@ class ProcessQueryService:
         The per-worker breakdown is available via
         :meth:`worker_stats`; this aggregate keeps the
         :meth:`QueryService.plan_cache_stats` shape so operators and
-        the ``bench-queries`` CLI read one schema for both tiers.
+        the ``verify-queries`` CLI read one schema for both tiers.
         """
         totals = dict.fromkeys(
             ("hits", "misses", "evictions", "resident_plans",

@@ -20,10 +20,10 @@ small serving stack (documented in ``docs/workloads.md``):
 * :class:`WorkloadConfig` / :class:`WorkloadGenerator` — Zipf-skewed
   query mixes mirroring OLTP-style graph workloads
   (:func:`serving_mix` for the point-lookup-heavy serving profile).
-* :func:`execute_workload` / :func:`execute_workload_batched` — run a
-  workload per-query or in bulk and collect the per-class
-  latency/cardinality profile used to compare engines on original vs
-  synthetic data.
+* :func:`execute_workload` — run a workload per query and collect the
+  per-class latency/cardinality profile used to compare engines on
+  original vs synthetic data; :func:`run_queries_batched` answers the
+  same mix in bulk with identical cardinalities.
 * :class:`QueryService` — concurrent request-batch serving over one
   shared engine and plan cache (also exported via :mod:`repro.api`).
 * :class:`LiveQueryService` — the same serving contract over a
@@ -32,11 +32,7 @@ small serving stack (documented in ``docs/workloads.md``):
   are bit-identical to a bulk-built store of that epoch's events.
 """
 
-from repro.workloads.batch import (
-    execute_workload_batched,
-    run_queries_batched,
-    run_queries_resilient,
-)
+from repro.workloads.batch import run_queries_batched, run_queries_resilient
 from repro.workloads.cache import PlanCacheStats, SnapshotPlanCache
 from repro.workloads.engine import GraphQueryEngine
 from repro.workloads.generator import (
@@ -77,7 +73,6 @@ __all__ = [
     "WorkloadGenerator",
     "WorkloadReport",
     "execute_workload",
-    "execute_workload_batched",
     "run_queries_batched",
     "run_queries_resilient",
     "serving_mix",

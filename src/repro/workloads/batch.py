@@ -64,12 +64,7 @@ import numpy as np
 
 from repro.reliability import fault_injector
 from repro.workloads.engine import GraphQueryEngine
-from repro.workloads.generator import (
-    Query,
-    QueryKind,
-    WorkloadReport,
-    _run_query,
-)
+from repro.workloads.generator import Query, QueryKind, _run_query
 
 __all__ = [
     "ARG_SLOTS",
@@ -78,7 +73,6 @@ __all__ = [
     "decode_queries",
     "encode_queries",
     "execute_encoded",
-    "execute_workload_batched",
     "run_queries_batched",
     "run_queries_resilient",
 ]
@@ -323,23 +317,3 @@ def run_queries_resilient(
     """
     return _execute(engine, queries, degrade=True)
 
-
-def execute_workload_batched(
-    engine: GraphQueryEngine, queries: Sequence[Query]
-) -> WorkloadReport:
-    """Batched twin of :func:`~repro.workloads.generator.execute_workload`.
-
-    Same report shape and the same per-class result cardinalities;
-    ``latency_by_kind`` amortizes each class's batched wall-clock over
-    its query count (the number a serving operator compares against
-    the per-query dispatch profile).  Raises ``ValueError`` on an
-    empty workload, matching the per-query executor.
-    """
-    if not queries:
-        raise ValueError("empty workload")
-    start = perf_counter()
-    cardinalities, seconds = run_queries_batched(engine, queries)
-    total = perf_counter() - start
-    return WorkloadReport.aggregate(
-        [([q.kind.value for q in queries], cardinalities, seconds)], total
-    )

@@ -12,8 +12,8 @@ cardinalities:
   dispatch path), returning the per-class latency / cardinality
   profile a vendor compares between the customer's private graph and
   its synthetic twin;
-* :func:`~repro.workloads.batch.execute_workload_batched` — the same
-  mix answered through the batched vectorized kernels;
+* :func:`~repro.workloads.batch.run_queries_batched` — the same mix
+  answered through the batched vectorized kernels;
 * :class:`~repro.workloads.service.QueryService` — the mix split into
   request batches and served over a concurrent executor pool.
 
@@ -82,7 +82,7 @@ def serving_mix() -> Dict[QueryKind, float]:
     """A point-lookup-heavy mix shaped like high-QPS serving traffic.
 
     Point lookups only — the mix the throughput benches and the
-    ``bench-queries`` CLI default to.  The default
+    ``verify-queries`` CLI default to.  The default
     :class:`WorkloadConfig` mix instead mirrors an analytics-leaning
     OLTP profile with traversals and pattern counts.  Every class in
     either mix has a batched kernel; the analytics kinds

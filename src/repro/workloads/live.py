@@ -187,8 +187,8 @@ class LiveQueryService:
     :meth:`run_batch` refreshes to the freshest sealed epoch, pins it,
     and returns ``(epoch, results)`` — so a caller can always name the
     exact event prefix its answers describe (and verify them against a
-    bulk-built store of that prefix, as the CLI's
-    ``--verify-bulk-equivalence`` does).
+    bulk-built store of that prefix, as ``verify-queries --live``
+    does).
     """
 
     def __init__(

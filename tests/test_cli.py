@@ -270,28 +270,102 @@ class TestCLI:
         graph_io.save(graph, path)
         return path
 
-    def test_bench_queries_json_report(self, tmp_path, capsys):
+    def test_verify_queries_json_report(self, tmp_path, capsys):
         path = self._save_workload_graph(tmp_path)
         rc = main([
-            "bench-queries", "--graph", path, "--num-queries", "120",
-            "--batch-size", "32", "--executor", "serial",
-            "--compare-per-query", "--json",
+            "verify-queries", "--graph", path, "--num-queries", "120",
+            "--batch-size", "32", "--executor", "serial", "--json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "ok"
+        assert payload["mode"] == "serial"
         assert payload["queries"] == 120
-        assert payload["qps"] > 0
-        assert payload["per_kind"]
-        assert "batched_speedup" in payload
+        assert payload["verified_batches"] == 4
+        assert payload["epochs_served"] == [4]
+        assert sum(k["count"] for k in payload["per_kind"].values()) == 120
         assert payload["plan_cache"]["misses"] > 0
+        assert not {"seconds", "qps", "batched_speedup"} & set(payload)
 
-    def test_bench_queries_custom_mix_and_cache_budget(
+    # reachability-heavy, so a corrupted batch_temporal_reach is served
+    _REACH_MIX = (
+        '{"temporal_reach": 0.5, "out_neighbors": 0.3, "has_edge": 0.2}'
+    )
+    _MODES = {
+        "serial": ["--executor", "serial"],
+        "thread": ["--executor", "thread", "--workers", "2"],
+        "process": ["--executor", "process", "--workers", "2"],
+        "live": ["--executor", "thread", "--live", "--live-rate", "1000"],
+    }
+
+    def _verify(self, path, mode):
+        return main([
+            "verify-queries", "--graph", path, "--num-queries", "120",
+            "--batch-size", "16", "--mix", self._REACH_MIX, "--json",
+        ] + self._MODES[mode])
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_verify_queries_every_mode_passes(self, tmp_path, capsys, mode):
+        path = self._save_workload_graph(tmp_path)
+        assert self._verify(path, mode) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "ok"
+        assert payload["mode"] == mode
+        # --live serves every batch mid-ingest and again at the end
+        batches = 8 * (2 if mode == "live" else 1)
+        assert payload["verified_batches"] == batches
+        if mode == "live":
+            # the paced writer holds epoch 0 open for the first batch
+            assert len(payload["epochs_served"]) >= 2
+            assert payload["epochs_served"][-1] == 4
+        else:
+            assert payload["epochs_served"] == [4]
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_verify_queries_catches_corrupted_batched_kernel(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        """A wrong batched kernel fails the run in every mode (the
+        process workers fork with the patched class)."""
+        from repro.workloads import GraphQueryEngine
+
+        original = GraphQueryEngine.batch_temporal_reach
+
+        def corrupted(self, *columns):
+            out = original(self, *columns).copy()
+            out[0] = not out[0]
+            return out
+
+        monkeypatch.setattr(
+            GraphQueryEngine, "batch_temporal_reach", corrupted
+        )
+        path = self._save_workload_graph(tmp_path)
+        assert self._verify(path, mode) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert "diverged from per-query dispatch" in payload["error"]
+
+    def test_verify_queries_failed_request_exits_nonzero(
+        self, tmp_path, capsys
+    ):
+        from repro.reliability import FaultPlan, fault_injector
+
+        path = self._save_workload_graph(tmp_path)
+        with fault_injector.arm(
+            {"query.request": FaultPlan(max_triggers=1)}
+        ):
+            rc = self._verify(path, "serial")
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert "failed" in payload["error"]
+
+    def test_verify_queries_custom_mix_and_cache_budget(
         self, tmp_path, capsys
     ):
         path = self._save_workload_graph(tmp_path)
         rc = main([
-            "bench-queries", "--graph", path, "--num-queries", "60",
+            "verify-queries", "--graph", path, "--num-queries", "60",
             "--mix", '{"has_edge": 0.5, "out_neighbors": 0.5}',
             "--cache-budget-mb", "0.001", "--json",
         ])
@@ -299,10 +373,10 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["per_kind"]) == {"has_edge", "out_neighbors"}
 
-    def test_bench_queries_unknown_mix_kind_rejected(self, tmp_path, capsys):
+    def test_verify_queries_unknown_mix_kind_rejected(self, tmp_path, capsys):
         path = self._save_workload_graph(tmp_path)
         rc = main([
-            "bench-queries", "--graph", path, "--mix",
+            "verify-queries", "--graph", path, "--mix",
             '{"teleport": 1.0}', "--json",
         ])
         assert rc == 2
@@ -310,17 +384,17 @@ class TestCLI:
         assert payload["status"] == "error"
         assert "teleport" in payload["error"]
 
-    def test_bench_queries_malformed_mix_rejected(self, tmp_path, capsys):
+    def test_verify_queries_malformed_mix_rejected(self, tmp_path, capsys):
         path = self._save_workload_graph(tmp_path)
         for bad in ('{bad', '["has_edge"]', '{"has_edge": "lots"}'):
             rc = main([
-                "bench-queries", "--graph", path, "--mix", bad, "--json",
+                "verify-queries", "--graph", path, "--mix", bad, "--json",
             ])
             assert rc == 2, bad
             payload = json.loads(capsys.readouterr().out)
             assert payload["status"] == "error"
 
-    def test_bench_queries_invalid_settings_fail_cleanly(
+    def test_verify_queries_invalid_settings_fail_cleanly(
         self, tmp_path, capsys
     ):
         """Config/weight errors keep the single-line JSON contract."""
@@ -334,12 +408,12 @@ class TestCLI:
             ["--batch-size", "0"],
         ]
         for extra in bad_invocations:
-            rc = main(["bench-queries", "--graph", path, "--json"] + extra)
+            rc = main(["verify-queries", "--graph", path, "--json"] + extra)
             assert rc == 2, extra
             payload = json.loads(capsys.readouterr().out)
             assert payload["status"] == "error", extra
 
-    def test_bench_queries_attribute_free_graph_empty_mix(
+    def test_verify_queries_attribute_free_graph_empty_mix(
         self, tmp_path, capsys
     ):
         import numpy as np
@@ -359,7 +433,7 @@ class TestCLI:
         graph_io.save(graph, path)
         # the default serving mix still works (attribute_range dropped)
         rc = main([
-            "bench-queries", "--graph", path, "--num-queries", "40",
+            "verify-queries", "--graph", path, "--num-queries", "40",
             "--json",
         ])
         assert rc == 0
@@ -367,7 +441,7 @@ class TestCLI:
         assert "attribute_range" not in payload["per_kind"]
         # an attribute-only mix collapses to empty -> clean error
         rc = main([
-            "bench-queries", "--graph", path,
+            "verify-queries", "--graph", path,
             "--mix", '{"attribute_range": 1.0}', "--json",
         ])
         assert rc == 2
@@ -375,16 +449,16 @@ class TestCLI:
         assert payload["status"] == "error"
         assert "no attributes" in payload["error"]
 
-    def test_bench_queries_load_failure_exits_nonzero(
+    def test_verify_queries_load_failure_exits_nonzero(
         self, tmp_path, capsys
     ):
-        """CI gates on bench-queries the same way it gates on compare."""
+        """CI gates on verify-queries the same way it gates on compare."""
         rc = main([
-            "bench-queries", "--graph", str(tmp_path / "nope.npz"), "--json",
+            "verify-queries", "--graph", str(tmp_path / "nope.npz"), "--json",
         ])
         assert rc == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "error"
-        rc = main(["bench-queries", "--graph", str(tmp_path / "nope.npz")])
+        rc = main(["verify-queries", "--graph", str(tmp_path / "nope.npz")])
         assert rc == 2
         assert "nope.npz" in capsys.readouterr().err

@@ -21,8 +21,6 @@ from repro.workloads import (
     QueryKind,
     WorkloadConfig,
     WorkloadGenerator,
-    execute_workload,
-    execute_workload_batched,
     run_queries_batched,
     serving_mix,
 )
@@ -248,20 +246,6 @@ class TestWorkloadBatchedExecution:
         assert {QueryKind.TRIANGLE_COUNT, QueryKind.DEGREE_TOPK} <= kinds
         cards, _ = run_queries_batched(engine, queries)
         assert np.array_equal(cards, twin_cardinalities(engine, queries))
-
-    def test_report_matches_per_query_report(self, engine):
-        queries = self.make_queries(engine.graph)
-        batched = execute_workload_batched(engine, queries)
-        per_query = execute_workload(engine, queries)
-        assert batched.total_queries == per_query.total_queries
-        assert batched.count_by_kind == per_query.count_by_kind
-        assert batched.mean_result_size == per_query.mean_result_size
-        assert batched.total_seconds > 0
-        assert batched.throughput() > 0
-
-    def test_empty_workload_rejected(self, engine):
-        with pytest.raises(ValueError, match="empty workload"):
-            execute_workload_batched(engine, [])
 
     def test_no_dense_materialization(self, engine):
         queries = self.make_queries(engine.graph)
