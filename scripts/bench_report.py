@@ -124,9 +124,12 @@ def bench_kernels(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     rng = np.random.default_rng(2)
     sampler = MixBernoulliSampler(36, num_components=3, rng=rng)
     s = Tensor(rng.normal(size=(n_decode, 36)))
-    assert np.array_equal(
-        sampler.sample(s, np.random.default_rng(5)),
-        sampler._reference_sample(s, np.random.default_rng(5)),
+    ref_rows, ref_cols = np.nonzero(
+        sampler._reference_sample(s, np.random.default_rng(5))
+    )
+    src, dst = sampler.sample_edges(s, np.random.default_rng(5))
+    assert np.array_equal(src, ref_rows) and np.array_equal(
+        dst, ref_cols
     ), "decode parity violated"
     out["generator.mixbernoulli_sample"] = {
         "n": n_decode,
@@ -136,7 +139,8 @@ def bench_kernels(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
             repeats,
         ),
         "vectorized_s": _best_of(
-            lambda: sampler.sample(s, np.random.default_rng(5)), repeats
+            lambda: sampler.sample_edges(s, np.random.default_rng(5)),
+            repeats,
         ),
     }
 

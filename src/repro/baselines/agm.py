@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.baselines.base import GraphGenerator
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 
 #: acceptance-ratio cap (avoids unbounded importance weights on rare bins)
 _MAX_ACCEPT_RATIO = 20.0
@@ -141,8 +141,12 @@ class AGM(GraphGenerator):
         """Simulate ``num_timesteps`` snapshots from the fitted model."""
         self._require_fitted()
         rng = self._rng(seed)
-        snaps = [self._generate_snapshot(rng) for _ in range(num_timesteps)]
-        return DynamicAttributedGraph(snaps)
+        builder = TemporalEdgeStoreBuilder(self._num_nodes, self._num_attrs)
+        for _ in range(num_timesteps):
+            adj, attrs = self._generate_step(rng)
+            # 0/1 and loop-free: the nonzeros are canonical
+            builder.add_step(*np.nonzero(adj), attrs, canonical=True)
+        return builder.build().to_graph()
 
     def _sample_attributes(self, rng: np.random.Generator) -> np.ndarray:
         if self._num_attrs == 0:
@@ -150,7 +154,9 @@ class AGM(GraphGenerator):
         rows = rng.integers(0, len(self._attr_pool), size=self._num_nodes)
         return self._attr_pool[rows].copy()
 
-    def _generate_snapshot(self, rng: np.random.Generator) -> GraphSnapshot:
+    def _generate_step(
+        self, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
         n = self._num_nodes
         attrs = self._sample_attributes(rng)
         bins = self._bin_index(attrs)
@@ -171,7 +177,7 @@ class AGM(GraphGenerator):
             if u != v and adj[u, v] == 0:
                 adj[u, v] = 1.0
                 placed += 1
-        return GraphSnapshot(adj, attrs, validate=False)
+        return adj, attrs
 
     def acceptance_table(self) -> np.ndarray:
         """The fitted (bin, bin) acceptance-weight table (read-only view)."""

@@ -23,13 +23,13 @@ model: snapshots are generated independently, so it serves as another
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.base import GraphGenerator
 from repro.baselines.gencat import kmeans
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 
 
 class ANC(GraphGenerator):
@@ -101,10 +101,16 @@ class ANC(GraphGenerator):
         """Simulate ``num_timesteps`` snapshots from the fitted model."""
         self._require_fitted()
         rng = self._rng(seed)
-        snaps = [self._generate_snapshot(rng) for _ in range(num_timesteps)]
-        return DynamicAttributedGraph(snaps)
+        builder = TemporalEdgeStoreBuilder(self._num_nodes, self._num_attrs)
+        for _ in range(num_timesteps):
+            adj, attrs = self._generate_step(rng)
+            # 0/1 and loop-free: the nonzeros are canonical
+            builder.add_step(*np.nonzero(adj), attrs, canonical=True)
+        return builder.build().to_graph()
 
-    def _generate_snapshot(self, rng: np.random.Generator) -> GraphSnapshot:
+    def _generate_step(
+        self, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
         n, f = self._num_nodes, self._num_attrs
         labels = self._labels
         if f:
@@ -120,7 +126,7 @@ class ANC(GraphGenerator):
         self._place_within(adj, attrs, members, degree_w, rng)
         self._place_between(adj, degree_w, rng)
         np.fill_diagonal(adj, 0.0)
-        return GraphSnapshot(adj, attrs, validate=False)
+        return adj, attrs
 
     def _place_within(
         self,

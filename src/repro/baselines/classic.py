@@ -11,12 +11,12 @@ they are static models).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.baselines.base import GraphGenerator
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 
 
 class ErdosRenyi(GraphGenerator):
@@ -45,14 +45,12 @@ class ErdosRenyi(GraphGenerator):
         self._require_fitted()
         rng = self._rng(seed)
         n = self._num_nodes
-        snaps = []
+        builder = TemporalEdgeStoreBuilder(n, self._num_attrs)
         for _ in range(num_timesteps):
             adj = (rng.random((n, n)) < self._p).astype(np.float64)
             np.fill_diagonal(adj, 0.0)
-            snaps.append(
-                GraphSnapshot(adj, np.zeros((n, self._num_attrs)), validate=False)
-            )
-        return DynamicAttributedGraph(snaps)
+            builder.add_step(*np.nonzero(adj), canonical=True)
+        return builder.build().to_graph()
 
 
 class BarabasiAlbert(GraphGenerator):
@@ -86,7 +84,7 @@ class BarabasiAlbert(GraphGenerator):
         self._require_fitted()
         rng = self._rng(seed)
         n = self._num_nodes
-        snaps = []
+        builder = TemporalEdgeStoreBuilder(n, self._num_attrs)
         for _ in range(num_timesteps):
             adj = np.zeros((n, n))
             in_deg = np.ones(n)
@@ -105,10 +103,8 @@ class BarabasiAlbert(GraphGenerator):
                 u, v = rng.choice(n, size=2, replace=False)
                 adj[u, v] = 1.0
             np.fill_diagonal(adj, 0.0)
-            snaps.append(
-                GraphSnapshot(adj, np.zeros((n, self._num_attrs)), validate=False)
-            )
-        return DynamicAttributedGraph(snaps)
+            builder.add_step(*np.nonzero(adj), canonical=True)
+        return builder.build().to_graph()
 
 
 class StochasticBlockModel(GraphGenerator):
@@ -160,14 +156,12 @@ class StochasticBlockModel(GraphGenerator):
         labels = self._labels
         n = len(labels)
         p_matrix = self._block_p[labels[:, None], labels[None, :]]
-        snaps = []
+        builder = TemporalEdgeStoreBuilder(n, self._num_attrs)
         for _ in range(num_timesteps):
             adj = (rng.random((n, n)) < p_matrix).astype(np.float64)
             np.fill_diagonal(adj, 0.0)
-            snaps.append(
-                GraphSnapshot(adj, np.zeros((n, self._num_attrs)), validate=False)
-            )
-        return DynamicAttributedGraph(snaps)
+            builder.add_step(*np.nonzero(adj), canonical=True)
+        return builder.build().to_graph()
 
 
 class KroneckerGraph(GraphGenerator):
@@ -215,11 +209,9 @@ class KroneckerGraph(GraphGenerator):
         rng = self._rng(seed)
         probs = np.clip(self._edge_probabilities(), 0.0, 1.0)
         n = self._num_nodes
-        snaps = []
+        builder = TemporalEdgeStoreBuilder(n, self._num_attrs)
         for _ in range(num_timesteps):
             adj = (rng.random((n, n)) < probs).astype(np.float64)
             np.fill_diagonal(adj, 0.0)
-            snaps.append(
-                GraphSnapshot(adj, np.zeros((n, self._num_attrs)), validate=False)
-            )
-        return DynamicAttributedGraph(snaps)
+            builder.add_step(*np.nonzero(adj), canonical=True)
+        return builder.build().to_graph()

@@ -16,13 +16,12 @@ only on Email.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.baselines.base import GraphGenerator
-from repro.baselines.taggen import _with_zero_attrs
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 
 
 class DymondCapacityError(RuntimeError):
@@ -81,7 +80,7 @@ class Dymond(GraphGenerator):
         self._require_fitted()
         rng = self._rng(seed)
         n = self._num_nodes
-        snaps: List[GraphSnapshot] = []
+        builder = TemporalEdgeStoreBuilder(n, self._num_attrs)
         # motif budgets: wedges/triangles consume edges too, so the edge
         # budget is what remains after structured motifs are placed
         tri_budget = int(rng.poisson(max(self._triangle_rate, 0.0)))
@@ -115,8 +114,8 @@ class Dymond(GraphGenerator):
                     self._orient(adj, u, v, rng)
                 placed += 1
             np.fill_diagonal(adj, 0.0)
-            snaps.append(GraphSnapshot(adj, None, validate=False))
-        return _with_zero_attrs(DynamicAttributedGraph(snaps), self._num_attrs)
+            builder.add_step(*np.nonzero(adj), canonical=True)
+        return builder.build().to_graph()
 
     @staticmethod
     def _orient(adj: np.ndarray, u: int, v: int, rng: np.random.Generator) -> None:

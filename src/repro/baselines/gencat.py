@@ -22,13 +22,12 @@ that GenCAT treats attributes as independent variables (Table II).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.base import GraphGenerator
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 
 
 def kmeans(
@@ -128,10 +127,16 @@ class GenCAT(GraphGenerator):
         """Simulate ``num_timesteps`` snapshots from the fitted model."""
         self._require_fitted()
         rng = self._rng(seed)
-        snaps = [self._generate_snapshot(rng) for _ in range(num_timesteps)]
-        return DynamicAttributedGraph(snaps)
+        builder = TemporalEdgeStoreBuilder(self._num_nodes, self._num_attrs)
+        for _ in range(num_timesteps):
+            adj, attrs = self._generate_step(rng)
+            # 0/1 and loop-free: the nonzeros are canonical
+            builder.add_step(*np.nonzero(adj), attrs, canonical=True)
+        return builder.build().to_graph()
 
-    def _generate_snapshot(self, rng: np.random.Generator) -> GraphSnapshot:
+    def _generate_step(
+        self, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
         n = self._num_nodes
         labels = self._labels
         adj = np.zeros((n, n))
@@ -161,4 +166,4 @@ class GenCAT(GraphGenerator):
             )
         else:
             attrs = np.zeros((n, 0))
-        return GraphSnapshot(adj, attrs, validate=False)
+        return adj, attrs

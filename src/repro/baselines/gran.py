@@ -18,14 +18,14 @@ dynamic difference metrics).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.autodiff import Tape, functional as F, no_grad
 from repro.autodiff.tensor import as_tensor
 from repro.baselines.base import GraphGenerator
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 from repro.nn import Adam, MLP
 
 _FEATURES = 4  # deg_i, deg_j, rank distance, common neighbours
@@ -147,10 +147,16 @@ class GRAN(GraphGenerator):
         """Simulate ``num_timesteps`` snapshots from the fitted model."""
         self._require_fitted()
         rng = self._rng(seed)
-        snaps = [self._generate_snapshot(rng) for _ in range(num_timesteps)]
-        return DynamicAttributedGraph(snaps)
+        builder = TemporalEdgeStoreBuilder(self._num_nodes, self._num_attrs)
+        for _ in range(num_timesteps):
+            adj, attrs = self._generate_step(rng)
+            # 0/1 and loop-free: the nonzeros are canonical
+            builder.add_step(*np.nonzero(adj), attrs, canonical=True)
+        return builder.build().to_graph()
 
-    def _generate_snapshot(self, rng: np.random.Generator) -> GraphSnapshot:
+    def _generate_step(
+        self, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
         n = self._num_nodes
         adj = np.zeros((n, n))
         order = rng.permutation(n)
@@ -180,4 +186,4 @@ class GRAN(GraphGenerator):
                     density_scale *= 1.1
         np.fill_diagonal(adj, 0.0)
         attrs = np.zeros((n, self._num_attrs))
-        return GraphSnapshot(adj, attrs, validate=False)
+        return adj, attrs

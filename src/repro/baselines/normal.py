@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.base import GraphGenerator
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 
 
 class NormalAttributeGenerator(GraphGenerator):
@@ -50,7 +50,7 @@ class NormalAttributeGenerator(GraphGenerator):
         rng = self._rng(seed)
         n = self._num_nodes
         f = self._mu.shape[1]
-        snaps = []
+        builder = TemporalEdgeStoreBuilder(n, f)
         for t in range(num_timesteps):
             src = min(t, len(self._density) - 1)  # clamp beyond fitted horizon
             adj = (rng.random((n, n)) < self._density[src]).astype(np.float64)
@@ -58,5 +58,5 @@ class NormalAttributeGenerator(GraphGenerator):
             attrs = rng.normal(
                 self._mu[src], np.maximum(self._sigma[src], 1e-9), size=(n, f)
             ) if f else np.zeros((n, 0))
-            snaps.append(GraphSnapshot(adj, attrs, validate=False))
-        return DynamicAttributedGraph(snaps)
+            builder.add_step(*np.nonzero(adj), attrs, canonical=True)
+        return builder.build().to_graph()

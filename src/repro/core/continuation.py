@@ -41,7 +41,7 @@ def encode_prefix(model: VRDAG, prefix: DynamicAttributedGraph) -> Tensor:
     with no_grad():
         h = model.recurrence.initial_state(cfg.num_nodes)
         for t, snapshot in enumerate(model.normalize(prefix)):
-            encoding = model.encoder(snapshot)
+            encoding = model.encoder(snapshot.adjacency, snapshot.attributes)
             z = model.posterior(encoding, h).mean()
             h = model.recurrence(encoding, z, float(t), h)
     return h

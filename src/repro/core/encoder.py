@@ -18,12 +18,14 @@ import numpy as np
 
 from repro.autodiff import Tensor, functional as F
 from repro.autodiff.tensor import as_tensor
-from repro.graph import GraphSnapshot
 from repro.nn import GINLayer, Linear, MLP, Module
 
 
 class BiFlowEncoder(Module):
     """Encode a snapshot ``G_t(A_t, X_t)`` into node embeddings ε(v).
+
+    Takes the step as arrays: a dense ``(N, N)`` 0/1 adjacency and the
+    ``(N, F)`` attributes.
 
     Parameters
     ----------
@@ -74,21 +76,26 @@ class BiFlowEncoder(Module):
         # f_pool jump connection over the L hop-level states (Eq. 7)
         self.pool = MLP([num_layers * hidden_dim, encode_dim], rng=rng)
 
-    def initial_features(self, snapshot: GraphSnapshot) -> np.ndarray:
-        """Raw node features: [X || in_deg/N || out_deg/N]."""
-        n = snapshot.num_nodes
-        in_deg = snapshot.in_degrees()[:, None] / max(n - 1, 1)
-        out_deg = snapshot.out_degrees()[:, None] / max(n - 1, 1)
-        return np.concatenate([snapshot.attributes, in_deg, out_deg], axis=1)
+    def initial_features(
+        self, adjacency: np.ndarray, attributes: np.ndarray
+    ) -> np.ndarray:
+        """Raw node features: [X || in_deg/N || out_deg/N].
 
-    def forward(self, snapshot: GraphSnapshot) -> Tensor:
+        Degrees are sums of 0/1 entries, so they are exact integers.
+        """
+        n = adjacency.shape[0]
+        in_deg = adjacency.sum(axis=0)[:, None] / max(n - 1, 1)
+        out_deg = adjacency.sum(axis=1)[:, None] / max(n - 1, 1)
+        return np.concatenate([attributes, in_deg, out_deg], axis=1)
+
+    def forward(self, adjacency: np.ndarray, attributes: np.ndarray) -> Tensor:
         """Return ε(G_t) ∈ R^{N×d_ε}."""
-        adj = snapshot.adjacency
         # For node i: in-neighbours j have edge j->i, i.e. adj[j, i] = 1,
         # so aggregating them needs adj.T; out-neighbours need adj itself.
-        adj_in = adj.T
-        adj_out = adj
-        h = F.tanh(self.input_proj(as_tensor(self.initial_features(snapshot))))
+        adj_in = adjacency.T
+        adj_out = adjacency
+        feats = self.initial_features(adjacency, attributes)
+        h = F.tanh(self.input_proj(as_tensor(feats)))
         hop_states: List[Tensor] = []
         for layer in range(self.num_layers):
             out_h = self.out_flows[layer](h, adj_out)

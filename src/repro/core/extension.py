@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.autodiff import Tensor, functional as F, no_grad
 from repro.core.model import VRDAG
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 from repro.nn import Linear, Module
 
 
@@ -100,7 +100,8 @@ class NodeDynamicsWrapper(Module):
                             contexts.append(ctx)
                             targets.append(h.data[v].copy())
                     seen |= active
-                encoding = self.model.encoder(normalized[t])
+                snap = normalized[t]
+                encoding = self.model.encoder(snap.adjacency, snap.attributes)
                 z = self.model.posterior(encoding, h).mean()
                 h = self.model.recurrence(encoding, z, float(t + 1), h)
         self.arrival_rate = self.estimate_arrival_rate(graph)
@@ -161,7 +162,8 @@ class NodeDynamicsWrapper(Module):
         active[:k0] = True
         isolation = np.zeros(n, dtype=int)
 
-        snapshots: List[GraphSnapshot] = []
+        builder = TemporalEdgeStoreBuilder(n, cfg.num_attributes)
+        adj = np.zeros((n, n))
         masks = np.zeros((num_timesteps, n), dtype=bool)
         self.model.eval()
         with no_grad():
@@ -195,26 +197,26 @@ class NodeDynamicsWrapper(Module):
                 # --- snapshot generation over the full universe ----------
                 z = self.model.prior(h).sample(rng)
                 s = F.concat([z, h], axis=1)
-                adj = self.model.structure_sampler.sample(s, rng)
-                # zero out edges touching inactive nodes
-                adj[~active, :] = 0.0
-                adj[:, ~active] = 0.0
+                src, dst = self.model.structure_sampler.sample_edges(s, rng)
+                # drop edges touching inactive nodes
+                keep = active[src] & active[dst]
+                src, dst = src[keep], dst[keep]
+                adj[:] = 0.0
+                adj[src, dst] = 1.0
                 if self.model.attribute_decoder is not None:
                     attrs = self.model.attribute_decoder(s, adj).data.copy()
                     attrs[~active] = 0.0
                 else:
                     attrs = np.zeros((n, 0))
-                snapshot = GraphSnapshot(adj, attrs, validate=False)
-                snapshots.append(
-                    GraphSnapshot(
-                        adj,
-                        self.model._denormalize_attrs(attrs),
-                        validate=False,
-                    )
+                builder.add_step(
+                    src, dst, self.model._denormalize_attrs(attrs),
+                    canonical=True,
                 )
                 masks[t] = active
                 # --- node deletion bookkeeping ---------------------------
-                deg = snapshot.degrees()
+                deg = np.bincount(src, minlength=n) + np.bincount(
+                    dst, minlength=n
+                )
                 isolated = active & (deg == 0)
                 isolation[isolated] += 1
                 isolation[active & (deg > 0)] = 0
@@ -225,7 +227,7 @@ class NodeDynamicsWrapper(Module):
                     h_data[expired] = 0.0
                     h = Tensor(h_data)
                 # --- recurrence update ------------------------------------
-                encoding = self.model.encoder(snapshot)
+                encoding = self.model.encoder(adj, attrs)
                 h = self.model.recurrence(encoding, z, float(t + 1), h)
         self.model.train()
-        return DynamicAttributedGraph(snapshots), masks
+        return builder.build().to_graph(), masks

@@ -461,23 +461,6 @@ class MixBernoulliSampler(Module):
             self.f_theta, proj, alpha, 0, proj.shape[0], block, rng, rng
         )
 
-    def sample(self, s: Tensor, rng: np.random.Generator) -> np.ndarray:
-        """Draw one adjacency sample as a dense ``(N, N)`` 0/1 matrix.
-
-        Dense wrapper over :meth:`sample_edges`.  Its one caller in
-        ``src/`` is ``NodeDynamicsWrapper.generate``, which zeroes the
-        rows/columns of inactive nodes; ``VRDAG._rollout`` (behind
-        ``generate`` and ``continue_sequence``) streams the edge
-        columns into a store builder and never materializes this
-        matrix.
-        """
-        n = (s.data if isinstance(s, Tensor) else np.asarray(s)).shape[0]
-        src, dst = self.sample_edges(s, rng)
-        adj = np.zeros((n, n))
-        if src.size:
-            adj[src, dst] = 1.0
-        return adj
-
     # ------------------------------------------------------------------
     # reference decode (parity-test ground truth)
     # ------------------------------------------------------------------

@@ -173,19 +173,14 @@ class VRDAG(Module):
         """``graph`` with attributes in the model's space (fitted mean/std).
 
         Returns ``graph`` itself when the model has no attributes;
-        otherwise a dense-snapshot copy with rescaled attributes.
+        otherwise a graph sharing ``graph``'s edge columns with a
+        rescaled attribute block.
         """
         if self.config.num_attributes == 0:
             return graph
-        return DynamicAttributedGraph(
-            [
-                GraphSnapshot(
-                    s.adjacency,
-                    (s.attributes - self._attr_mean) / self._attr_std,
-                    validate=False,
-                )
-                for s in graph
-            ]
+        scaled = (graph.attribute_tensor() - self._attr_mean) / self._attr_std
+        return DynamicAttributedGraph.from_store(
+            graph.store.with_attributes(scaled)
         )
 
     def _denormalize_attrs(self, attrs: np.ndarray) -> np.ndarray:
@@ -212,7 +207,7 @@ class VRDAG(Module):
         with no_grad():
             h = self.recurrence.initial_state(self.config.num_nodes)
             for t, snapshot in enumerate(graph):
-                encoding = self.encoder(snapshot)
+                encoding = self.encoder(snapshot.adjacency, snapshot.attributes)
                 q = self.posterior(encoding, h)
                 z = q.mean()
                 s = F.concat([z, h], axis=1)
@@ -356,7 +351,7 @@ class VRDAG(Module):
     def _training_step(
         self, snapshot: GraphSnapshot, h_prev: Tensor, t: int
     ) -> tuple[StepLosses, Tensor]:
-        encoding = self.encoder(snapshot)
+        encoding = self.encoder(snapshot.adjacency, snapshot.attributes)
         q = self.posterior(encoding, h_prev)
         p = self.prior(h_prev)
         z = q.sample(self._sample_rng)
@@ -482,8 +477,7 @@ class VRDAG(Module):
                         )
                 else:
                     attrs = np.zeros((cfg.num_nodes, 0))
-                snapshot = GraphSnapshot(adj, attrs, validate=False)    # line 6
-                encoding = self.encoder(snapshot)
+                encoding = self.encoder(adj, attrs)                     # line 6
                 h = self.recurrence(encoding, z, float(t + 1), h)       # line 7
                 out_attrs = self._denormalize_attrs(attrs)
                 if self.config.num_attributes > 0 and (
@@ -529,8 +523,7 @@ class VRDAG(Module):
                     attrs = self.attribute_decoder(s, adj).data.copy()
                 else:
                     attrs = np.zeros((cfg.num_nodes, 0))
-                snapshot = GraphSnapshot(adj, attrs, validate=False)
-                encoding = self.encoder(snapshot)
+                encoding = self.encoder(adj, attrs)
                 h = self.recurrence(encoding, z, float(t + 1), h)
         self.train()
         return probs

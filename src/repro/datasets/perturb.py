@@ -19,22 +19,60 @@ tests and ablation analyses:
   snapshot 0 (the "static generator" caricature).
 
 All operators are pure: they return a new graph and never mutate the
-input.  Each takes an ``np.random.Generator`` so corruption levels are
+input (the attribute-only ones share its immutable edge columns).
+Structural ones edit one dense working copy per step and emit its
+nonzeros as the new step's columns.  Each takes an ``np.random.Generator`` so corruption levels are
 reproducible.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable
 
 import numpy as np
 
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 
 
 def _check_fraction(fraction: float) -> None:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+
+
+def _edit_structure(
+    graph: DynamicAttributedGraph,
+    edit: Callable[[np.ndarray, np.ndarray], None],
+) -> DynamicAttributedGraph:
+    """Apply ``edit(adj, edges)`` to a dense working copy of every step.
+
+    ``edges`` is the step's ``(E, 2)`` edge array in canonical order;
+    ``edit`` mutates the 0/1, loop-free ``adj`` in place, so its
+    nonzeros are the new step's canonical columns.  Attributes are kept.
+    """
+    n = graph.num_nodes
+    builder = TemporalEdgeStoreBuilder(n, graph.num_attributes)
+    adj = np.zeros((n, n))
+    for snap in graph:
+        edges = snap.edge_array()
+        adj[:] = 0.0
+        adj[edges[:, 0], edges[:, 1]] = 1.0
+        edit(adj, edges)
+        builder.add_step(*np.nonzero(adj), snap.attributes, canonical=True)
+    return builder.build().to_graph()
+
+
+def _drop(
+    adj: np.ndarray,
+    edges: np.ndarray,
+    fraction: float,
+    rng: np.random.Generator,
+) -> int:
+    """Remove ``fraction`` of ``edges`` from ``adj``; returns the count."""
+    k = int(round(fraction * len(edges)))
+    if k:
+        picked = edges[rng.choice(len(edges), size=k, replace=False)]
+        adj[picked[:, 0], picked[:, 1]] = 0.0
+    return k
 
 
 def rewire_edges(
@@ -49,24 +87,17 @@ def rewire_edges(
     """
     _check_fraction(fraction)
     n = graph.num_nodes
-    snaps: List[GraphSnapshot] = []
-    for snap in graph:
-        adj = snap.adjacency.copy()
-        edges = snap.edges()
-        k = int(round(fraction * len(edges)))
-        if k and len(edges):
-            picked = rng.choice(len(edges), size=k, replace=False)
-            for idx in picked:
-                u, v = edges[idx]
-                adj[u, v] = 0.0
-            placed = 0
-            while placed < k:
-                u, v = rng.integers(0, n, size=2)
-                if u != v and adj[u, v] == 0:
-                    adj[u, v] = 1.0
-                    placed += 1
-        snaps.append(GraphSnapshot(adj, snap.attributes.copy(), validate=False))
-    return DynamicAttributedGraph(snaps)
+
+    def rewire(adj: np.ndarray, edges: np.ndarray) -> None:
+        k = _drop(adj, edges, fraction, rng)
+        placed = 0
+        while placed < k:
+            u, v = rng.integers(0, n, size=2)
+            if u != v and adj[u, v] == 0:
+                adj[u, v] = 1.0
+                placed += 1
+
+    return _edit_structure(graph, rewire)
 
 
 def drop_edges(
@@ -76,18 +107,9 @@ def drop_edges(
 ) -> DynamicAttributedGraph:
     """Remove ``fraction`` of each snapshot's edges uniformly."""
     _check_fraction(fraction)
-    snaps: List[GraphSnapshot] = []
-    for snap in graph:
-        adj = snap.adjacency.copy()
-        edges = snap.edges()
-        k = int(round(fraction * len(edges)))
-        if k and len(edges):
-            picked = rng.choice(len(edges), size=k, replace=False)
-            for idx in picked:
-                u, v = edges[idx]
-                adj[u, v] = 0.0
-        snaps.append(GraphSnapshot(adj, snap.attributes.copy(), validate=False))
-    return DynamicAttributedGraph(snaps)
+    return _edit_structure(
+        graph, lambda adj, edges: _drop(adj, edges, fraction, rng)
+    )
 
 
 def add_random_edges(
@@ -99,9 +121,8 @@ def add_random_edges(
     if count_per_step < 0:
         raise ValueError("count_per_step must be >= 0")
     n = graph.num_nodes
-    snaps: List[GraphSnapshot] = []
-    for snap in graph:
-        adj = snap.adjacency.copy()
+
+    def add(adj: np.ndarray, edges: np.ndarray) -> None:
         budget = count_per_step
         attempts = 0
         while budget > 0 and attempts < 20 * count_per_step + 20:
@@ -110,8 +131,8 @@ def add_random_edges(
             if u != v and adj[u, v] == 0:
                 adj[u, v] = 1.0
                 budget -= 1
-        snaps.append(GraphSnapshot(adj, snap.attributes.copy(), validate=False))
-    return DynamicAttributedGraph(snaps)
+
+    return _edit_structure(graph, add)
 
 
 def attribute_noise(
@@ -122,17 +143,9 @@ def attribute_noise(
     """Add i.i.d. ``N(0, sigma^2)`` noise to every attribute entry."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    snaps = [
-        GraphSnapshot(
-            snap.adjacency.copy(),
-            snap.attributes + rng.normal(0.0, sigma, size=snap.attributes.shape)
-            if snap.num_attributes
-            else snap.attributes.copy(),
-            validate=False,
-        )
-        for snap in graph
-    ]
-    return DynamicAttributedGraph(snaps)
+    attrs = graph.attribute_tensor()
+    noisy = attrs + rng.normal(0.0, sigma, size=attrs.shape)
+    return graph.store.with_attributes(noisy).to_graph()
 
 
 def shuffle_attribute_rows(
@@ -147,15 +160,22 @@ def shuffle_attribute_rows(
     attribute/structure coupling metrics.
     """
     perm = rng.permutation(graph.num_nodes)
-    snaps = [
-        GraphSnapshot(
-            snap.adjacency.copy(),
-            snap.attributes[perm].copy() if snap.num_attributes else snap.attributes.copy(),
-            validate=False,
+    return graph.store.with_attributes(
+        graph.attribute_tensor()[:, perm]
+    ).to_graph()
+
+
+def _reorder_steps(
+    graph: DynamicAttributedGraph, order
+) -> DynamicAttributedGraph:
+    """The steps of ``graph`` in ``order`` (repeats allowed), copied."""
+    store = graph.store
+    builder = TemporalEdgeStoreBuilder(store.num_nodes, store.num_attributes)
+    for t in order:
+        builder.add_step(
+            *store.edges_at(int(t)), store.attributes[t], canonical=True
         )
-        for snap in graph
-    ]
-    return DynamicAttributedGraph(snaps)
+    return builder.build().to_graph()
 
 
 def shuffle_snapshots(
@@ -163,14 +183,9 @@ def shuffle_snapshots(
     rng: np.random.Generator,
 ) -> DynamicAttributedGraph:
     """Randomly reorder the sequence (keeps each snapshot intact)."""
-    order = rng.permutation(graph.num_timesteps)
-    return DynamicAttributedGraph(
-        [graph[int(t)].copy() for t in order]
-    )
+    return _reorder_steps(graph, rng.permutation(graph.num_timesteps))
 
 
 def freeze_first_snapshot(graph: DynamicAttributedGraph) -> DynamicAttributedGraph:
     """T copies of snapshot 0 — the degenerate "static" sequence."""
-    return DynamicAttributedGraph(
-        [graph[0].copy() for _ in range(graph.num_timesteps)]
-    )
+    return _reorder_steps(graph, [0] * graph.num_timesteps)

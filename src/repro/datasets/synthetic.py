@@ -18,12 +18,12 @@ exhibit and its model is designed to capture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.graph import DynamicAttributedGraph, GraphSnapshot
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStoreBuilder
 
 
 @dataclass
@@ -157,7 +157,9 @@ def generate_co_evolving_graph(
     """Simulate a dynamic attributed graph per ``cfg``.
 
     Returns a :class:`DynamicAttributedGraph` with ``cfg.num_timesteps``
-    snapshots over a fixed node set.
+    snapshots over a fixed node set.  Only the previous and the current
+    step are dense working arrays; each finished step leaves as edge
+    columns.
     """
     cfg.validate()
     rng = np.random.default_rng(seed)
@@ -175,7 +177,7 @@ def generate_co_evolving_graph(
         trend_step = np.zeros(cfg.num_attributes)
 
     adj = np.zeros((n, n))
-    snapshots: List[GraphSnapshot] = []
+    builder = TemporalEdgeStoreBuilder(n, cfg.num_attributes)
     for _ in range(cfg.num_timesteps):
         new_adj = np.zeros((n, n))
         # 1. persist a fraction of existing edges
@@ -215,10 +217,10 @@ def generate_co_evolving_graph(
                 + cfg.attribute_coupling * (nbr_mean - attrs)
                 + rng.normal(0.0, cfg.attribute_noise, size=attrs.shape)
             )
-        # adjacency is 0/1 with a cleared diagonal by construction
-        snapshots.append(GraphSnapshot(new_adj, _emit(attrs, cfg), validate=False))
+        # 0/1 with a cleared diagonal: the nonzeros are canonical
+        builder.add_step(*np.nonzero(new_adj), _emit(attrs, cfg), canonical=True)
         adj = new_adj
-    return DynamicAttributedGraph(snapshots)
+    return builder.build().to_graph()
 
 
 def _emit(attrs: np.ndarray, cfg: CoEvolutionConfig) -> np.ndarray:

@@ -151,10 +151,10 @@ class TimedRun:
     densified to ``(N, N)`` matrices across fit + generate.  The walk
     baselines and every generate path keep it at 0; dense-core
     trainers (VRDAG's teacher-forced ELBO is O(N²) by construction)
-    materialize at most T cached views of a *store-backed* training
-    input — bounded by the input size, never per-epoch, and 0 on
-    legacy dense inputs.  The underlying counter is process-global
-    (see :func:`track_dense_materializations`), so densifications by
+    materialize at most T cached views of the training input —
+    bounded by the input size, never per-epoch.  The underlying
+    counter is process-global (see
+    :func:`track_dense_materializations`), so densifications by
     concurrent threads during the run window would be attributed here.
     """
 

@@ -8,11 +8,12 @@ Canonically it is stored *columnar*:
   ``(src, dst, t)`` int columns sorted by ``(t, src, dst)``,
   per-timestep offsets, one ``(T, N, F)`` attribute block.  O(M + N·F·T)
   memory instead of O(N²·T).
-* :class:`GraphSnapshot` — one timestep; either a cheap store-backed
-  view or a legacy dense matrix.  ``adjacency`` on a store-backed
-  snapshot is a lazily-materialized, cached, read-only dense view.
+* :class:`GraphSnapshot` — one timestep: a cheap ``(store, t)`` view.
+  ``adjacency`` is a lazily-materialized, cached, read-only dense
+  view; ``GraphSnapshot(adjacency, attributes)`` converts outside
+  dense input to a one-step store.
 * :class:`DynamicAttributedGraph` — the sequence, with statistics and
-  validation; derives/carries its store.
+  validation; always wraps one store.
 * :class:`TemporalEdgeList` — the ``(u, v, t)`` stream (multiset) view
   used by the random-walk baselines, with lossless conversion in both
   directions.

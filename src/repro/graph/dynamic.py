@@ -1,11 +1,10 @@
 """Dynamic attributed graph: a sequence of snapshots over fixed nodes.
 
-Canonically the graph is a :class:`~repro.graph.store.TemporalEdgeStore`
-(columnar ``(src, dst, t)`` + one attribute block); snapshots are cheap
-per-timestep views of it.  Graphs built the legacy way — from a list of
-dense snapshots — derive their store lazily on first ``.store`` access,
-so dense constructions pay the columnar conversion only when a sparse
-consumer actually asks for it.
+The graph is one :class:`~repro.graph.store.TemporalEdgeStore`
+(columnar ``(src, dst, t)`` + one attribute block); its snapshots are
+cheap per-timestep views of it.  Building a graph from a snapshot list
+concatenates the snapshots' columns into one store, so every graph has
+exactly one representation.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
+from repro.graph.store import TemporalEdgeStore, TemporalEdgeStoreBuilder
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,8 @@ class DynamicAttributedGraph:
     attribute dimensionality ``F``; structural evolution is the change
     of edges, attribute evolution the change of ``X_t``.
 
-    Construct from snapshots (legacy, dense) or from a columnar store
-    via :meth:`from_store` (the representation every migrated producer
-    emits).
+    Construct from snapshots (their columns are concatenated into one
+    T-step store) or wrap a columnar store via :meth:`from_store`.
     """
 
     def __init__(self, snapshots: Sequence[GraphSnapshot]):
@@ -52,6 +51,7 @@ class DynamicAttributedGraph:
             raise ValueError("a dynamic graph needs at least one snapshot")
         n = snapshots[0].num_nodes
         f = snapshots[0].num_attributes
+        builder = TemporalEdgeStoreBuilder(n, f)
         for i, s in enumerate(snapshots):
             if s.num_nodes != n:
                 raise ValueError(
@@ -61,41 +61,23 @@ class DynamicAttributedGraph:
                 raise ValueError(
                     f"snapshot {i} has {s.num_attributes} attributes, expected {f}"
                 )
-        self.snapshots: List[GraphSnapshot] = snapshots
-        self._store = None
+            src, dst = s._store.edges_at(s._t)
+            builder.add_step(src, dst, s.attributes, canonical=True)
+        self._attach(builder.build())
+
+    def _attach(self, store: TemporalEdgeStore) -> None:
+        self.store = store
+        self.snapshots: List[GraphSnapshot] = [
+            store.snapshot(t) for t in range(store.num_timesteps)
+        ]
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_store(cls, store) -> "DynamicAttributedGraph":
+    def from_store(cls, store: TemporalEdgeStore) -> "DynamicAttributedGraph":
         """Wrap a :class:`TemporalEdgeStore` (snapshots are lazy views)."""
         graph = cls.__new__(cls)
-        graph.snapshots = [
-            store.snapshot(t) for t in range(store.num_timesteps)
-        ]
-        graph._store = store
+        graph._attach(store)
         return graph
-
-    @property
-    def store(self):
-        """The canonical columnar edge store (built lazily, cached).
-
-        For legacy dense-backed graphs the first access scans the
-        snapshots once and *freezes* the structural view: in-place
-        edits of snapshot adjacencies after this point are not
-        reflected in the cached store (treat graphs as immutable once
-        they enter store-consuming code, or mutate before first
-        access).
-        """
-        if self._store is None:
-            from repro.graph.store import TemporalEdgeStore
-
-            self._store = TemporalEdgeStore.from_snapshots(self.snapshots)
-        return self._store
-
-    @property
-    def is_store_backed(self) -> bool:
-        """Whether the columnar store has been attached/derived already."""
-        return self._store is not None
 
     # ------------------------------------------------------------------
     @property
@@ -116,9 +98,7 @@ class DynamicAttributedGraph:
     @property
     def num_temporal_edges(self) -> int:
         """Total edges summed across snapshots (the paper's ``M``)."""
-        if self._store is not None:
-            return self._store.num_edges
-        return sum(s.num_edges for s in self.snapshots)
+        return self.store.num_edges
 
     def statistics(self) -> GraphStatistics:
         """N/M/X/T summary (the paper's Table I columns)."""
@@ -144,11 +124,7 @@ class DynamicAttributedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DynamicAttributedGraph):
             return NotImplemented
-        if self._store is not None and other._store is not None:
-            return self._store == other._store
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self.snapshots, other.snapshots)
-        )
+        return self.store == other.store
 
     def __repr__(self) -> str:
         return f"DynamicAttributedGraph({self.statistics()})"
@@ -164,16 +140,12 @@ class DynamicAttributedGraph:
     def attribute_tensor(self) -> np.ndarray:
         """Stack of attribute matrices, shape ``(T, N, F)``.
 
-        Zero-copy for store-backed graphs: a read-only view of the
-        store's own block (``.copy()`` it to mutate — pre-store callers
-        got a fresh stack, so an in-place edit would now silently
-        rewrite the canonical store and every sibling view).
+        Zero-copy: a read-only view of the store's own block
+        (``.copy()`` it to mutate).
         """
-        if self._store is not None:
-            view = self._store.attributes.view()
-            view.flags.writeable = False
-            return view
-        return np.stack([s.attributes for s in self.snapshots])
+        view = self.store.attributes.view()
+        view.flags.writeable = False
+        return view
 
     def active_nodes(self, t: int) -> np.ndarray:
         """Indices of nodes with at least one edge in snapshot ``t``."""
@@ -182,26 +154,16 @@ class DynamicAttributedGraph:
         return np.nonzero(deg > 0)[0]
 
     def copy(self) -> "DynamicAttributedGraph":
-        """Deep copy; preserves the backing representation.
-
-        Store-backed graphs copy the O(M + N·F·T) columns (no
-        densification); legacy graphs deep-copy their dense snapshots.
-        Either way the copy shares no memory with the original — for a
-        mutable dense snapshot, use ``graph[t].copy()``.
-        """
-        if self._store is not None:
-            return DynamicAttributedGraph.from_store(self._store.copy())
-        return DynamicAttributedGraph([s.copy() for s in self.snapshots])
+        """Deep copy of the O(M + N·F·T) columns (no densification)."""
+        return DynamicAttributedGraph.from_store(self.store.copy())
 
     def truncated(self, t: int) -> "DynamicAttributedGraph":
         """Prefix of the sequence up to (excluding) timestep ``t``."""
         if not 1 <= t <= len(self):
             raise IndexError(f"truncation point {t} out of range 1..{len(self)}")
-        if self._store is not None:
-            return DynamicAttributedGraph.from_store(
-                self._store.slice_timesteps(0, t)
-            )
-        return DynamicAttributedGraph(self.snapshots[:t])
+        return DynamicAttributedGraph.from_store(
+            self.store.slice_timesteps(0, t)
+        )
 
     @classmethod
     def from_tensors(

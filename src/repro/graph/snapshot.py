@@ -1,19 +1,17 @@
 """Single-timestep attributed graph snapshot.
 
-A snapshot is either *dense-backed* (constructed from an ``(N, N)``
-matrix, the legacy entry point) or *store-backed* (a view of one
-timestep of a :class:`~repro.graph.store.TemporalEdgeStore`).  Either
-way the public API is identical; the difference is cost:
+A snapshot is a view of one timestep ``t`` of a
+:class:`~repro.graph.store.TemporalEdgeStore`: it holds ``(store, t)``
+and nothing else that is not a cache.  ``num_edges`` / ``edges`` /
+degree queries read the shared columns in O(M_t + N); ``sparse()`` is
+the cached CSR view (the preferred access path for metric kernels);
+``adjacency`` is a lazily-materialized, cached, **read-only** dense
+view whose creation is counted (see
+:func:`repro.graph.store.track_dense_materializations`).
 
-* Store-backed snapshots answer ``num_edges`` / ``edges`` / degree
-  queries straight from the shared columns in O(M_t + N), and
-  ``adjacency`` is a lazily-materialized, cached, **read-only** dense
-  view whose creation is counted (see
-  :func:`repro.graph.store.track_dense_materializations`).
-* Dense-backed snapshots behave exactly as before.
-
-``sparse()`` exposes the cached CSR view either way — the preferred
-access path for metric kernels.
+``GraphSnapshot(adjacency, attributes)`` is the public dense entry
+point for outside input: it validates the matrix and builds a one-step
+store from its nonzeros right away, keeping no reference to the matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +19,8 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
+
+from repro.graph.store import TemporalEdgeStore
 
 
 class GraphSnapshot:
@@ -35,19 +35,14 @@ class GraphSnapshot:
     attributes:
         ``(N, F)`` float matrix of node attributes, or ``None`` for a
         structure-only snapshot (``F = 0``).
-    validate:
-        Run invariant checks (binary adjacency, finite attributes).
-        Internal constructions pass ``validate=False``; the checks are
-        single vectorized passes (no sort — see ``_validate_dense``).
     """
 
-    __slots__ = ("_adjacency", "_attributes", "_store", "_t", "_sparse")
+    __slots__ = ("_store", "_t", "_adjacency", "_sparse")
 
     def __init__(
         self,
         adjacency: np.ndarray,
         attributes: Optional[np.ndarray] = None,
-        validate: bool = True,
     ):
         adjacency = np.asarray(adjacency, dtype=np.float64)
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
@@ -60,83 +55,61 @@ class GraphSnapshot:
             raise ValueError(
                 f"attributes must be (N, F) with N={n}, got {attributes.shape}"
             )
-        if validate:
-            _validate_dense(adjacency, attributes)
-        self._adjacency = adjacency
-        self._attributes = attributes
-        self._store = None
-        self._t = -1
+        _validate_dense(adjacency, attributes)
+        # binary and loop-free: the nonzeros are already canonical
+        src, dst = np.nonzero(adjacency)
+        store = TemporalEdgeStore(
+            n, 1, src, dst, np.zeros(src.size, dtype=np.int64),
+            attributes[None], validate=False, canonical=True,
+        )
+        self._init_view(store, 0)
+
+    def _init_view(self, store: TemporalEdgeStore, t: int) -> None:
+        self._store = store
+        self._t = int(t)
+        self._adjacency = None
         self._sparse = None
 
-    # ------------------------------------------------------------------
     @classmethod
-    def _from_store(cls, store, t: int) -> "GraphSnapshot":
-        """Store-backed view of timestep ``t`` (internal; no densify)."""
+    def _from_store(cls, store: TemporalEdgeStore, t: int) -> "GraphSnapshot":
+        """View of timestep ``t`` of ``store`` (internal; no densify)."""
         snap = cls.__new__(cls)
-        snap._adjacency = None
-        snap._attributes = None
-        snap._store = store
-        snap._t = int(t)
-        snap._sparse = None
+        snap._init_view(store, t)
         return snap
 
     @property
-    def is_store_backed(self) -> bool:
-        """Whether this snapshot is a view over a columnar edge store."""
-        return self._store is not None
-
-    @property
     def adjacency(self) -> np.ndarray:
-        """Dense ``(N, N)`` 0/1 matrix.
-
-        For store-backed snapshots this is a lazily-materialized,
-        cached, read-only view; its creation is counted so migrated
-        paths can assert they never densify.
-        """
+        """Dense ``(N, N)`` 0/1 matrix: a lazily-materialized, cached,
+        read-only view whose creation is counted."""
         if self._adjacency is None:
             self._adjacency = self._store.dense_adjacency(self._t)
         return self._adjacency
 
     @property
     def attributes(self) -> np.ndarray:
-        """``(N, F)`` attribute matrix (zero-copy slice when store-backed)."""
-        if self._attributes is None:
-            self._attributes = self._store.attributes_at(self._t)
-        return self._attributes
+        """``(N, F)`` attribute matrix (zero-copy, read-only slice)."""
+        return self._store.attributes_at(self._t)
 
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         """Number of nodes ``N``."""
-        if self._store is not None:
-            return self._store.num_nodes
-        return self._adjacency.shape[0]
+        return self._store.num_nodes
 
     @property
     def num_edges(self) -> int:
         """Number of directed edges in this snapshot."""
-        if self._store is not None:
-            return self._store.num_edges_at(self._t)
-        return int(self._adjacency.sum())
+        return self._store.num_edges_at(self._t)
 
     @property
     def num_attributes(self) -> int:
         """Attribute dimensionality ``F``."""
-        if self._store is not None:
-            return self._store.num_attributes
-        return self._attributes.shape[1]
+        return self._store.num_attributes
 
     def edge_array(self) -> np.ndarray:
-        """Directed edges as an ``(E, 2)`` int64 array in CSR order.
-
-        Zero-copy-adjacent for store-backed snapshots (column slices);
-        one ``np.nonzero`` scan for dense-backed ones.
-        """
-        if self._store is not None:
-            src, dst = self._store.edges_at(self._t)
-            return np.stack([src, dst], axis=1)
-        rows, cols = np.nonzero(self._adjacency)
-        return np.stack([rows, cols], axis=1).astype(np.int64)
+        """Directed edges as an ``(E, 2)`` int64 array in CSR order."""
+        src, dst = self._store.edges_at(self._t)
+        return np.stack([src, dst], axis=1)
 
     def edges(self) -> List[Tuple[int, int]]:
         """Directed edge list as ``(src, dst)`` pairs."""
@@ -145,60 +118,35 @@ class GraphSnapshot:
 
     def in_degrees(self) -> np.ndarray:
         """In-degree per node, shape ``(N,)``."""
-        if self._store is not None:
-            return self._store.in_degrees_at(self._t).astype(np.float64)
-        return self._adjacency.sum(axis=0)
+        return self._store.in_degrees_at(self._t).astype(np.float64)
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree per node, shape ``(N,)``."""
-        if self._store is not None:
-            return self._store.out_degrees_at(self._t).astype(np.float64)
-        return self._adjacency.sum(axis=1)
+        return self._store.out_degrees_at(self._t).astype(np.float64)
 
     def degrees(self) -> np.ndarray:
         """Total (in + out) degree per node."""
         return self.in_degrees() + self.out_degrees()
 
     def sparse(self):
-        """:class:`~repro.graph.sparse.SparseDirectedGraph` CSR view.
-
-        The preferred representation for metric kernels.  Store-backed
-        snapshots build it from the (immutable) store columns and
-        cache it; dense-backed snapshots rebuild from a fresh
-        ``np.nonzero`` scan on every call, so legal in-place edits of
-        a writable adjacency are always reflected (the pre-store
-        mutate-then-remeasure contract).
-        """
-        if self._store is not None:
-            if self._sparse is None:
-                self._sparse = self._store.sparse_at(self._t)
-            return self._sparse
-        from repro.graph.sparse import SparseDirectedGraph
-
-        return SparseDirectedGraph.from_snapshot(self)
+        """Cached :class:`~repro.graph.sparse.SparseDirectedGraph` CSR
+        view, built from the (immutable) store columns."""
+        if self._sparse is None:
+            self._sparse = self._store.sparse_at(self._t)
+        return self._sparse
 
     def undirected_adjacency(self) -> np.ndarray:
         """Symmetrized 0/1 adjacency (densifies; legacy consumers only)."""
         sym = np.maximum(self.adjacency, self.adjacency.T)
         return sym
 
-    def copy(self) -> "GraphSnapshot":
-        """Deep copy (fresh, writable, dense adjacency and attributes)."""
-        return GraphSnapshot(
-            self.adjacency.copy(), self.attributes.copy(), validate=False
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        if self._store is not None and other._store is not None:
-            return (
-                self.num_nodes == other.num_nodes
-                and np.array_equal(self.edge_array(), other.edge_array())
-                and np.array_equal(self.attributes, other.attributes)
-            )
-        return np.array_equal(self.adjacency, other.adjacency) and np.array_equal(
-            self.attributes, other.attributes
+        return (
+            self.num_nodes == other.num_nodes
+            and np.array_equal(self.edge_array(), other.edge_array())
+            and np.array_equal(self.attributes, other.attributes)
         )
 
     def __repr__(self) -> str:
@@ -216,12 +164,14 @@ class GraphSnapshot:
         attributes: Optional[np.ndarray] = None,
     ) -> "GraphSnapshot":
         """Build a snapshot from a directed edge list (ignores self-loops)."""
-        adj = np.zeros((num_nodes, num_nodes))
         pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        if pairs.size:
-            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-            adj[pairs[:, 0], pairs[:, 1]] = 1.0
-        return cls(adj, attributes)
+        if attributes is not None:
+            attributes = np.asarray(attributes, dtype=np.float64)[None]
+        store = TemporalEdgeStore(
+            num_nodes, 1, pairs[:, 0], pairs[:, 1],
+            np.zeros(len(pairs), dtype=np.int64), attributes,
+        )
+        return cls._from_store(store, 0)
 
 
 def _validate_dense(adjacency: np.ndarray, attributes: np.ndarray) -> None:

@@ -16,11 +16,12 @@ tests in ``tests/graph/test_sparse_parity.py``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.snapshot import GraphSnapshot
+if TYPE_CHECKING:
+    from repro.graph.snapshot import GraphSnapshot
 
 
 def _ragged_gather_indices(
@@ -105,11 +106,8 @@ class SparseDirectedGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_snapshot(cls, snapshot: GraphSnapshot) -> "SparseDirectedGraph":
-        """Build the CSR view of a snapshot (store columns when available)."""
-        edges = snapshot.edge_array()  # CSR order, deduplicated
-        # unvalidated dense snapshots may carry diagonal entries
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        return cls.from_sorted_edges(snapshot.num_nodes, edges)
+        """Build the CSR view of a snapshot from its store columns."""
+        return cls.from_sorted_edges(snapshot.num_nodes, snapshot.edge_array())
 
     @classmethod
     def from_sorted_edges(

@@ -7,7 +7,8 @@ snapshot, making memory and copy cost O(N²·T) regardless of sparsity.
 This module provides the columnar representation that fixes the data
 layer:
 
-* :class:`TemporalEdgeStore` — the whole dynamic graph as three shared
+* :class:`TemporalEdgeStore` — the whole dynamic graph (and the only
+  graph representation) as three shared
   int64 columns ``(src, dst, t)`` sorted by ``(t, src, dst)`` and
   deduplicated, per-timestep ``offsets`` into the columns, and one
   ``(T, N, F)`` attribute block.  Structural memory is O(M + T),
@@ -17,11 +18,12 @@ layer:
   ``(t·N + src)·N + dst`` (:func:`_canonical_keys`), so ``T·N²`` must
   fit in int64.
 * :class:`TemporalEdgeStoreBuilder` — append-only construction for
-  generators that emit one timestep at a time (the MixBernoulli decode
-  streams edges straight in; no dense matrix is ever built).
+  producers that emit one timestep at a time (the MixBernoulli decode
+  streams edges straight in; dense producers pass the nonzeros of
+  their per-step working array).
 * :func:`track_dense_materializations` — observability hook: every
-  densification of a store timestep (``GraphSnapshot.adjacency`` on a
-  store-backed snapshot, or :meth:`TemporalEdgeStore.dense_adjacency`)
+  densification of a store timestep (``GraphSnapshot.adjacency`` or
+  :meth:`TemporalEdgeStore.dense_adjacency`)
   increments a process-global counter, so tests and the eval harness
   can assert that migrated paths never fall back to dense views.
 * :func:`merge_canonical_runs` — merge of canonically-sorted column
@@ -33,8 +35,8 @@ store — lives in ``docs/architecture.md``.
 
 View/adapter contract for new consumers
 ---------------------------------------
-Store-backed :class:`~repro.graph.snapshot.GraphSnapshot` views expose
-the graph three ways, cheapest first:
+:class:`~repro.graph.snapshot.GraphSnapshot` views expose the graph
+three ways, cheapest first:
 
 1. **Columns** — ``snapshot.edge_array()`` / ``store.edges_at(t)``:
    zero-copy slices of the shared columns, already in CSR order.
@@ -57,7 +59,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.snapshot import GraphSnapshot
 from repro.graph.sparse import csr_from_keys, dedup_keys
 
 __all__ = [
@@ -158,10 +159,24 @@ def _pack_keys(src, dst, t, num_nodes: int) -> np.ndarray:
 def _unpack_keys(
     keys: np.ndarray, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(src, dst, t)`` int64 columns of packed keys (two ``divmod``)."""
-    rest, dst = np.divmod(keys, num_nodes)
-    t, src = np.divmod(rest, num_nodes, out=(np.empty_like(rest), rest))
-    return src, dst, t
+    """``(src, dst, t)`` int64 columns of *sorted* packed keys.
+
+    One floor division gives ``rest = t·N + src`` and ``dst = key -
+    rest·N``.  Sorted keys make ``t`` monotone, so ``t`` is a
+    ``searchsorted`` over the ``k·N²`` step boundaries expanded by
+    ``np.repeat``, and ``src = rest - t·N``: no ``divmod``, whose
+    int64 path is several times slower than ``//`` by a scalar.
+    """
+    src = keys // num_nodes
+    dst = src * num_nodes
+    np.subtract(keys, dst, out=dst)
+    if not keys.size:
+        return src, dst, np.zeros(0, dtype=np.int64)
+    per_step = num_nodes * num_nodes
+    steps = np.arange(int(keys[-1]) // per_step + 1, dtype=np.int64)
+    counts = np.diff(np.searchsorted(keys, steps * per_step), append=keys.size)
+    src -= np.repeat(steps * num_nodes, counts)
+    return src, dst, np.repeat(steps, counts)
 
 
 def _canonical_keys(src, dst, t, num_nodes: int) -> np.ndarray:
@@ -315,48 +330,6 @@ class TemporalEdgeStore:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_snapshots(
-        cls, snapshots: Sequence[GraphSnapshot]
-    ) -> "TemporalEdgeStore":
-        """Build the columnar store from a snapshot sequence.
-
-        Store-backed snapshots contribute their columns zero-copy;
-        dense snapshots are scanned once with ``np.nonzero``.
-        """
-        if not snapshots:
-            raise ValueError("need at least one snapshot")
-        n = snapshots[0].num_nodes
-        f = snapshots[0].num_attributes
-        t_len = len(snapshots)
-        srcs: List[np.ndarray] = []
-        dsts: List[np.ndarray] = []
-        ts: List[np.ndarray] = []
-        for t, snap in enumerate(snapshots):
-            edges = snap.edge_array()
-            # unvalidated dense snapshots may carry diagonal entries;
-            # the store's columns are loop-free by contract
-            edges = edges[edges[:, 0] != edges[:, 1]]
-            srcs.append(edges[:, 0])
-            dsts.append(edges[:, 1])
-            ts.append(np.full(len(edges), t, dtype=np.int64))
-        attrs = (
-            np.stack([np.asarray(s.attributes, dtype=np.float64)
-                      for s in snapshots])
-            if f
-            else np.zeros((t_len, n, 0))
-        )
-        return cls(
-            n,
-            t_len,
-            np.concatenate(srcs) if srcs else np.zeros(0, np.int64),
-            np.concatenate(dsts) if dsts else np.zeros(0, np.int64),
-            np.concatenate(ts) if ts else np.zeros(0, np.int64),
-            attrs,
-            validate=False,
-            canonical=True,  # per-snapshot nonzero is already (src, dst)-sorted
-        )
-
     def with_attributes(
         self, attributes: Optional[np.ndarray]
     ) -> "TemporalEdgeStore":
@@ -502,8 +475,10 @@ class TemporalEdgeStore:
     # ------------------------------------------------------------------
     # whole-graph views
     # ------------------------------------------------------------------
-    def snapshot(self, t: int) -> GraphSnapshot:
-        """Store-backed snapshot view of timestep ``t`` (no densify)."""
+    def snapshot(self, t: int):
+        """:class:`GraphSnapshot` view of timestep ``t`` (no densify)."""
+        from repro.graph.snapshot import GraphSnapshot
+
         self._check_t(t)
         return GraphSnapshot._from_store(self, t)
 

@@ -78,3 +78,12 @@ def store_digest(graph) -> str:
         h.update(f"{a.dtype}{a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def sampled_adjacency(sampler, s, rng) -> np.ndarray:
+    """Dense ``(N, N)`` 0/1 matrix of one ``sampler.sample_edges`` draw."""
+    n = np.shape(getattr(s, "data", s))[0]
+    src, dst = sampler.sample_edges(s, rng)
+    adj = np.zeros((n, n))
+    adj[src, dst] = 1.0
+    return adj

@@ -77,6 +77,5 @@ def test_continuation_matches_recorded_digests(fitted, prefix_len, horizon, seed
     future = continue_sequence(
         model, graph.truncated(prefix_len), horizon, seed=seed
     )
-    assert future.is_store_backed
     assert future.num_timesteps == horizon
     assert continuation_digests(future) == pin["digests"]

@@ -9,6 +9,8 @@ from repro.autodiff.tensor import Tensor
 from repro.core import VRDAG, VRDAGConfig
 from repro.core.generator import MixBernoulliSampler, prepare_decode
 
+from tests.conftest import sampled_adjacency
+
 
 @pytest.fixture
 def sampler():
@@ -37,7 +39,7 @@ def block_rows(monkeypatch):
 class TestFusedDecodeParity:
     def test_sample_matches_reference(self, sampler, states, block_rows):
         block_rows(5, 23)
-        blocked = sampler.sample(states, np.random.default_rng(7))
+        blocked = sampled_adjacency(sampler, states, np.random.default_rng(7))
         ref = sampler._reference_sample(states, np.random.default_rng(7))
         np.testing.assert_array_equal(blocked, ref)
 
@@ -53,9 +55,9 @@ class TestFusedDecodeParity:
 
     def test_blocking_is_invisible(self, sampler, states, block_rows):
         block_rows(23, 23)  # budget N²: one whole-matrix block
-        whole = sampler.sample(states, np.random.default_rng(9))
+        whole = sampled_adjacency(sampler, states, np.random.default_rng(9))
         block_rows(3, 23)
-        blocked = sampler.sample(states, np.random.default_rng(9))
+        blocked = sampled_adjacency(sampler, states, np.random.default_rng(9))
         np.testing.assert_array_equal(whole, blocked)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -65,7 +67,7 @@ class TestFusedDecodeParity:
         )
         s = Tensor(rng.normal(size=(11, 8)))
         block_rows(4, 11)
-        blocked = sampler.sample(s, np.random.default_rng(1))
+        blocked = sampled_adjacency(sampler, s, np.random.default_rng(1))
         ref = sampler._reference_sample(s, np.random.default_rng(1))
         np.testing.assert_array_equal(blocked, ref)
 
@@ -82,7 +84,7 @@ class TestFusedDecodeParity:
 
     def test_single_node(self, sampler):
         s = Tensor(np.zeros((1, 12)))
-        adj = sampler.sample(s, np.random.default_rng(0))
+        adj = sampled_adjacency(sampler, s, np.random.default_rng(0))
         assert adj.shape == (1, 1) and adj[0, 0] == 0.0
 
     def test_pooled_alpha_fallback_agrees(self, states, block_rows):
@@ -124,7 +126,7 @@ class TestNoGradFastPath:
         self, monkeypatch, sampler, states
     ):
         created = self._spy_on_ops(monkeypatch)
-        sampler.sample(states, np.random.default_rng(0))
+        sampled_adjacency(sampler, states, np.random.default_rng(0))
         assert created == []
 
     def test_edge_probabilities_create_no_autodiff_ops(
@@ -183,6 +185,6 @@ class TestNoGradFastPath:
         from repro.autodiff import Tape
 
         with Tape() as tape:
-            sampler.sample(states, np.random.default_rng(0))
+            sampled_adjacency(sampler, states, np.random.default_rng(0))
             sampler.edge_probabilities(states)
         assert len(tape) == 0

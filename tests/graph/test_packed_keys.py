@@ -17,6 +17,8 @@ from repro.graph.store import (
     TemporalEdgeStore,
     TemporalEdgeStoreBuilder,
     _canonicalize_columns,
+    _pack_keys,
+    _unpack_keys,
     merge_canonical_runs,
 )
 from repro.graph.streams import StreamingStoreBuilder
@@ -94,6 +96,42 @@ class TestKeyedCanonicalization:
         got = _canonicalize_columns(src, dst, step, 25)
         assert_columns_equal(got, lexsort_canonical(src, dst, step, 25))
         assert (got[2] == step).all()
+
+
+def two_divmod_unpack(keys, num_nodes):
+    """Reference: split ``dst`` then ``src`` off with two ``divmod``."""
+    rest, dst = np.divmod(keys, num_nodes)
+    t, src = np.divmod(rest, num_nodes)
+    return src, dst, t
+
+
+class TestUnpackKeys:
+    """``t`` comes from step boundaries of the sorted keys, not a second
+    ``divmod``; the columns must not change by a bit."""
+
+    @pytest.mark.parametrize("n", [1, 9])
+    @pytest.mark.parametrize(
+        "steps",
+        [[], [0], [4], [0, 3, 7], [1, 2, 5, 6]],
+        ids=["no-keys", "single-step", "single-late-step", "empty-gaps",
+             "empty-first-step"],
+    )
+    def test_matches_two_divmod_reference(self, n, steps):
+        rng = np.random.default_rng(n * 10 + len(steps))
+        keys = np.unique(np.concatenate([np.zeros(0, np.int64)] + [
+            _pack_keys(rng.integers(0, n, 60), rng.integers(0, n, 60), t, n)
+            for t in steps
+        ]))
+        got = _unpack_keys(keys, n)
+        assert_columns_equal(got, two_divmod_unpack(keys, n))
+        assert sorted(set(got[2].tolist())) == steps
+
+    def test_largest_keys(self):
+        n = MAX_N
+        keys = np.array([1, n - 1, n * (n - 1), n * n - 1], dtype=np.int64)
+        assert_columns_equal(
+            _unpack_keys(keys, n), two_divmod_unpack(keys, n)
+        )
 
 
 class TestMergeAgainstReference:

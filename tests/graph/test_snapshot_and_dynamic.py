@@ -60,23 +60,21 @@ class TestGraphSnapshot:
         with pytest.raises(ValueError):
             GraphSnapshot(np.zeros((3, 3)), np.zeros((4, 2)))
 
-    def test_validate_false_skips_checks(self):
-        adj = np.zeros((3, 3))
-        adj[0, 1] = 0.7
-        snap = GraphSnapshot(adj, validate=False)  # no raise
-        assert snap.num_nodes == 3
+    def test_dense_input_is_not_retained(self):
+        adj = make_adj(3, [(0, 1)])
+        attrs = np.ones((3, 2))
+        snap = GraphSnapshot(adj, attrs)
+        adj[1, 2] = 1.0
+        assert snap.num_edges == 1
+        assert snap.edges() == [(0, 1)]
+        assert not np.shares_memory(snap.adjacency, adj)
+        assert not snap.adjacency.flags.writeable
 
     def test_undirected_adjacency_symmetric(self):
         snap = GraphSnapshot(make_adj(3, [(0, 1)]))
         sym = snap.undirected_adjacency()
         np.testing.assert_array_equal(sym, sym.T)
         assert sym[0, 1] == sym[1, 0] == 1.0
-
-    def test_copy_independent(self):
-        snap = GraphSnapshot(make_adj(3, [(0, 1)]), np.ones((3, 2)))
-        dup = snap.copy()
-        dup.adjacency[0, 1] = 0.0
-        assert snap.adjacency[0, 1] == 1.0
 
     def test_equality(self):
         a = GraphSnapshot(make_adj(3, [(0, 1)]))
@@ -154,5 +152,21 @@ class TestDynamicAttributedGraph:
 
     def test_copy_independent(self, tiny_graph):
         dup = tiny_graph.copy()
-        dup[0].adjacency[:] = 0
-        assert tiny_graph[0].num_edges > 0
+        assert dup == tiny_graph
+        assert not np.shares_memory(dup.store.src, tiny_graph.store.src)
+        assert not np.shares_memory(
+            dup.store.attributes, tiny_graph.store.attributes
+        )
+
+    def test_snapshot_list_concatenates_into_one_store(self, tiny_graph):
+        steps = [tiny_graph[2], GraphSnapshot(make_adj(16, [(3, 4)]),
+                                              np.zeros((16, 2))),
+                 tiny_graph[0]]
+        graph = DynamicAttributedGraph(steps)
+        assert graph.store.num_timesteps == 3
+        np.testing.assert_array_equal(
+            graph.store.edges_per_step(),
+            [tiny_graph[2].num_edges, 1, tiny_graph[0].num_edges],
+        )
+        for got, want in zip(graph, steps):
+            assert got == want

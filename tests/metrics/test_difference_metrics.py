@@ -19,7 +19,7 @@ def two_step_graph(adj1, adj2, x1=None, x2=None):
 
 class TestStructureDifference:
     def test_static_sequence_zero(self, tiny_snapshot):
-        g = DynamicAttributedGraph([tiny_snapshot.copy(), tiny_snapshot.copy()])
+        g = DynamicAttributedGraph([tiny_snapshot, tiny_snapshot])
         for metric in ("degree", "clustering", "coreness"):
             np.testing.assert_allclose(
                 structure_difference_series(g, metric), 0.0

@@ -19,7 +19,7 @@ def graph_from_attrs(attr_list, adj=None):
     if adj is None:
         adj = np.zeros((n, n))
     return DynamicAttributedGraph(
-        [GraphSnapshot(adj, x, validate=False) for x in attr_list]
+        [GraphSnapshot(adj, x) for x in attr_list]
     )
 
 

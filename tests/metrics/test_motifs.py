@@ -121,7 +121,7 @@ class TestMotifSeries:
 
     def test_persistence_probabilities(self):
         s = snapshot_from_edges(4, [(0, 1), (1, 2), (2, 0)])
-        g = DynamicAttributedGraph([s, s.copy(), s.copy()])
+        g = DynamicAttributedGraph([s, s, s])
         pers = motif_persistence(g)
         assert pers["030C"] == 1.0
         assert np.isnan(pers["300"])  # class never observed

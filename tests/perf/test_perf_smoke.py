@@ -62,7 +62,7 @@ class TestPerfSmoke:
         sampler = MixBernoulliSampler(16, num_components=3, rng=rng)
         s = Tensor(rng.normal(size=(48, 16)))
         _assert_not_slower(
-            lambda: sampler.sample(s, np.random.default_rng(2)),
+            lambda: sampler.sample_edges(s, np.random.default_rng(2)),
             lambda: sampler._reference_sample(s, np.random.default_rng(2)),
         )
 

@@ -113,16 +113,14 @@ class TestAnalytics:
 
 
 class TestDenseBackedAnalytics:
-    """Dense-backed graphs (``load_dataset`` output) answer analytics
-    from store plans: one build per timestep, not an ``np.nonzero``
-    rescan per query."""
+    """Analytics answer from store plans: one build per timestep, not
+    an ``np.nonzero`` rescan per query."""
 
     def test_triangle_count_builds_one_plan_per_step(self):
         from repro.graph import properties as props
         from repro.workloads import Query, QueryKind, run_queries_batched
 
         graph = build_graph()
-        assert not graph.is_store_backed
         engine = GraphQueryEngine(graph)
         queries = [Query(QueryKind.TRIANGLE_COUNT, 0, ())] * 50
         cards, _ = run_queries_batched(engine, queries)
@@ -131,25 +129,6 @@ class TestDenseBackedAnalytics:
             assert engine.triangle_count(0) == 1
         stats = engine.plans.stats()
         assert stats.misses == 1 and stats.hits == 50
-
-    def test_degree_topk_ranks_loop_free_degrees(self):
-        """An unvalidated dense snapshot may carry diagonal entries;
-        ``degree_topk`` ranks by the store's loop-free degrees, the
-        same edges ``out_neighbors`` returns."""
-        adj = np.zeros((4, 4))
-        for u, v in [(0, 1), (0, 2), (1, 2), (3, 3), (3, 1)]:
-            adj[u, v] = 1.0
-        graph = DynamicAttributedGraph(
-            [GraphSnapshot(adj, None, validate=False)]
-        )
-        engine = GraphQueryEngine(graph)
-        by_neighbors = sorted(
-            range(4), key=lambda v: (-len(engine.out_neighbors(v, 0)), v)
-        )
-        assert engine.degree_topk(0, 4) == by_neighbors == [0, 1, 3, 2]
-        # the dense snapshot counts the self-loop: node 3 ties node 0
-        offsets, ids = engine._reference_batch_degree_topk([0], [4])
-        assert ids.tolist() == [0, 3, 1, 2]
 
 
 class TestTemporal:
