@@ -45,7 +45,6 @@ from repro.graph import properties as graph_props
 from repro.graph.dynamic import DynamicAttributedGraph
 from repro.graph.sparse import SparseDirectedGraph
 from repro.graph.store import TemporalEdgeStore
-from repro.graph.temporal import TemporalEdgeList
 from repro.profiling import best_of as _best_of, profiler
 
 
@@ -56,17 +55,16 @@ def _random_sparse_graph(
     return SparseDirectedGraph(n, rng.integers(0, n, size=(e, 2)))
 
 
-def _random_stream(n: int, e: int, t_len: int, seed: int) -> TemporalEdgeList:
+def _random_store(n: int, e: int, t_len: int, seed: int) -> TemporalEdgeStore:
+    """Store of ``e`` uniform ``(src, dst, t)`` draws (loops and
+    duplicate draws collapse)."""
     rng = np.random.default_rng(seed)
-    tel = TemporalEdgeList(n, t_len)
-    for u, v, t in zip(
+    return TemporalEdgeStore(
+        n, t_len,
         rng.integers(0, n, size=e),
         rng.integers(0, n, size=e),
         rng.integers(0, t_len, size=e),
-    ):
-        if u != v:
-            tel.add(int(u), int(v), int(t))
-    return tel
+    )
 
 
 def _table1_events(quick: bool, seed: int) -> tuple:
@@ -145,8 +143,8 @@ def bench_kernels(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
     }
 
     # batched temporal walk sampling (Fig. 9 baseline hot path)
-    stream = _random_stream(max(n_graph // 4, 20), e_graph, 10, seed=3)
-    sam = TemporalWalkSampler(stream, time_window=2, seed=0)
+    walk_store = _random_store(max(n_graph // 4, 20), e_graph, 10, seed=3)
+    sam = TemporalWalkSampler(walk_store, time_window=2, seed=0)
 
     def scalar_walks() -> list:
         walks = []
@@ -158,7 +156,7 @@ def bench_kernels(quick: bool, repeats: int) -> Dict[str, Dict[str, float]]:
 
     out["walks.sample_walks"] = {
         "n": n_walks,
-        "edges": len(list(stream)),
+        "edges": walk_store.num_edges,
         "reference_s": _best_of(scalar_walks, repeats),
         "vectorized_s": _best_of(
             lambda: sam.sample_walks(n_walks, walk_len), repeats

@@ -34,7 +34,6 @@ from repro.baselines.walks import (
     merge_walks_into_graph,
 )
 from repro.graph import DynamicAttributedGraph
-from repro.graph.temporal import TemporalEdgeList
 from repro.nn import Adam, MLP
 
 _WALK_FEATURES = 5
@@ -96,11 +95,10 @@ class TGGAN(GraphGenerator):
         self._num_timesteps = graph.num_timesteps
         self._num_attrs = graph.num_attributes
         self._edges_per_step = graph.store.edges_per_step().tolist()
-        stream = TemporalEdgeList.from_dynamic_graph(graph)
         sampler = TemporalWalkSampler(
-            stream, time_window=self.time_window, seed=self.seed
+            graph.store, time_window=self.time_window, seed=self.seed
         )
-        n_walks = int(self.walks_per_edge * max(len(stream), 1))
+        n_walks = int(self.walks_per_edge * max(graph.store.num_edges, 1))
         real_walks = sampler.sample_walks(n_walks, self.walk_length)
         self._init_generator(real_walks)
         self._discriminator = MLP(

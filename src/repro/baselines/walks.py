@@ -9,8 +9,8 @@ keeping the most frequent edges per timestep until the target density
 is met — the expensive assembly step the paper's efficiency evaluation
 highlights.
 
-The sampler consumes the :class:`TemporalEdgeList` columns zero-copy
-(``edges.arrays()``), and merging emits edge lists straight into a
+The sampler reads a :class:`~repro.graph.store.TemporalEdgeStore`'s
+``(src, dst, t)`` columns, and merging emits edge lists straight into a
 :class:`~repro.graph.store.TemporalEdgeStoreBuilder` — no dense
 ``(N, N)`` matrices anywhere on the walk-baseline fit/generate path.
 """
@@ -23,16 +23,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph import DynamicAttributedGraph
-from repro.graph.store import TemporalEdgeStoreBuilder
-from repro.graph.temporal import TemporalEdgeList
+from repro.graph.store import TemporalEdgeStore, TemporalEdgeStoreBuilder
 
 Walk = List[Tuple[int, int]]  # [(node, time), ...]
 
 
 class TemporalWalkSampler:
-    """Samples temporal random walks from an observed edge stream.
+    """Samples temporal random walks from an observed edge store.
 
-    The symmetrized stream is stored as flat arrays sorted by
+    The symmetrized edges are stored as flat arrays sorted by
     ``(node, time)``; a walk step for *all* active walks at once then
     reduces to two ``searchsorted`` calls (the per-walk candidate window
     ``|t' - t| <= w`` is a contiguous slice of each node's time-sorted
@@ -43,22 +42,18 @@ class TemporalWalkSampler:
 
     def __init__(
         self,
-        edges: TemporalEdgeList,
+        store: TemporalEdgeStore,
         time_window: int = 2,
         seed: int = 0,
     ):
-        self.edges = edges
+        self.store = store
         self.time_window = time_window
         self.rng = np.random.default_rng(seed)
         # scalar-reference structures, built lazily (see _scalar_index)
         self._adj: Optional[Dict[int, List[Tuple[int, int]]]] = None
         self._starts: Optional[List[Tuple[int, int]]] = None
-        # flat (node, time)-sorted arrays for the batched sampler,
-        # built zero-copy from the stream's columns; the snapshot is
-        # frozen here so both samplers see the same edge set even if
-        # the list is mutated later
-        e_src, e_dst, e_t = edges.arrays()
-        self._columns = (e_src, e_dst, e_t)
+        # flat (node, time)-sorted arrays for the batched sampler
+        e_src, e_dst, e_t = store.src, store.dst, store.t
         if e_src.size:
             src = np.concatenate([e_src, e_dst])
             dst = np.concatenate([e_dst, e_src])
@@ -83,18 +78,13 @@ class TemporalWalkSampler:
             self._start_t = np.zeros(0, dtype=np.int64)
 
     def _scalar_index(self) -> Tuple[Dict[int, List[Tuple[int, int]]], List[Tuple[int, int]]]:
-        """Per-edge Python structures for the reference scalar sampler.
-
-        Built from the columns frozen at construction time (not the
-        live edge list), so the scalar and batched paths stay
-        consistent by construction.
-        """
+        """Per-edge Python structures for the reference scalar sampler."""
         if self._adj is None:
             adj: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
             starts: List[Tuple[int, int]] = []
-            e_src, e_dst, e_t = self._columns
+            store = self.store
             for u, v, t in zip(
-                e_src.tolist(), e_dst.tolist(), e_t.tolist()
+                store.src.tolist(), store.dst.tolist(), store.t.tolist()
             ):
                 adj[u].append((v, t))
                 adj[v].append((u, t))

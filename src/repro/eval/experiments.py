@@ -23,8 +23,7 @@ from repro.eval.harness import (
     make_vrdag,
     timed_fit_generate,
 )
-from repro.graph import DynamicAttributedGraph
-from repro.graph.temporal import TemporalEdgeList
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStore
 from repro.metrics import (
     attribute_emd,
     attribute_jsd,
@@ -220,18 +219,26 @@ def run_scalability_sweep(
 
     Mirrors Tables III/IV at reduced absolute sizes (the paper sweeps
     1k→500k on native code; we sweep a geometric range with the same
-    relative span semantics).
+    relative span semantics).  Each subgraph keeps a uniform draw of
+    ``count`` rows of the base store's columns (all of them when the
+    store has fewer) and every node's attributes; sorted row indices
+    keep the columns canonical.
     """
-    base = load_dataset(dataset, scale=scale, seed=seed)
-    stream = TemporalEdgeList.from_dynamic_graph(base)
+    store = load_dataset(dataset, scale=scale, seed=seed).store
     rng = np.random.default_rng(seed)
     registry = default_generators(seed=seed, epochs=epochs)
     methods = list(methods or ["TagGen", "TGGAN", "TIGGER", "VRDAG"])
     out: Dict[str, Dict[int, Dict[str, float]]] = {m: {} for m in methods}
-    attrs = base.attribute_tensor()
     for count in edge_counts:
         with profiler.timer("experiments.scalability.subsample"):
-            sub = stream.subsample(count, rng).to_dynamic_graph(attributes=attrs)
+            rows = slice(None) if store.num_edges <= count else np.sort(
+                rng.choice(store.num_edges, size=count, replace=False)
+            )
+            sub = DynamicAttributedGraph.from_store(TemporalEdgeStore(
+                store.num_nodes, store.num_timesteps, store.src[rows],
+                store.dst[rows], store.t[rows], store.attributes,
+                canonical=True,
+            ))
         for name in methods:
             run = timed_fit_generate(
                 name, registry[name].factory(), sub, seed=seed + 1

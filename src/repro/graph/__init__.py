@@ -7,16 +7,14 @@ Canonically it is stored *columnar*:
 * :class:`TemporalEdgeStore` — the canonical representation: shared
   ``(src, dst, t)`` int columns sorted by ``(t, src, dst)``,
   per-timestep offsets, one ``(T, N, F)`` attribute block.  O(M + N·F·T)
-  memory instead of O(N²·T).
+  memory instead of O(N²·T).  The random-walk baselines, the CSV edge
+  files and the scalability subsampler read its columns directly.
 * :class:`GraphSnapshot` — one timestep: a cheap ``(store, t)`` view.
   ``adjacency`` is a lazily-materialized, cached, read-only dense
   view; ``GraphSnapshot(adjacency, attributes)`` converts outside
   dense input to a one-step store.
 * :class:`DynamicAttributedGraph` — the sequence, with statistics and
   validation; always wraps one store.
-* :class:`TemporalEdgeList` — the ``(u, v, t)`` stream (multiset) view
-  used by the random-walk baselines, with lossless conversion in both
-  directions.
 * :mod:`repro.graph.properties` — structural analytics (degrees,
   clustering, coreness, wedges, components, power-law exponents), all
   running on the CSR view.
@@ -36,7 +34,6 @@ from repro.graph.store import (
     track_dense_materializations,
 )
 from repro.graph.dynamic import DynamicAttributedGraph
-from repro.graph.temporal import TemporalEdgeList
 from repro.graph.streams import InteractionStream
 from repro.graph.live import LiveStoreBuilder
 from repro.graph import properties, io, live, store, streams, formats
@@ -46,7 +43,6 @@ __all__ = [
     "DynamicAttributedGraph",
     "TemporalEdgeStore",
     "TemporalEdgeStoreBuilder",
-    "TemporalEdgeList",
     "InteractionStream",
     "LiveStoreBuilder",
     "track_dense_materializations",

@@ -5,9 +5,9 @@ opaque; real dataset exchange (SNAP dumps, database exports, the
 DBMS-benchmarking use case of §I) happens in delimited text.  This
 module reads and writes the two standard shapes:
 
-* **Edge stream CSV** — one row per temporal edge: ``src,dst,t``
-  (integer timesteps, the :class:`~repro.graph.temporal.TemporalEdgeList`
-  view) via :func:`read_edge_csv` / :func:`write_edge_csv`, or
+* **Edge CSV** — one row per temporal edge: ``src,dst,t`` (integer
+  timesteps, the columns of a :class:`~repro.graph.store.TemporalEdgeStore`)
+  via :func:`read_edge_csv` / :func:`write_edge_csv`, or
   ``src,dst,time`` with float timestamps (the
   :class:`~repro.graph.streams.InteractionStream` view) via
   :func:`read_event_csv` / :func:`write_event_csv`.
@@ -28,8 +28,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph.dynamic import DynamicAttributedGraph
+from repro.graph.store import TemporalEdgeStore
 from repro.graph.streams import InteractionStream
-from repro.graph.temporal import TemporalEdgeList
 
 PathLike = Union[str, os.PathLike]
 
@@ -44,25 +44,28 @@ def _parse_error(path: PathLike, line_no: int, message: str) -> ValueError:
 # ----------------------------------------------------------------------
 # integer-timestep edge streams
 # ----------------------------------------------------------------------
-def write_edge_csv(edges: TemporalEdgeList, path: PathLike) -> None:
-    """Write a temporal edge list as ``src,dst,t`` rows with a header."""
+def write_edge_csv(store: TemporalEdgeStore, path: PathLike) -> None:
+    """Write a store's edges as ``src,dst,t`` rows with a header."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_EDGE_HEADER)
-        for u, v, t in edges:
-            writer.writerow([u, v, t])
+        writer.writerows(
+            zip(store.src.tolist(), store.dst.tolist(), store.t.tolist())
+        )
 
 
 def read_edge_csv(
     path: PathLike,
     num_nodes: Optional[int] = None,
     num_timesteps: Optional[int] = None,
-) -> TemporalEdgeList:
-    """Read ``src,dst,t`` rows into a :class:`TemporalEdgeList`.
+) -> TemporalEdgeStore:
+    """Read ``src,dst,t`` rows into a :class:`TemporalEdgeStore`.
 
+    Duplicate rows collapse and self-loop rows drop, as in every store.
     ``num_nodes`` / ``num_timesteps`` default to one past the maximum
     observed ids; pass them explicitly to pin the universe (required
-    when isolated trailing nodes/timesteps matter).
+    when isolated trailing nodes/timesteps matter).  A row outside a
+    pinned universe fails with its line number.
     """
     rows: List[Tuple[int, int, int]] = []
     with open(path, newline="") as fh:
@@ -85,16 +88,26 @@ def read_edge_csv(
                 raise _parse_error(path, line_no, f"non-integer field in {row}")
             if min(u, v, t) < 0:
                 raise _parse_error(path, line_no, "negative id or timestep")
+            if num_nodes is not None and max(u, v) >= num_nodes:
+                raise _parse_error(
+                    path, line_no, f"node id out of range 0..{num_nodes - 1}"
+                )
+            if num_timesteps is not None and t >= num_timesteps:
+                raise _parse_error(
+                    path, line_no,
+                    f"timestep {t} out of range 0..{num_timesteps - 1}",
+                )
             rows.append((u, v, t))
+    cols = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
     n = num_nodes if num_nodes is not None else (
-        max((max(u, v) for u, v, _ in rows), default=-1) + 1
+        int(cols[:, :2].max()) + 1 if rows else 0
     )
     t_len = num_timesteps if num_timesteps is not None else (
-        max((t for _, _, t in rows), default=-1) + 1
+        int(cols[:, 2].max()) + 1 if rows else 0
     )
     if n <= 0 or t_len <= 0:
         raise ValueError(f"{os.fspath(path)}: no edges and no explicit universe")
-    return TemporalEdgeList(n, t_len, rows)
+    return TemporalEdgeStore(n, t_len, cols[:, 0], cols[:, 1], cols[:, 2])
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +225,7 @@ def export_graph_csv(
     graph: DynamicAttributedGraph, edge_path: PathLike, attr_path: PathLike
 ) -> None:
     """Write a dynamic attributed graph as an edge CSV + attribute CSV."""
-    write_edge_csv(TemporalEdgeList.from_dynamic_graph(graph), edge_path)
+    write_edge_csv(graph.store, edge_path)
     write_attribute_csv(graph, attr_path)
 
 
@@ -231,5 +244,5 @@ def import_graph_csv(
     if attrs is not None:
         num_timesteps = num_timesteps or attrs.shape[0]
         num_nodes = num_nodes or attrs.shape[1]
-    edges = read_edge_csv(edge_path, num_nodes=num_nodes, num_timesteps=num_timesteps)
-    return edges.to_dynamic_graph(attributes=attrs)
+    store = read_edge_csv(edge_path, num_nodes=num_nodes, num_timesteps=num_timesteps)
+    return DynamicAttributedGraph.from_store(store.with_attributes(attrs))

@@ -67,11 +67,23 @@ def dedup_keys(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def split_keys(keys: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys // n, keys % n)`` of non-negative packed keys.
+
+    One floor division and an in-place subtraction: ``np.divmod``'s
+    int64 path costs several times more.
+    """
+    rows = keys // n
+    cols = rows * n
+    np.subtract(keys, cols, out=cols)
+    return rows, cols
+
+
 def csr_from_keys(
     keys: np.ndarray, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of sorted-unique packed ``row * n + col`` keys."""
-    rows, cols = np.divmod(keys, n)
+    rows, cols = split_keys(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr, cols
@@ -93,7 +105,7 @@ class SparseDirectedGraph:
         # is lexicographic (src, dst) order — exactly CSR order.
         edges = edges[edges[:, 0] != edges[:, 1]]
         keys = dedup_keys(edges[:, 0] * self.num_nodes + edges[:, 1])
-        self._edges = np.stack(np.divmod(keys, self.num_nodes), axis=1)
+        self._edges = np.stack(split_keys(keys, self.num_nodes), axis=1)
         counts = np.bincount(self._edges[:, 0], minlength=self.num_nodes)
         self._offsets = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]

@@ -59,7 +59,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.sparse import csr_from_keys, dedup_keys
+from repro.graph.sparse import csr_from_keys, dedup_keys, split_keys
 
 __all__ = [
     "TemporalEdgeStore",
@@ -161,15 +161,12 @@ def _unpack_keys(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(src, dst, t)`` int64 columns of *sorted* packed keys.
 
-    One floor division gives ``rest = t·N + src`` and ``dst = key -
-    rest·N``.  Sorted keys make ``t`` monotone, so ``t`` is a
+    One :func:`~repro.graph.sparse.split_keys` gives ``rest = t·N +
+    src`` and ``dst``.  Sorted keys make ``t`` monotone, so ``t`` is a
     ``searchsorted`` over the ``k·N²`` step boundaries expanded by
-    ``np.repeat``, and ``src = rest - t·N``: no ``divmod``, whose
-    int64 path is several times slower than ``//`` by a scalar.
+    ``np.repeat``, and ``src = rest - t·N``: no second division.
     """
-    src = keys // num_nodes
-    dst = src * num_nodes
-    np.subtract(keys, dst, out=dst)
+    src, dst = split_keys(keys, num_nodes)
     if not keys.size:
         return src, dst, np.zeros(0, dtype=np.int64)
     per_step = num_nodes * num_nodes

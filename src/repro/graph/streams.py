@@ -17,8 +17,7 @@ bridge:
   segmentation).
 * :func:`discretize` — apply a policy and produce a
   :class:`~repro.graph.dynamic.DynamicAttributedGraph` (structure only;
-  attach attributes separately) or a
-  :class:`~repro.graph.temporal.TemporalEdgeList`.
+  attach attributes separately).
 
 The inverse direction (snapshots back to a stream with synthetic
 within-window timestamps) is provided by :func:`to_stream`, which the
@@ -64,7 +63,6 @@ from repro.graph.store import (
     _pack_keys,
     _unpack_keys,
 )
-from repro.graph.temporal import TemporalEdgeList
 from repro.reliability import CheckpointError, fault_injector
 
 #: One timestamped directed interaction: (src, dst, time).
@@ -347,40 +345,6 @@ def discretize(
         attr = None if attributes is None else attributes[t]
         builder.add_step(pairs[:, 0], pairs[:, 1], attr)
     return DynamicAttributedGraph.from_store(builder.build())
-
-
-def discretize_to_edge_list(
-    stream: InteractionStream,
-    num_timesteps: int,
-    policy: DiscretizationPolicy = uniform_windows,
-) -> TemporalEdgeList:
-    """Bucket a stream into the integer-timestep edge-stream view."""
-    buckets = policy(stream, num_timesteps)
-    srcs, dsts, ts = [], [], []
-    for t, bucket in enumerate(buckets):
-        pairs = np.asarray(
-            [(u, v) for u, v, _ in bucket], dtype=np.int64
-        ).reshape(-1, 2)
-        if not len(pairs):
-            continue
-        # order-preserving per-bucket dedup: keep each pair's first
-        # occurrence (np.unique returns first indices on stable input)
-        keys = pairs[:, 0] * stream.num_nodes + pairs[:, 1]
-        _, first = np.unique(keys, return_index=True)
-        keep = np.sort(first)
-        srcs.append(pairs[keep, 0])
-        dsts.append(pairs[keep, 1])
-        ts.append(np.full(keep.size, t, dtype=np.int64))
-    if not srcs:
-        return TemporalEdgeList(stream.num_nodes, num_timesteps)
-    return TemporalEdgeList.from_arrays(
-        np.concatenate(srcs),
-        np.concatenate(dsts),
-        np.concatenate(ts),
-        stream.num_nodes,
-        num_timesteps,
-        copy=False,
-    )
 
 
 def to_stream(

@@ -8,19 +8,19 @@ from repro.baselines.walks import (
     merge_walks_into_graph,
     walk_transition_counts,
 )
-from repro.graph import TemporalEdgeList
+from repro.graph import TemporalEdgeStore
+
+
+EDGES = [
+    (0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 4, 1),
+    (4, 5, 2), (5, 0, 2), (0, 2, 3), (1, 3, 3),
+]
 
 
 @pytest.fixture
 def stream():
-    tel = TemporalEdgeList(6, 4)
-    edges = [
-        (0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 4, 1),
-        (4, 5, 2), (5, 0, 2), (0, 2, 3), (1, 3, 3),
-    ]
-    for e in edges:
-        tel.add(*e)
-    return tel
+    src, dst, t = zip(*EDGES)
+    return TemporalEdgeStore(6, 4, src, dst, t)
 
 
 class TestTemporalWalkSampler:
@@ -43,7 +43,7 @@ class TestTemporalWalkSampler:
         sampler = TemporalWalkSampler(stream, time_window=0, seed=0)
         # with window 0, each hop must be an edge at exactly that time
         sym_edges = set()
-        for u, v, t in stream:
+        for u, v, t in EDGES:
             sym_edges.add((u, v, t))
             sym_edges.add((v, u, t))
         for _ in range(50):
@@ -54,8 +54,7 @@ class TestTemporalWalkSampler:
                 assert (u, v, tv) in sym_edges
 
     def test_empty_stream(self):
-        tel = TemporalEdgeList(3, 2)
-        sampler = TemporalWalkSampler(tel, seed=0)
+        sampler = TemporalWalkSampler(TemporalEdgeStore(3, 2, [], [], []), seed=0)
         assert sampler.sample_walk(3) is None
         assert sampler.sample_walks(5, 3) == []
 

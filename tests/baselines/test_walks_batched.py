@@ -5,25 +5,26 @@ import numpy as np
 import pytest
 
 from repro.baselines.walks import TemporalWalkSampler
-from repro.graph import TemporalEdgeList
+from repro.graph import TemporalEdgeStore
 
 
-def _random_stream(seed: int, n: int = 20, e: int = 120, t_len: int = 6):
+def _random_store(seed: int, n: int = 20, e: int = 120, t_len: int = 6):
     rng = np.random.default_rng(seed)
-    tel = TemporalEdgeList(n, t_len)
-    for u, v, t in zip(
+    return TemporalEdgeStore(
+        n, t_len,
         rng.integers(0, n, size=e),
         rng.integers(0, n, size=e),
         rng.integers(0, t_len, size=e),
-    ):
-        if u != v:
-            tel.add(int(u), int(v), int(t))
-    return tel
+    )
+
+
+def _triples(store):
+    return zip(store.src.tolist(), store.dst.tolist(), store.t.tolist())
 
 
 @pytest.fixture
 def stream():
-    return _random_stream(0)
+    return _random_store(0)
 
 
 class TestBatchedSampler:
@@ -36,7 +37,7 @@ class TestBatchedSampler:
     def test_traverses_real_edges(self, stream):
         sampler = TemporalWalkSampler(stream, time_window=0, seed=1)
         sym = set()
-        for u, v, t in stream:
+        for u, v, t in _triples(stream):
             sym.add((u, v, t))
             sym.add((v, u, t))
         for walk in sampler.sample_walks(200, 5):
@@ -45,7 +46,7 @@ class TestBatchedSampler:
 
     def test_starts_are_stream_edges(self, stream):
         sampler = TemporalWalkSampler(stream, seed=2)
-        starts = {(u, t) for u, v, t in stream}
+        starts = {(u, t) for u, v, t in _triples(stream)}
         for walk in sampler.sample_walks(100, 4):
             assert walk[0] in starts
 
@@ -55,9 +56,13 @@ class TestBatchedSampler:
         assert walks
         assert all(2 <= len(w) <= 4 for w in walks)
 
+    def test_reads_store_columns_without_copy(self, stream):
+        sampler = TemporalWalkSampler(stream, seed=0)
+        assert np.shares_memory(sampler._start_u, stream.src)
+        assert np.shares_memory(sampler._start_t, stream.t)
+
     def test_empty_stream(self):
-        tel = TemporalEdgeList(3, 2)
-        sampler = TemporalWalkSampler(tel, seed=0)
+        sampler = TemporalWalkSampler(TemporalEdgeStore(3, 2, [], [], []), seed=0)
         assert sampler.sample_walks(10, 4) == []
         assert sampler.sample_walks(0, 4) == []
 
@@ -75,10 +80,8 @@ class TestBatchedSampler:
         """Batch and scalar samplers draw from the same walk process:
         on a tiny chain their supports (sets of distinct sampled
         walks) coincide once enough draws are taken."""
-        tel = TemporalEdgeList(4, 3)
-        for e in [(0, 1, 0), (1, 2, 1), (2, 3, 2)]:
-            tel.add(*e)
-        sampler = TemporalWalkSampler(tel, time_window=1, seed=0)
+        chain = TemporalEdgeStore(4, 3, [0, 1, 2], [1, 2, 3], [0, 1, 2])
+        sampler = TemporalWalkSampler(chain, time_window=1, seed=0)
         batch = {tuple(w) for w in sampler.sample_walks(400, 3)}
         scalar = set()
         for _ in range(400):

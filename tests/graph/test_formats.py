@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DynamicAttributedGraph, TemporalEdgeList
+from repro.graph import DynamicAttributedGraph, TemporalEdgeStore
 from repro.graph.formats import (
     export_graph_csv,
     import_graph_csv,
@@ -28,18 +28,22 @@ def sample_graph(seed=0, n=8, t=3, f=2):
     return DynamicAttributedGraph.from_tensors(adj, attrs)
 
 
+def edge_store(n, t_len, rows):
+    src, dst, t = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+    return TemporalEdgeStore(n, t_len, src, dst, t)
+
+
 class TestEdgeCsv:
     def test_round_trip(self, tmp_path):
-        tel = TemporalEdgeList(5, 3, [(0, 1, 0), (1, 2, 1), (4, 3, 2)])
+        store = edge_store(5, 3, [(0, 1, 0), (1, 2, 1), (4, 3, 2)])
         path = tmp_path / "edges.csv"
-        write_edge_csv(tel, path)
+        write_edge_csv(store, path)
         back = read_edge_csv(path, num_nodes=5, num_timesteps=3)
-        assert sorted(back.edges) == sorted(tel.edges)
+        assert back == store
 
     def test_universe_inferred(self, tmp_path):
-        tel = TemporalEdgeList(5, 3, [(0, 4, 2)])
         path = tmp_path / "edges.csv"
-        write_edge_csv(tel, path)
+        write_edge_csv(edge_store(5, 3, [(0, 4, 2)]), path)
         back = read_edge_csv(path)
         assert back.num_nodes == 5
         assert back.num_timesteps == 3
@@ -79,6 +83,41 @@ class TestEdgeCsv:
         path.write_text("src,dst,t\n")
         with pytest.raises(ValueError, match="universe"):
             read_edge_csv(path)
+
+    def test_no_edges_in_explicit_universe(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,t\n")
+        assert read_edge_csv(path, 4, 2) == edge_store(4, 2, [])
+
+    def test_node_outside_universe_names_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,t\n0,1,0\n1,2,0\n0,3,0\n")
+        with pytest.raises(ValueError, match=r"edges\.csv:4: node id"):
+            read_edge_csv(path, num_nodes=3)
+
+    def test_timestep_outside_universe_names_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,t\n0,1,0\n1,2,1\n")
+        with pytest.raises(ValueError, match=r"edges\.csv:3: timestep 1"):
+            read_edge_csv(path, num_timesteps=1)
+
+    def test_duplicates_collapse_and_loops_drop(self, tmp_path):
+        rows = [(0, 1, 0), (0, 1, 0), (2, 2, 1), (3, 1, 1),
+                (0, 1, 0), (1, 0, 2), (4, 4, 0), (3, 1, 1)]
+        path = tmp_path / "edges.csv"
+        path.write_text(
+            "src,dst,t\n" + "".join(f"{u},{v},{t}\n" for u, v, t in rows)
+        )
+        back = read_edge_csv(path)
+        assert back == edge_store(5, 3, rows)
+        assert back.num_edges == 3
+
+    def test_rows_written_in_canonical_order(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        write_edge_csv(edge_store(4, 2, [(3, 0, 1), (2, 1, 0), (0, 3, 1)]), path)
+        assert path.read_text().split() == [
+            "src,dst,t", "2,1,0", "0,3,1", "3,0,1"
+        ]
 
 
 class TestEventCsv:
@@ -140,10 +179,18 @@ class TestWholeGraph:
         back = import_graph_csv(edge_path, attr_path)
         assert back == g
 
+    def test_attribute_table_pins_edge_universe(self, tmp_path):
+        g = sample_graph(n=4, t=2)
+        edge_path, attr_path = tmp_path / "e.csv", tmp_path / "a.csv"
+        write_attribute_csv(g, attr_path)
+        edge_path.write_text("src,dst,t\n0,1,0\n2,4,1\n")
+        with pytest.raises(ValueError, match=r"e\.csv:3: node id"):
+            import_graph_csv(edge_path, attr_path)
+
     def test_import_structure_only(self, tmp_path):
         g = sample_graph(f=2)
         edge_path = tmp_path / "e.csv"
-        write_edge_csv(TemporalEdgeList.from_dynamic_graph(g), edge_path)
+        write_edge_csv(g.store, edge_path)
         back = import_graph_csv(
             edge_path, num_nodes=g.num_nodes, num_timesteps=g.num_timesteps
         )

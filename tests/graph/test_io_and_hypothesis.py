@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import DynamicAttributedGraph, GraphSnapshot, TemporalEdgeList
+from repro.graph import DynamicAttributedGraph, GraphSnapshot
 from repro.graph import io as graph_io
 
 
@@ -49,17 +49,9 @@ def random_dynamic_graph(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(random_dynamic_graph())
-def test_temporal_edge_list_roundtrip(graph):
-    tel = TemporalEdgeList.from_dynamic_graph(graph)
-    rebuilt = tel.to_dynamic_graph(attributes=graph.attribute_tensor())
-    assert rebuilt == graph
-
-
-@settings(max_examples=30, deadline=None)
-@given(random_dynamic_graph())
 def test_temporal_edge_count_invariant(graph):
-    tel = TemporalEdgeList.from_dynamic_graph(graph)
-    assert len(tel) == graph.num_temporal_edges
+    per_step = sum(snap.num_edges for snap in graph)
+    assert per_step == graph.num_temporal_edges == graph.store.num_edges
 
 
 @settings(max_examples=30, deadline=None)

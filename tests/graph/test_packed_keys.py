@@ -2,8 +2,9 @@
 
 Every producer canonicalizes raw events by packing them into int64
 keys, sorting and dropping adjacent duplicates.  These tests hold that
-path to a ``np.lexsort`` reference kept here, and pin the guard that
-rejects universes whose keys would overflow int64.
+path to a ``np.lexsort`` reference kept here, the key splits to
+``np.divmod``, and pin the guard that rejects universes whose keys
+would overflow int64.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.graph.live import LiveStoreBuilder
+from repro.graph.sparse import SparseDirectedGraph, csr_from_keys, split_keys
 from repro.graph.store import (
     TemporalEdgeStore,
     TemporalEdgeStoreBuilder,
@@ -132,6 +134,44 @@ class TestUnpackKeys:
         assert_columns_equal(
             _unpack_keys(keys, n), two_divmod_unpack(keys, n)
         )
+
+
+def divmod_csr(keys, n):
+    """Reference: ``np.divmod`` split plus a row-count ``indptr``."""
+    rows, cols = np.divmod(keys, n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr.astype(np.int64), cols
+
+
+class TestCsrFromKeys:
+    """The floor-division split equals ``np.divmod`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, keys",
+        [(5, []), (1, [0]), (9, [0, 8, 9, 40, 80]), (3037, [0, 3037**2 - 1])],
+        ids=["no-keys", "single-node", "small", "largest-key"],
+    )
+    def test_matches_divmod_reference(self, n, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        assert_columns_equal(csr_from_keys(keys, n), divmod_csr(keys, n))
+
+    def test_random_keys(self):
+        rng = np.random.default_rng(3)
+        n = 211
+        keys = np.unique(rng.integers(0, n * n, 5000))
+        assert_columns_equal(csr_from_keys(keys, n), divmod_csr(keys, n))
+
+    def test_sparse_graph_edges_match_divmod(self):
+        rng = np.random.default_rng(4)
+        n = 57
+        pairs = rng.integers(0, n, size=(3000, 2))
+        keys = np.unique(pairs[pairs[:, 0] != pairs[:, 1]] @ [n, 1])
+        got = SparseDirectedGraph(n, pairs).edge_array()
+        np.testing.assert_array_equal(got, np.stack(np.divmod(keys, n), 1))
+
+    def test_split_of_largest_int64_keys(self):
+        keys = np.array([0, MAX_N - 1, MAX_N * MAX_N - 1], dtype=np.int64)
+        assert_columns_equal(split_keys(keys, MAX_N), np.divmod(keys, MAX_N))
 
 
 class TestMergeAgainstReference:

@@ -1,6 +1,6 @@
 """Round-trip and contract tests for the columnar temporal edge store.
 
-Covers the dense ↔ store ↔ stream bridges on the awkward shapes —
+Covers the dense ↔ store bridges on the awkward shapes —
 empty graphs, attribute-less graphs (F=0), single-timestep graphs,
 duplicate temporal edges — plus io persistence through the store and
 the dense-materialization accounting.
@@ -12,7 +12,6 @@ import pytest
 from repro.graph import (
     DynamicAttributedGraph,
     GraphSnapshot,
-    TemporalEdgeList,
     TemporalEdgeStore,
     TemporalEdgeStoreBuilder,
     io as graph_io,
@@ -45,6 +44,10 @@ class TestTemporalEdgeStore:
             make_store([(0, 9, 0)])
         with pytest.raises(ValueError, match="out of range"):
             make_store([(0, 1, 7)])
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            TemporalEdgeStore(3, 1, [0, 1], [1], [0])
 
     def test_csr_and_degrees(self):
         store = make_store([(0, 1, 0), (0, 2, 0), (2, 1, 0)])
@@ -121,11 +124,6 @@ class TestRoundTrips:
             rebuilt.attribute_tensor(), tiny_graph.attribute_tensor()
         )
 
-    def test_store_stream_store(self, tiny_graph):
-        tel = TemporalEdgeList.from_dynamic_graph(tiny_graph)
-        back = tel.to_dynamic_graph(attributes=tiny_graph.attribute_tensor())
-        assert back == tiny_graph
-
     def test_empty_graph(self):
         graph = DynamicAttributedGraph(
             [GraphSnapshot(np.zeros((4, 4))) for _ in range(3)]
@@ -135,20 +133,12 @@ class TestRoundTrips:
         assert store.structural_nbytes() < 100
         rebuilt = DynamicAttributedGraph.from_store(store)
         assert rebuilt == graph
-        tel = TemporalEdgeList.from_dynamic_graph(graph)
-        assert len(tel) == 0
-        assert tel.to_dynamic_graph() == graph
 
     def test_attribute_less_graph(self, structure_only_graph):
         store = structure_only_graph.store
         assert store.num_attributes == 0
         rebuilt = DynamicAttributedGraph.from_store(store)
         assert rebuilt == structure_only_graph
-        tel = TemporalEdgeList.from_dynamic_graph(structure_only_graph)
-        np.testing.assert_array_equal(
-            tel.to_dynamic_graph().adjacency_tensor(),
-            structure_only_graph.adjacency_tensor(),
-        )
 
     def test_single_timestep_graph(self):
         adj = np.zeros((3, 3))
@@ -157,13 +147,6 @@ class TestRoundTrips:
         store = graph.store
         assert store.num_timesteps == 1
         assert DynamicAttributedGraph.from_store(store) == graph
-
-    def test_duplicate_temporal_edges_collapse_into_store(self):
-        tel = TemporalEdgeList(4, 2, [(0, 1, 0)] * 5 + [(1, 2, 1)])
-        assert len(tel) == 6  # the stream keeps multiplicity...
-        graph = tel.to_dynamic_graph()
-        assert graph.num_temporal_edges == 2  # ...the store collapses it
-        assert graph[0].num_edges == 1
 
     def test_io_round_trip_through_store(self, tmp_path, tiny_graph):
         path = tmp_path / "g.npz"
@@ -238,36 +221,3 @@ class TestStoreBackedViews:
         assert np.shares_memory(
             graph.attribute_tensor(), graph.store.attributes
         )
-
-
-class TestFromArrays:
-    def test_bulk_ingestion_matches_per_edge_add(self):
-        rng = np.random.default_rng(3)
-        src = rng.integers(0, 20, size=200)
-        dst = rng.integers(0, 20, size=200)
-        t = rng.integers(0, 6, size=200)
-        bulk = TemporalEdgeList.from_arrays(src, dst, t, 20, 6)
-        loop = TemporalEdgeList(20, 6)
-        for u, v, tt in zip(src, dst, t):
-            if u != v:
-                loop.add(int(u), int(v), int(tt))
-        assert bulk.edges == loop.edges
-
-    def test_infers_universe(self):
-        tel = TemporalEdgeList.from_arrays([0, 4], [1, 2], [0, 3])
-        assert tel.num_nodes == 5
-        assert tel.num_timesteps == 4
-
-    def test_validates_ranges(self):
-        with pytest.raises(ValueError, match="out of range"):
-            TemporalEdgeList.from_arrays([0], [7], [0], num_nodes=3)
-        with pytest.raises(ValueError, match="out of range"):
-            TemporalEdgeList.from_arrays([0], [1], [9], 3, 2)
-        with pytest.raises(ValueError, match="lengths"):
-            TemporalEdgeList.from_arrays([0, 1], [1], [0])
-
-    def test_drops_self_loops_keeps_order(self):
-        tel = TemporalEdgeList.from_arrays(
-            [3, 1, 0], [3, 0, 2], [0, 1, 0], 4, 2
-        )
-        assert tel.edges == [(1, 0, 1), (0, 2, 0)]

@@ -11,7 +11,6 @@ from repro.graph import DynamicAttributedGraph, GraphSnapshot
 from repro.graph.streams import (
     InteractionStream,
     discretize,
-    discretize_to_edge_list,
     equal_count_windows,
     session_windows,
     snapshot_density_profile,
@@ -223,11 +222,6 @@ class TestDiscretize:
 
         with pytest.raises(ValueError, match="buckets"):
             discretize(simple_stream(), 3, broken)
-
-    def test_discretize_to_edge_list_dedupes(self):
-        s = InteractionStream(3, [(0, 1, 0.1), (0, 1, 0.2)])
-        tel = discretize_to_edge_list(s, 1)
-        assert len(tel) == 1
 
 
 class TestToStream:

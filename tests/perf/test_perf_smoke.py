@@ -16,8 +16,8 @@ import pytest
 from repro.autodiff.tensor import Tensor
 from repro.baselines.walks import TemporalWalkSampler
 from repro.core.generator import MixBernoulliSampler
-from repro.graph import TemporalEdgeList
 from repro.graph.sparse import SparseDirectedGraph
+from repro.graph.store import TemporalEdgeStore
 from repro.profiling import best_of as _best_of
 
 #: vectorized may be at most this multiple of the reference wall-clock
@@ -68,15 +68,13 @@ class TestPerfSmoke:
 
     def test_walks(self):
         rng = np.random.default_rng(2)
-        tel = TemporalEdgeList(40, 8)
-        for u, v, t in zip(
+        store = TemporalEdgeStore(
+            40, 8,
             rng.integers(0, 40, size=400),
             rng.integers(0, 40, size=400),
             rng.integers(0, 8, size=400),
-        ):
-            if u != v:
-                tel.add(int(u), int(v), int(t))
-        sampler = TemporalWalkSampler(tel, time_window=2, seed=0)
+        )
+        sampler = TemporalWalkSampler(store, time_window=2, seed=0)
 
         def scalar():
             out = []
@@ -90,7 +88,6 @@ class TestPerfSmoke:
 
     def test_batched_queries(self):
         from repro.graph import DynamicAttributedGraph
-        from repro.graph.store import TemporalEdgeStore
         from repro.workloads import (
             GraphQueryEngine,
             WorkloadConfig,
@@ -122,7 +119,6 @@ class TestPerfSmoke:
 
     def test_batched_traversals(self):
         from repro.graph import DynamicAttributedGraph
-        from repro.graph.store import TemporalEdgeStore
         from repro.workloads import GraphQueryEngine
 
         rng = np.random.default_rng(4)
@@ -155,7 +151,6 @@ class TestPerfSmoke:
 
     def test_batched_analytics(self):
         from repro.graph import DynamicAttributedGraph
-        from repro.graph.store import TemporalEdgeStore
         from repro.workloads import (
             GraphQueryEngine,
             QueryKind,
