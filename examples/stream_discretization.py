@@ -30,15 +30,18 @@ def build_bursty_stream(
 ) -> InteractionStream:
     """Three activity bursts with quiet gaps — email-like traffic."""
     rng = np.random.default_rng(seed)
-    events = []
+    src, dst, time = [], [], []
     for burst_start in (0.0, 40.0, 47.0):
         times = burst_start + rng.exponential(0.08, size=burst_size).cumsum()
         hubs = rng.integers(0, 8, size=len(times))  # heavy-tailed senders
         dsts = rng.integers(0, n, size=len(times))
-        for t, u, v in zip(times, hubs, dsts):
-            if u != v:
-                events.append((int(u), int(v), float(t)))
-    return InteractionStream(n, events)
+        keep = hubs != dsts
+        src.append(hubs[keep])
+        dst.append(dsts[keep])
+        time.append(times[keep])
+    return InteractionStream(
+        n, np.concatenate(src), np.concatenate(dst), np.concatenate(time)
+    )
 
 
 def main(tiny: bool = False) -> None:

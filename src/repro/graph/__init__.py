@@ -18,13 +18,15 @@ Canonically it is stored *columnar*:
 * :mod:`repro.graph.properties` — structural analytics (degrees,
   clustering, coreness, wedges, components, power-law exponents), all
   running on the CSR view.
-* :mod:`repro.graph.streams` — continuous-time interaction streams and
-  snapshot discretization policies.
+* :mod:`repro.graph.streams` — continuous-time interaction streams
+  (``src``/``dst``/``time`` columns), discretization policies that
+  return one bucket id per event, and bounded-memory ingestion.
 * :mod:`repro.graph.live` — live ingestion with epoch-consistent
   near-zero-copy snapshots (query while ingesting).
 * :mod:`repro.graph.io` — portable ``.npz`` persistence (columnar).
-* :mod:`repro.graph.formats` — CSV interop (edge streams, event
-  streams, attribute tables) for dataset exchange.
+* :mod:`repro.graph.formats` — CSV interop (store edge columns,
+  interaction-stream columns, attribute tables) for dataset exchange;
+  readers name the offending ``path:line``.
 """
 
 from repro.graph.snapshot import GraphSnapshot

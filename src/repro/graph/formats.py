@@ -8,8 +8,8 @@ module reads and writes the two standard shapes:
 * **Edge CSV** — one row per temporal edge: ``src,dst,t`` (integer
   timesteps, the columns of a :class:`~repro.graph.store.TemporalEdgeStore`)
   via :func:`read_edge_csv` / :func:`write_edge_csv`, or
-  ``src,dst,time`` with float timestamps (the
-  :class:`~repro.graph.streams.InteractionStream` view) via
+  ``src,dst,time`` with float timestamps (the columns of an
+  :class:`~repro.graph.streams.InteractionStream`) via
   :func:`read_event_csv` / :func:`write_event_csv`.
 * **Attribute CSV** — one row per ``(t, node)`` pair followed by the F
   attribute values, via :func:`read_attribute_csv` /
@@ -118,15 +118,19 @@ def write_event_csv(stream: InteractionStream, path: PathLike) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_EVENT_HEADER)
-        for u, v, t in stream:
-            writer.writerow([u, v, repr(t)])
+        writer.writerows((u, v, repr(t)) for u, v, t in stream)
 
 
 def read_event_csv(
     path: PathLike, num_nodes: Optional[int] = None
 ) -> InteractionStream:
-    """Read ``src,dst,time`` rows into an :class:`InteractionStream`."""
-    events: List[Tuple[int, int, float]] = []
+    """Read ``src,dst,time`` rows into an :class:`InteractionStream`.
+
+    ``num_nodes`` defaults to one past the maximum observed id.  A
+    negative id, an id outside an explicit ``num_nodes``, a self-loop
+    or a non-finite time fails with its line number.
+    """
+    rows: List[Tuple[int, int, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -146,13 +150,24 @@ def read_event_csv(
                 ts = float(row[2])
             except ValueError:
                 raise _parse_error(path, line_no, f"malformed row {row}")
-            events.append((u, v, ts))
+            if min(u, v) < 0:
+                raise _parse_error(path, line_no, "negative node id")
+            if num_nodes is not None and max(u, v) >= num_nodes:
+                raise _parse_error(
+                    path, line_no, f"node id out of range 0..{num_nodes - 1}"
+                )
+            if u == v:
+                raise _parse_error(path, line_no, f"self-loop event on node {u}")
+            if not np.isfinite(ts):
+                raise _parse_error(path, line_no, f"non-finite timestamp {ts}")
+            rows.append((u, v, ts))
     n = num_nodes if num_nodes is not None else (
-        max((max(u, v) for u, v, _ in events), default=-1) + 1
+        max((max(u, v) for u, v, _ in rows), default=-1) + 1
     )
     if n <= 0:
         raise ValueError(f"{os.fspath(path)}: no events and no explicit universe")
-    return InteractionStream(n, events)
+    src, dst, time = zip(*rows) if rows else ((), (), ())
+    return InteractionStream(n, src, dst, time)
 
 
 # ----------------------------------------------------------------------

@@ -7,22 +7,20 @@ paper evaluates on *discrete* snapshot sequences obtained by bucketing
 those events into ``T`` windows (§II-A).  This module provides that
 bridge:
 
-* :class:`InteractionStream` — an ordered stream of timestamped
-  directed interaction events, with validation, slicing, merging and
-  summary statistics.
-* Discretization policies mapping a stream onto ``T`` snapshot buckets:
-  :func:`uniform_windows` (equal-width time windows, what the paper
-  uses), :func:`equal_count_windows` (equal events per snapshot, useful
-  for bursty streams), and :func:`session_windows` (gap-based
+* :class:`InteractionStream` — ``(src, dst, time)`` columns sorted by
+  time, with validation, slicing, merging and summary statistics.
+* Discretization policies mapping a stream onto ``T`` snapshot buckets,
+  each returning one bucket id per event: :func:`uniform_windows`
+  (equal-width time windows, what the paper uses),
+  :func:`equal_count_windows` (equal events per snapshot, useful for
+  bursty streams), and :func:`session_windows` (gap-based
   segmentation).
-* :func:`discretize` — apply a policy and produce a
-  :class:`~repro.graph.dynamic.DynamicAttributedGraph` (structure only;
-  attach attributes separately).
+* :func:`discretize` — apply a policy and build the
+  :class:`~repro.graph.dynamic.DynamicAttributedGraph` in one store
+  construction (structure, plus an optional attribute block).
 
 The inverse direction (snapshots back to a stream with synthetic
-within-window timestamps) is provided by :func:`to_stream`, which the
-efficiency benches use to hand walk-based baselines the event view
-they natively consume.
+within-window timestamps) is :func:`to_stream`.
 
 For event volumes that should never be resident at once, the
 *streaming ingestion* path (:class:`StreamingStoreBuilder`,
@@ -45,11 +43,10 @@ store's canonicalization kernel, so a finished live stream and an
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,16 +54,12 @@ from repro.graph.dynamic import DynamicAttributedGraph
 from repro.graph.sparse import dedup_keys
 from repro.graph.store import (
     TemporalEdgeStore,
-    TemporalEdgeStoreBuilder,
     _canonical_keys,
     _check_key_range,
     _pack_keys,
     _unpack_keys,
 )
 from repro.reliability import CheckpointError, fault_injector
-
-#: One timestamped directed interaction: (src, dst, time).
-Event = Tuple[int, int, float]
 
 
 @dataclass(frozen=True)
@@ -87,49 +80,67 @@ class StreamStatistics:
 
 
 class InteractionStream:
-    """An ordered stream of timestamped directed interactions.
+    """Timestamped directed interactions as three columns.
 
     Parameters
     ----------
     num_nodes:
         Size of the node universe; endpoints must be in ``[0, N)``.
-    events:
-        Iterable of ``(src, dst, time)`` triples.  Events are sorted by
-        time on construction; ties keep input order (stable sort).
+    src, dst, time:
+        Parallel event columns (int64, int64, float64).  They are
+        sorted by time on construction; ties keep input order (stable
+        sort).  The sorted columns are read-only attributes.
 
     Self-loops are rejected (matching :class:`GraphSnapshot`), as are
-    non-finite timestamps.
+    non-finite timestamps; the error names the first offending event.
+    Iteration yields Python ``(u, v, t)`` tuples.
     """
 
-    def __init__(self, num_nodes: int, events: Iterable[Event] = ()):
+    def __init__(self, num_nodes: int, src=(), dst=(), time=()):
         self.num_nodes = int(num_nodes)
         if self.num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
-        checked: List[Event] = []
-        for u, v, t in events:
-            u, v, t = int(u), int(v), float(t)
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+        src = np.asarray(src, dtype=np.int64).reshape(-1)
+        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+        time = np.asarray(time, dtype=np.float64).reshape(-1)
+        if not (src.size == dst.size == time.size):
+            raise ValueError(
+                f"column lengths differ: {src.size}/{dst.size}/{time.size}"
+            )
+        out_of_range = (
+            (src < 0) | (src >= self.num_nodes)
+            | (dst < 0) | (dst >= self.num_nodes)
+        )
+        bad = np.flatnonzero(out_of_range | (src == dst) | ~np.isfinite(time))
+        if bad.size:
+            i = bad[0]
+            u, v = int(src[i]), int(dst[i])
+            if out_of_range[i]:
                 raise ValueError(f"event endpoints ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop event on node {u}")
-            if not np.isfinite(t):
-                raise ValueError(f"non-finite timestamp {t}")
-            checked.append((u, v, t))
-        checked.sort(key=lambda e: e[2])
-        self.events: List[Event] = checked
-        self._times = [e[2] for e in checked]
+            raise ValueError(f"non-finite timestamp {float(time[i])}")
+        order = np.argsort(time, kind="stable")
+        self.src, self.dst, self.time = src[order], dst[order], time[order]
+        for col in (self.src, self.dst, self.time):
+            col.flags.writeable = False
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.events)
+        return self.time.size
 
     def __iter__(self):
-        return iter(self.events)
+        return zip(self.src.tolist(), self.dst.tolist(), self.time.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InteractionStream):
             return NotImplemented
-        return self.num_nodes == other.num_nodes and self.events == other.events
+        return (
+            self.num_nodes == other.num_nodes
+            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.dst, other.dst)
+            and np.array_equal(self.time, other.time)
+        )
 
     def __repr__(self) -> str:
         return f"InteractionStream({self.statistics()})"
@@ -137,74 +148,82 @@ class InteractionStream:
     @property
     def start_time(self) -> float:
         """Timestamp of the earliest event (raises on empty streams)."""
-        if not self.events:
+        if not len(self):
             raise ValueError("empty stream has no start time")
-        return self._times[0]
+        return float(self.time[0])
 
     @property
     def end_time(self) -> float:
         """Timestamp of the latest event (raises on empty streams)."""
-        if not self.events:
+        if not len(self):
             raise ValueError("empty stream has no end time")
-        return self._times[-1]
+        return float(self.time[-1])
 
     def statistics(self) -> StreamStatistics:
         """Node/event/span summary of the stream."""
-        span = (self.end_time - self.start_time) if self.events else 0.0
-        pairs = {(u, v) for u, v, _ in self.events}
+        n = len(self)
         return StreamStatistics(
             num_nodes=self.num_nodes,
-            num_events=len(self.events),
-            time_span=span,
-            events_per_node=len(self.events) / self.num_nodes,
-            unique_pairs=len(pairs),
+            num_events=n,
+            time_span=(self.end_time - self.start_time) if n else 0.0,
+            events_per_node=n / self.num_nodes,
+            unique_pairs=dedup_keys(self.src * self.num_nodes + self.dst).size,
         )
 
     # ------------------------------------------------------------------
+    def _sliced(self, index) -> "InteractionStream":
+        return InteractionStream(
+            self.num_nodes, self.src[index], self.dst[index], self.time[index]
+        )
+
     def between(self, t0: float, t1: float) -> "InteractionStream":
         """Events with ``t0 <= time < t1`` (binary search, O(log n + k))."""
-        lo = bisect.bisect_left(self._times, t0)
-        hi = bisect.bisect_left(self._times, t1)
-        return InteractionStream(self.num_nodes, self.events[lo:hi])
+        lo, hi = np.searchsorted(self.time, [t0, t1], side="left")
+        return self._sliced(slice(lo, hi))
 
     def merged(self, other: "InteractionStream") -> "InteractionStream":
-        """Union of two streams over the same node universe."""
+        """Union of two streams over the same node universe.
+
+        On tied timestamps, ``self``'s events come first.
+        """
         if other.num_nodes != self.num_nodes:
             raise ValueError(
                 f"cannot merge streams over {self.num_nodes} and "
                 f"{other.num_nodes} nodes"
             )
-        return InteractionStream(self.num_nodes, self.events + other.events)
+        return InteractionStream(
+            self.num_nodes,
+            np.concatenate([self.src, other.src]),
+            np.concatenate([self.dst, other.dst]),
+            np.concatenate([self.time, other.time]),
+        )
 
     def shifted(self, delta: float) -> "InteractionStream":
         """Stream with all timestamps translated by ``delta``."""
         return InteractionStream(
-            self.num_nodes, [(u, v, t + delta) for u, v, t in self.events]
+            self.num_nodes, self.src, self.dst, self.time + delta
         )
 
     def subsampled(
         self, max_events: int, rng: np.random.Generator
     ) -> "InteractionStream":
         """Uniformly keep at most ``max_events`` events."""
-        if len(self.events) <= max_events:
-            return InteractionStream(self.num_nodes, self.events)
-        idx = rng.choice(len(self.events), size=max_events, replace=False)
-        return InteractionStream(
-            self.num_nodes, [self.events[i] for i in sorted(idx.tolist())]
-        )
+        if len(self) <= max_events:
+            return self._sliced(slice(None))
+        idx = rng.choice(len(self), size=max_events, replace=False)
+        return self._sliced(np.sort(idx))
 
     def inter_event_times(self) -> np.ndarray:
         """Gaps between consecutive events (empty for < 2 events)."""
-        return np.diff(np.asarray(self._times))
+        return np.diff(self.time)
 
 
 # ----------------------------------------------------------------------
-# Discretization policies: stream -> list of T event buckets
+# Discretization policies: stream -> one bucket id per event
 # ----------------------------------------------------------------------
-#: A policy maps a stream and a target T to per-snapshot event buckets.
-DiscretizationPolicy = Callable[
-    [InteractionStream, int], List[List[Event]]
-]
+#: A policy maps a stream and a target T to an int64 ``(num_events,)``
+#: column of bucket ids in ``[0, T)``, non-decreasing in time order.
+DiscretizationPolicy = Callable[[InteractionStream, int], np.ndarray]
 
 
 def uniform_windows(
@@ -212,35 +231,37 @@ def uniform_windows(
     num_timesteps: int,
     t0: Optional[float] = None,
     t1: Optional[float] = None,
-) -> List[List[Event]]:
+) -> np.ndarray:
     """Equal-width time windows over ``[t0, t1]`` (the paper's choice).
 
     The span defaults to the stream's own ``[start, end]``; pass ``t0`` /
     ``t1`` to pin it (e.g. ``functools.partial(uniform_windows, t0=0.0,
     t1=T)`` makes :func:`to_stream` followed by :func:`discretize` an
-    exact round trip even when boundary snapshots are empty).  The final
-    window is closed on the right so the last event lands in bucket
-    ``T - 1``.
+    exact round trip even when boundary snapshots are empty).  A pinned
+    span must hold every event.  The final window is closed on the
+    right so an event at ``t1`` lands in bucket ``T - 1``.
     """
     _check_discretization_args(stream, num_timesteps)
     t0 = stream.start_time if t0 is None else float(t0)
     t1 = stream.end_time if t1 is None else float(t1)
     if t1 < t0:
         raise ValueError(f"invalid window span [{t0}, {t1}]")
+    outside = np.count_nonzero((stream.time < t0) | (stream.time > t1))
+    if outside:
+        raise ValueError(
+            f"{outside} of {len(stream)} events lie outside [{t0}, {t1}]"
+        )
     width = (t1 - t0) / num_timesteps
-    buckets: List[List[Event]] = [[] for _ in range(num_timesteps)]
-    for u, v, t in stream:
-        if width == 0:
-            k = 0
-        else:
-            k = min(int((t - t0) / width), num_timesteps - 1)
-        buckets[k].append((u, v, t))
-    return buckets
+    if width == 0:
+        return np.zeros(len(stream), dtype=np.int64)
+    return np.minimum(
+        ((stream.time - t0) / width).astype(np.int64), num_timesteps - 1
+    )
 
 
 def equal_count_windows(
     stream: InteractionStream, num_timesteps: int
-) -> List[List[Event]]:
+) -> np.ndarray:
     """Windows holding (almost) equal numbers of events.
 
     Bursty streams produce near-empty snapshots under uniform windows;
@@ -248,18 +269,14 @@ def equal_count_windows(
     Events are never split across buckets out of time order.
     """
     _check_discretization_args(stream, num_timesteps)
-    counts = _balanced_partition(len(stream), num_timesteps)
-    buckets: List[List[Event]] = []
-    pos = 0
-    for c in counts:
-        buckets.append(stream.events[pos:pos + c])
-        pos += c
-    return buckets
+    ids = np.arange(num_timesteps, dtype=np.int64)
+    base, extra = divmod(len(stream), num_timesteps)
+    return np.repeat(ids, base + (ids < extra))  # counts differ by <= 1
 
 
 def session_windows(
     stream: InteractionStream, num_timesteps: int
-) -> List[List[Event]]:
+) -> np.ndarray:
     """Gap-based segmentation merged down to ``T`` buckets.
 
     Splits the stream at its ``T - 1`` largest inter-event gaps — the
@@ -270,19 +287,13 @@ def session_windows(
     _check_discretization_args(stream, num_timesteps)
     n = len(stream)
     if n <= num_timesteps:
-        buckets = [[e] for e in stream.events]
-        buckets += [[] for _ in range(num_timesteps - n)]
-        return buckets
+        return np.arange(n, dtype=np.int64)
     gaps = stream.inter_event_times()
     # indices i where a boundary is placed between event i and i+1
     cut_after = np.sort(np.argsort(-gaps)[: num_timesteps - 1])
-    buckets = []
-    start = 0
-    for cut in cut_after.tolist():
-        buckets.append(stream.events[start:cut + 1])
-        start = cut + 1
-    buckets.append(stream.events[start:])
-    return buckets
+    return np.searchsorted(cut_after, np.arange(n), side="left").astype(
+        np.int64
+    )
 
 
 def _check_discretization_args(
@@ -292,12 +303,6 @@ def _check_discretization_args(
         raise ValueError("num_timesteps must be positive")
     if not len(stream):
         raise ValueError("cannot discretize an empty stream")
-
-
-def _balanced_partition(total: int, parts: int) -> List[int]:
-    """Split ``total`` items into ``parts`` counts differing by <= 1."""
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
 # ----------------------------------------------------------------------
@@ -323,28 +328,25 @@ def discretize(
     policy:
         Windowing policy; one of :func:`uniform_windows` (default),
         :func:`equal_count_windows`, :func:`session_windows`, or any
-        callable with the same signature.
+        callable with the same signature.  Its bucket column must be
+        integer, one entry per event, in ``[0, T)``.
     attributes:
         Optional ``(T, N, F)`` attribute tensor attached verbatim.
     """
-    buckets = policy(stream, num_timesteps)
-    if len(buckets) != num_timesteps:
+    bucket = np.asarray(policy(stream, num_timesteps))
+    if bucket.shape != (len(stream),) or bucket.dtype.kind not in "iu":
         raise ValueError(
-            f"policy returned {len(buckets)} buckets, expected {num_timesteps}"
+            f"policy returned a {bucket.dtype} {bucket.shape} bucket "
+            f"column, expected integers of shape ({len(stream)},)"
         )
-    if attributes is not None and not np.all(np.isfinite(attributes)):
-        raise ValueError("attributes contain non-finite values")
-    builder = TemporalEdgeStoreBuilder(
-        stream.num_nodes,
-        0 if attributes is None else np.asarray(attributes).shape[-1],
+    if bucket.size and (bucket.min() < 0 or bucket.max() >= num_timesteps):
+        raise ValueError(f"policy bucket ids out of range 0..{num_timesteps - 1}")
+    return DynamicAttributedGraph.from_store(
+        TemporalEdgeStore(
+            stream.num_nodes, num_timesteps,
+            stream.src, stream.dst, bucket, attributes,
+        )
     )
-    for t, bucket in enumerate(buckets):
-        pairs = np.asarray(
-            [(u, v) for u, v, _ in bucket], dtype=np.int64
-        ).reshape(-1, 2)
-        attr = None if attributes is None else attributes[t]
-        builder.add_step(pairs[:, 0], pairs[:, 1], attr)
-    return DynamicAttributedGraph.from_store(builder.build())
 
 
 def to_stream(
@@ -356,8 +358,7 @@ def to_stream(
 
     Each edge of snapshot ``t`` becomes one event with a timestamp in
     ``[t * window, (t + 1) * window)``: at the window midpoint when
-    ``rng`` is ``None``, or uniform within the window otherwise.  This
-    is the event view the walk-based baselines natively consume.
+    ``rng`` is ``None``, or uniform within the window otherwise.
     """
     if window <= 0:
         raise ValueError("window must be positive")
@@ -366,13 +367,7 @@ def to_stream(
         times = store.t * window + window / 2
     else:
         times = store.t * window + rng.uniform(0.0, window, size=store.num_edges)
-    events = [
-        (u, v, ts)
-        for u, v, ts in zip(
-            store.src.tolist(), store.dst.tolist(), times.tolist()
-        )
-    ]
-    return InteractionStream(graph.num_nodes, events)
+    return InteractionStream(graph.num_nodes, store.src, store.dst, times)
 
 
 # ----------------------------------------------------------------------
@@ -860,4 +855,4 @@ def snapshot_density_profile(graph: DynamicAttributedGraph) -> np.ndarray:
     stream produce a highly skewed profile, equal-count windows a flat
     one.
     """
-    return np.array([s.num_edges for s in graph], dtype=float)
+    return graph.store.edges_per_step().astype(float)

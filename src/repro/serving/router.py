@@ -125,9 +125,9 @@ class ProcessQueryService:
         workers build their own).
     num_workers:
         Worker-process count (>= 1).
-    cache_memory_budget_bytes / cache_max_plans:
-        Per-worker plan-cache bounds (each worker owns a cache; the
-        budget is per worker, not pooled).
+    cache_memory_budget_bytes:
+        Per-worker plan-cache byte budget (each worker owns a cache;
+        the budget is per worker, not pooled).
     retry_policy / deadline_seconds / max_pending:
         The :class:`~repro.workloads.service.QueryService` reliability
         knobs, threaded across the process boundary (see module
@@ -148,7 +148,6 @@ class ProcessQueryService:
         *,
         num_workers: int = 2,
         cache_memory_budget_bytes: Optional[int] = None,
-        cache_max_plans: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         deadline_seconds: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -168,7 +167,6 @@ class ProcessQueryService:
         self.graph, store = self._resolve(graph)
         self.num_workers = int(num_workers)
         self.cache_memory_budget_bytes = cache_memory_budget_bytes
-        self.cache_max_plans = cache_max_plans
         import multiprocessing as mp
 
         start_method = start_method or default_start_method()
@@ -209,7 +207,6 @@ class ProcessQueryService:
             manifest=self.segment.manifest,
             worker_id=worker_id,
             cache_memory_budget_bytes=self.cache_memory_budget_bytes,
-            cache_max_plans=self.cache_max_plans,
             retry_policy=self._guard.retry_policy,
             fault_arming=fault_injector.arming(),
         )

@@ -83,7 +83,6 @@ class WorkerConfig:
     manifest: StoreManifest
     worker_id: int
     cache_memory_budget_bytes: Optional[int] = None
-    cache_max_plans: Optional[int] = None
     retry_policy: Optional[RetryPolicy] = None
     fault_arming: Tuple[Dict[str, FaultPlan], int, bool] = ({}, 0, False)
 
@@ -94,9 +93,7 @@ def _build_engine(config: WorkerConfig, store):
 
     graph = DynamicAttributedGraph.from_store(store)
     engine = GraphQueryEngine(
-        graph,
-        cache_memory_budget_bytes=config.cache_memory_budget_bytes,
-        cache_max_plans=config.cache_max_plans,
+        graph, cache_memory_budget_bytes=config.cache_memory_budget_bytes
     )
     engine.plans  # materialize the per-worker plan cache eagerly
     return engine

@@ -117,8 +117,6 @@ class SnapshotPlanCache:
         The most recently used plan is always kept resident even if it
         alone exceeds the budget (a query in flight needs its plan);
         everything else is evicted LRU-first.
-    max_plans:
-        Optional additional bound on the number of resident plans.
 
     Plans are immutable (arrays, tuples of arrays, or scalars); a plan
     handed to a caller stays valid after eviction, eviction only drops
@@ -130,15 +128,11 @@ class SnapshotPlanCache:
         store,
         *,
         memory_budget_bytes: Optional[int] = None,
-        max_plans: Optional[int] = None,
     ):
         if memory_budget_bytes is not None and memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive")
-        if max_plans is not None and max_plans < 1:
-            raise ValueError("max_plans must be >= 1")
         self.store = store
         self.memory_budget_bytes = memory_budget_bytes
-        self.max_plans = max_plans
         self._plans: "OrderedDict[Tuple, Tuple[object, int]]" = OrderedDict()
         self._lock = threading.Lock()
         self._bytes = 0
@@ -191,15 +185,9 @@ class SnapshotPlanCache:
 
     def _evict_locked(self) -> None:
         """Drop LRU plans until under budget (newest always survives)."""
-        def over() -> bool:
-            if self.max_plans is not None and len(self._plans) > self.max_plans:
-                return True
-            return (
-                self.memory_budget_bytes is not None
-                and self._bytes > self.memory_budget_bytes
-            )
-
-        while len(self._plans) > 1 and over():
+        if self.memory_budget_bytes is None:
+            return
+        while len(self._plans) > 1 and self._bytes > self.memory_budget_bytes:
             _, (_, owned) = self._plans.popitem(last=False)
             self._bytes -= owned
             self._evictions += 1

@@ -116,9 +116,9 @@ class GraphQueryEngine:
         / ``stats`` — the live tier's
         :class:`~repro.workloads.live.EpochPlanView` pins one epoch
         this way).  Must wrap ``graph.store``.
-    cache_memory_budget_bytes / cache_max_plans:
-        Sizing for the engine's own plan cache when ``plan_cache`` is
-        not given; ``None`` means unbounded.  See
+    cache_memory_budget_bytes:
+        Byte budget of the engine's own plan cache when ``plan_cache``
+        is not given; ``None`` means unbounded.  See
         :class:`SnapshotPlanCache` for the memory model.
     """
 
@@ -128,14 +128,12 @@ class GraphQueryEngine:
         *,
         plan_cache: Optional[SnapshotPlanCache] = None,
         cache_memory_budget_bytes: Optional[int] = None,
-        cache_max_plans: Optional[int] = None,
     ):
         self.graph = graph
         if plan_cache is not None and plan_cache.store is not graph.store:
             raise ValueError("plan_cache wraps a different store")
         self._plan_cache = plan_cache
         self._cache_budget = cache_memory_budget_bytes
-        self._cache_max_plans = cache_max_plans
         self._plan_cache_init = threading.Lock()
 
     @property
@@ -153,7 +151,6 @@ class GraphQueryEngine:
                     self._plan_cache = SnapshotPlanCache(
                         self.graph.store,
                         memory_budget_bytes=self._cache_budget,
-                        max_plans=self._cache_max_plans,
                     )
         return self._plan_cache
 

@@ -181,8 +181,8 @@ class LiveQueryService:
     Parameters mirror :class:`~repro.workloads.service.QueryService`
     (``executor`` serial/thread, ``max_workers``,
     ``retry_policy``, ``deadline_seconds``, ``max_pending``);
-    ``cache_memory_budget_bytes`` / ``cache_max_plans`` size the one
-    plan cache shared across every epoch.
+    ``cache_memory_budget_bytes`` sizes the one plan cache shared
+    across every epoch.
 
     :meth:`run_batch` refreshes to the freshest sealed epoch, pins it,
     and returns ``(epoch, results)`` — so a caller can always name the
@@ -198,7 +198,6 @@ class LiveQueryService:
         executor: str = "thread",
         max_workers: Optional[int] = None,
         cache_memory_budget_bytes: Optional[int] = None,
-        cache_max_plans: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         deadline_seconds: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -208,9 +207,7 @@ class LiveQueryService:
         # snapshot fails loudly here instead of serving nothing
         epoch, store = builder.snapshot()
         self._cache = SnapshotPlanCache(
-            store,
-            memory_budget_bytes=cache_memory_budget_bytes,
-            max_plans=cache_max_plans,
+            store, memory_budget_bytes=cache_memory_budget_bytes
         )
         self._swap = threading.Lock()
         self._epoch = epoch

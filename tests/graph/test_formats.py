@@ -123,7 +123,7 @@ class TestEdgeCsv:
 class TestEventCsv:
     def test_round_trip_preserves_float_times(self, tmp_path):
         stream = InteractionStream(
-            4, [(0, 1, 0.123456789), (2, 3, 1.5), (1, 0, 2.25)]
+            4, [0, 2, 1], [1, 3, 0], [0.123456789, 1.5, 2.25]
         )
         path = tmp_path / "events.csv"
         write_event_csv(stream, path)
@@ -135,6 +135,36 @@ class TestEventCsv:
         path.write_text("src,dst,time\n0,1,notatime\n")
         with pytest.raises(ValueError, match="events.csv:2"):
             read_event_csv(path)
+
+    @pytest.mark.parametrize(
+        "row,num_nodes,message",
+        [
+            ("2,2,1.0", None, "self-loop event on node 2"),
+            ("0,4,1.0", 4, "node id out of range 0..3"),
+            ("-1,2,1.0", None, "negative node id"),
+            ("0,2,nan", None, "non-finite timestamp nan"),
+            ("0,2,inf", None, "non-finite timestamp inf"),
+        ],
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, row, num_nodes, message):
+        path = tmp_path / "events.csv"
+        path.write_text(f"src,dst,time\n0,1,0.5\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"events.csv:4: {message}"):
+            read_event_csv(path, num_nodes=num_nodes)
+
+    def test_universe_inferred_from_max_id(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("src,dst,time\n0,5,0.5\n2,1,0.25\n")
+        stream = read_event_csv(path)
+        assert stream.num_nodes == 6
+        assert list(stream) == [(2, 1, 0.25), (0, 5, 0.5)]
+
+    def test_header_only_needs_explicit_universe(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("src,dst,time\n")
+        with pytest.raises(ValueError, match="no events"):
+            read_event_csv(path)
+        assert len(read_event_csv(path, num_nodes=3)) == 0
 
 
 class TestAttributeCsv:

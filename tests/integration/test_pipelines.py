@@ -2,6 +2,8 @@
 end: streams → training → release, churn generation, perturbation
 sanity, and persistence → continuation."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from repro.datasets import load_dataset
 from repro.datasets.perturb import rewire_edges
 from repro.graph import DynamicAttributedGraph
 from repro.graph.formats import export_graph_csv, import_graph_csv
-from repro.graph.streams import InteractionStream, discretize, to_stream
+from repro.graph.streams import (
+    InteractionStream,
+    discretize,
+    to_stream,
+    uniform_windows,
+)
 from repro.metrics import (
     degree_distribution_mmd,
     privacy_report,
@@ -73,14 +80,14 @@ class TestStreamToReleasePipeline:
         synthetic = email_model.generate(4, seed=2)
         stream = to_stream(synthetic, window=1.0)
         assert isinstance(stream, InteractionStream)
-        assert len(stream) == synthetic.num_temporal_edges
-        rebucketed = discretize(stream, 4)
-        # uniform windows on midpoint timestamps reproduce the buckets
-        # when the first and last snapshots are non-empty
-        if synthetic[0].num_edges and synthetic[3].num_edges:
-            assert (
-                rebucketed.num_temporal_edges == synthetic.num_temporal_edges
-            )
+        # midpoint timestamps keep the store's (t, src, dst) order
+        assert np.array_equal(stream.src, synthetic.store.src)
+        assert np.array_equal(stream.dst, synthetic.store.dst)
+        assert np.array_equal(stream.time, synthetic.store.t + 0.5)
+        # uniform windows over the pinned span [0, T] rebuild the buckets
+        pinned = functools.partial(uniform_windows, t0=0.0, t1=4.0)
+        rebucketed = discretize(stream, 4, pinned)
+        assert rebucketed.store == synthetic.store.with_attributes(None)
 
 
 class TestChurnPipeline:

@@ -12,6 +12,18 @@ from repro.workloads import GraphQueryEngine, SnapshotPlanCache
 from repro.workloads.cache import _reach_plan
 
 
+def plan_bytes(store, lookups):
+    """Owned bytes of each plan ``lookups`` builds, in order."""
+    probe = SnapshotPlanCache(store)
+    sizes = []
+    for lookup in lookups:
+        before = probe.stats().resident_bytes
+        lookup(probe)
+        sizes.append(probe.stats().resident_bytes - before)
+    assert min(sizes) > 0
+    return sizes
+
+
 @pytest.fixture
 def store():
     rng = np.random.default_rng(0)
@@ -179,8 +191,9 @@ class TestLRU:
         assert 0 < stats.hit_rate < 1
 
     def test_budget_evicts_lru_first(self, store):
-        # budget fits roughly one CSC plan; touching many evicts oldest
-        cache = SnapshotPlanCache(store, max_plans=2)
+        # the budget fits any two of the three CSC plans, not all three
+        sizes = plan_bytes(store, [lambda c, t=t: c.csc(t) for t in range(3)])
+        cache = SnapshotPlanCache(store, memory_budget_bytes=sum(sizes) - 1)
         cache.csc(0)
         cache.csc(1)
         cache.csc(0)  # refresh 0 -> 1 is now LRU
@@ -242,8 +255,6 @@ class TestLRU:
     def test_invalid_settings_rejected(self, store):
         with pytest.raises(ValueError, match="memory_budget_bytes"):
             SnapshotPlanCache(store, memory_budget_bytes=0)
-        with pytest.raises(ValueError, match="max_plans"):
-            SnapshotPlanCache(store, max_plans=0)
 
     def test_repr_shows_residency(self, store):
         cache = SnapshotPlanCache(store, memory_budget_bytes=1 << 20)
@@ -365,7 +376,20 @@ class TestInvalidation:
         assert stats.invalidations == 0
 
     def test_reconciliation_identity_with_invalidations(self, store):
-        cache = SnapshotPlanCache(store, max_plans=4)
+        # the budget holds about four of the CSR/CSC plans
+        sizes = plan_bytes(
+            store,
+            [
+                lookup
+                for t in range(store.num_timesteps)
+                for lookup in (
+                    lambda c, t=t: c.csr(t), lambda c, t=t: c.csc(t)
+                )
+            ],
+        )
+        cache = SnapshotPlanCache(
+            store, memory_budget_bytes=4 * sum(sizes) // len(sizes)
+        )
         rng = np.random.default_rng(13)
         for _ in range(100):
             t = int(rng.integers(0, store.num_timesteps))
